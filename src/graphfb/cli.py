@@ -154,6 +154,8 @@ def _resolve(args: argparse.Namespace) -> dict:
             cfg[key] = val
     if cfg.get("out") is None:
         raise InputError("an output directory is required (--out)")
+    if cfg["seed"] < 0:
+        raise InputError(f"--seed must be non-negative, got {cfg['seed']}")
     return cfg
 
 
@@ -250,6 +252,8 @@ def _cmd_basis(cfg: dict, out: Path) -> None:
 
 
 def _cmd_roundtrip(cfg: dict, out: Path) -> None:
+    if int(cfg["trials"]) < 1:
+        raise InputError(f"--trials must be at least 1, got {cfg['trials']}")
     g, signal = _load_graph(cfg)
     pyramid = build_pyramid(g, int(cfg["depth"]), _pyramid_config(cfg))
     if signal is not None:

@@ -78,7 +78,7 @@ def design_from_hstar(phi: SignedPermutation, hstar: float | Callable[[int, int]
     return h
 
 
-def design_minimax(phi: SignedPermutation, h_des: np.ndarray) -> np.ndarray:
+def design_minimax(phi: SignedPermutation, h_des: np.ndarray) -> tuple[np.ndarray, float]:
     """Closest reconstruction-feasible gain to a desired response h_des.
 
     On each pair (i, j) the best feasible value minimizing the larger of the

@@ -5,12 +5,24 @@ pattern, the basis U is built so that J U = U Phi for a symmetric signed
 permutation Phi: flipping the signs of one channel permutes basis vectors.
 Columns come in pairs (u, Ju) where u minimizes the smoothness u^T L u over
 unit vectors of the current complement subspace subject to u^T J u = 0, a
-problem solved globally as a two-constraint quadratic program after
-projecting onto the complement (Q = A^T L A, R = A^T J A + I).  When the
-complement becomes J-invariant with J acting as +I or -I on it, its
-smoothness eigenvectors complete the basis and satisfy Ju = +-u.  Columns
-are finally sorted by increasing smoothness (stable, so pair discovery order
-breaks ties) and Phi is read off by rounding U^T J U.
+problem solved globally as a two-constraint quadratic program.
+
+Every complement the construction visits is J-invariant, so it splits into a
+part supported on the low channel and a part supported on the high channel.
+The construction keeps an orthonormal basis of each part, B_lo and B_hi, in
+coordinates of keep_low and keep_high (both start as the identity), and the
+projected smoothness Q = A^T L A for A = blockdiag(B_lo, B_hi), which starts
+as L with rows and columns ordered (low, high).  In these coordinates the
+constraint matrix R = A^T J A + I = diag(2I, 0) is constant.  A pair's
+solution x = (x_lo, x_hi) gives u = (B_lo x_lo + B_hi x_hi) / |.| and
+Ju = s * u; one Householder reflection per block then rotates x_lo, and
+x_hi, onto the first column of its block, which is dropped, and Q follows by
+a rank-2 update per block.  The complement is MIXED (J has both signs on it)
+while both blocks are non-empty.  Once one block is empty, J acts as +-I on
+the rest, and the smoothness eigenvectors of the remaining block complete
+the basis with Ju = +-u.  Columns are finally sorted by increasing
+smoothness (stable, so pair discovery order breaks ties) and Phi is read off
+by rounding U^T J U.
 """
 
 from __future__ import annotations
@@ -148,14 +160,6 @@ def complement_basis(u_built: np.ndarray | None, n: int) -> np.ndarray:
     return left[:, m:]
 
 
-def _fix_sign(u: np.ndarray) -> np.ndarray:
-    # Lowest index within a relative band of the max magnitude, so that
-    # rounding noise cannot flip the convention on tied entries.
-    a = np.abs(u)
-    k = int(np.nonzero(a >= a.max() * (1.0 - 1e-9))[0][0])
-    return -u if u[k] < 0 else u
-
-
 def _round_signed_permutation(t: np.ndarray, tol: float = 1e-6) -> SignedPermutation:
     n = t.shape[0]
     perm = np.full(n, -1, dtype=int)
@@ -174,12 +178,25 @@ def _round_signed_permutation(t: np.ndarray, tol: float = 1e-6) -> SignedPermuta
     return phi
 
 
+def _split_off(b: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reflect the block basis b so that b x / |x| becomes its first column.
+
+    Returns that column, the other reflected columns, and the unit vector v
+    of the Householder reflection I - 2 v v^T, which sends x / |x| to -+e_1.
+    """
+    v = x / np.linalg.norm(x)
+    sigma = 1.0 if v[0] >= 0 else -1.0
+    v[0] += sigma
+    v /= np.linalg.norm(v)
+    reflected = b - 2.0 * np.outer(b @ v, v)
+    return -sigma * reflected[:, 0], reflected[:, 1:], v
+
+
 def compute_basis(
     l_matrix: np.ndarray,
     pattern: SamplingPattern,
     *,
     tol: float = 1e-10,
-    classify_tol: float = 1e-8,
     trace_hook=None,
 ) -> FourierBasis:
     """Build the folding-adapted orthonormal basis for (L, pattern).
@@ -194,43 +211,56 @@ def compute_basis(
     if pattern.n != n:
         raise InputError(f"pattern size {pattern.n} does not match Laplacian size {n}")
     s = pattern.sign
+    low, high = list(pattern.keep_low), list(pattern.keep_high)
+    perm = np.asarray(low + high)
+    q = l_matrix[np.ix_(perm, perm)]
+    b_lo = np.eye(len(low))
+    b_hi = np.eye(len(high))
 
-    cols: list[np.ndarray] = []
-    tags: list[int] = []
+    u_mat = np.zeros((n, n))
+    tags = np.full(n, -1, dtype=int)
     step = 0
-    while len(cols) < n:
-        built = np.column_stack(cols) if cols else None
-        a = complement_basis(built, n)
-        cls = classify_subspace(a, s, tol=classify_tol)
-        if cls is SubspaceClass.MIXED:
-            q = a.T @ l_matrix @ a
-            r = a.T @ (s[:, None] * a) + np.eye(a.shape[1])
-            trace: list | None = [] if trace_hook is not None else None
-            sol = qecqp.solve(qecqp.QecqpProblem(q, r), tol=tol, trace=trace)
-            if trace_hook is not None:
-                trace_hook(step, trace)
-            u = a @ sol.x
-            u = _fix_sign(u / np.linalg.norm(u))
-            w = s * u
-            w = w - (u @ w) * u
-            w = w / np.linalg.norm(w)
-            cols.extend([u, w])
-            tags.extend([step, step])
-            step += 1
-        else:
-            qa = a.T @ l_matrix @ a
-            _, vecs = np.linalg.eigh(0.5 * (qa + qa.T))
-            for v in (a @ vecs).T:
-                cols.append(_fix_sign(v))
-                tags.append(-1)
-            break
+    while b_lo.shape[1] and b_hi.shape[1]:
+        k_lo, k = b_lo.shape[1], q.shape[0]
+        r = np.diag(np.repeat([2.0, 0.0], [k_lo, k - k_lo]))
+        trace: list | None = [] if trace_hook is not None else None
+        sol = qecqp.solve(qecqp.QecqpProblem(q, r), tol=tol, trace=trace)
+        if trace_hook is not None:
+            trace_hook(step, trace)
+        u = np.zeros(n)
+        u[low], b_lo, v_lo = _split_off(b_lo, sol.x[:k_lo])
+        u[high], b_hi, v_hi = _split_off(b_hi, sol.x[k_lo:])
+        u = qecqp._fix_sign(u / np.linalg.norm(u))
+        u_mat[:, 2 * step] = u
+        u_mat[:, 2 * step + 1] = s * u
+        tags[2 * step : 2 * step + 2] = step
 
-    u_mat = np.column_stack(cols)
+        # Q <- H Q H for H = I - 2 V V^T, a rank-2 update per block, then
+        # drop the first coordinate of each block.
+        v = np.zeros((k, 2))
+        v[:k_lo, 0] = v_lo
+        v[k_lo:, 1] = v_hi
+        z = q @ v
+        z -= v @ (v.T @ z)
+        w = v @ z.T
+        q = q - 2.0 * (w + w.T)
+        keep = np.r_[1:k_lo, k_lo + 1 : k]
+        q = q[np.ix_(keep, keep)]
+        step += 1
+
+    # One block is used up: J acts as +-I on what is left, and the
+    # smoothness eigenvectors of the other block complete the basis.
+    b, idx = (b_lo, low) if b_lo.shape[1] else (b_hi, high)
+    if b.shape[1]:
+        _, vecs = np.linalg.eigh(0.5 * (q + q.T))
+        for j, vec in enumerate((b @ vecs).T, start=2 * step):
+            u_mat[idx, j] = qecqp._fix_sign(vec)
+
     energies = np.einsum("ij,jk,ik->i", u_mat.T, l_matrix, u_mat.T)
     order = np.argsort(energies, kind="stable")
     u_mat = u_mat[:, order]
     energies = energies[order]
-    pair_tags = np.asarray(tags, dtype=int)[order]
+    pair_tags = tags[order]
     phi = _round_signed_permutation(u_mat.T @ (s[:, None] * u_mat))
     return FourierBasis(u=u_mat, energies=energies, phi=phi, pattern=pattern, pair_tags=pair_tags)
 

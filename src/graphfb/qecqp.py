@@ -19,15 +19,24 @@ so the duality gap is zero and global optimality is certified by
 
     H >= 0,  H x ~ 0,  x^T x = 1,  x^T R x = 1,  x^T Q x = -mu1 - mu2.
 
-The maximizer is found by bisection on the supergradient sign.  At kinks the
-smallest eigenvalue is degenerate and the supergradient is an interval; the
-bisection moves toward the side the whole interval lies on and stops when the
-interval straddles zero or the bracket is narrower than the tolerance.
+The maximizer is a root of the supergradient, found inside a sign-change
+bracket by safeguarded Newton steps.  Where the smallest eigenvalue is simple
+the supergradient g is differentiable and its derivative
+
+    g'(mu2) = 2 sum_{j>0} (v_0^T R v_j)^2 / (lambda_0 - lambda_j)
+
+comes from the eigenpairs the evaluation already computed.  A Newton step is
+taken when it lands strictly inside the bracket and shrinks fast enough;
+otherwise an Illinois secant step, or failing that bisection, narrows it.  At kinks the smallest
+eigenvalue is degenerate and the supergradient is an interval; the search
+moves toward the side the whole interval lies on and stops when the interval
+straddles zero or the bracket is narrower than the tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +66,12 @@ def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
+
+
+def _norm2(m: np.ndarray) -> float:
+    """Spectral norm of a symmetric matrix, from its extreme eigenvalues."""
+    w = np.linalg.eigvalsh(m)
+    return max(-float(w[0]), float(w[-1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,19 +135,32 @@ class QecqpSolution:
     gap: float
 
 
-def _dual_eval(q: np.ndarray, r: np.ndarray, mu2: float) -> tuple[float, float, float]:
-    """Dual value and the supergradient interval [g_lo, g_hi] at mu2."""
+class _DualEval(NamedTuple):
+    """One dual evaluation."""
+
+    mu2: float
+    lam: float  # lambda_min(Q + mu2 R)
+    g_lo: float  # supergradient interval [g_lo, g_hi]
+    g_hi: float
+    dg: float | None  # g'(mu2) when lambda_min is simple, else None
+
+
+def _dual_eval(q: np.ndarray, r: np.ndarray, mu2: float) -> _DualEval:
+    """Smallest eigenvalue and supergradient interval at mu2, plus the
+    curvature g'(mu2) of the module docstring when the smallest eigenvalue is
+    simple."""
     w, v = _eigh(q + mu2 * r)
     lam = float(w[0])
     cluster_tol = 1e-9 * max(1.0, float(np.abs(w).max()))
     k = int(np.searchsorted(w, lam + cluster_tol, side="right"))
-    vc = v[:, :k]
-    m = _sym(vc.T @ r @ vc)
     if k == 1:
-        g = float(m[0, 0]) - 1.0
-        return -mu2 + lam, g, g
-    d = np.linalg.eigvalsh(m)
-    return -mu2 + lam, float(d[0]) - 1.0, float(d[-1]) - 1.0
+        c = v.T @ (r @ v[:, 0])
+        g = float(c[0]) - 1.0
+        dg = 2.0 * float(np.sum(c[1:] ** 2 / (lam - w[1:])))
+        return _DualEval(mu2, lam, g, g, dg)
+    vc = v[:, :k]
+    d = np.linalg.eigvalsh(_sym(vc.T @ r @ vc))
+    return _DualEval(mu2, lam, float(d[0]) - 1.0, float(d[-1]) - 1.0, None)
 
 
 def dual_objective(problem: QecqpProblem, mu2: float) -> tuple[float, float]:
@@ -151,94 +179,108 @@ def maximize_dual(
     tol: float = 1e-10,
     trace: list[tuple[float, float]] | None = None,
 ) -> DualPoint:
-    """Maximize the concave dual by safeguarded root finding on the supergradient.
+    """Maximize the concave dual by safeguarded Newton steps on the supergradient.
 
     The initial bracket is +-(||Q||_2 + 1), widened by doubling until the
-    supergradient changes sign across it, then narrowed with bracketed secant
-    steps (Illinois weighting, bisection fallback).  Convergence is declared
-    when the supergradient interval straddles zero within a small band (the
-    kink case), or the bracket is narrower than ``tol`` with a supergradient
-    small enough that a near-feasible null vector exists (the smooth case).
+    supergradient changes sign across it.  Inside the bracket each step is a
+    Newton step on the supergradient g from the latest evaluation, using the
+    curvature g' from that evaluation's eigenpairs, whenever it lands strictly
+    inside the bracket and is at most half the step before last (so an
+    oscillating Newton iteration is cut off); otherwise it is a bracketed
+    secant step (Illinois weighting) or, failing that, bisection.  Convergence is declared when the
+    supergradient interval straddles zero within a small band (the kink
+    case), or the bracket is narrower than ``tol`` with a supergradient small
+    enough that a near-feasible null vector exists (the smooth case).
     ``trace``, if given, collects (mu2, f(mu2)) for every evaluation.
     """
     if tol <= 0:
         raise InputError(f"tolerance must be positive, got {tol}")
     q, r = problem.q, problem.r
-    r_scale = max(1.0, float(np.linalg.norm(r, 2)))
+    r_scale = max(1.0, _norm2(r))
     g_tol = 1e-13 * r_scale
     g_accept = 1e-8 * r_scale
 
-    def ev(mu2: float) -> tuple[float, float, float]:
-        fval, g_lo, g_hi = _dual_eval(q, r, mu2)
+    def ev(mu2: float) -> _DualEval:
+        e = _dual_eval(q, r, mu2)
         if trace is not None:
-            trace.append((mu2, fval))
-        return fval, g_lo, g_hi
+            trace.append((mu2, -mu2 + e.lam))
+        return e
 
-    width = float(np.linalg.norm(q, 2)) + 1.0
+    def straddles(e: _DualEval) -> bool:
+        return e.g_lo <= g_tol and e.g_hi >= -g_tol
+
+    width = _norm2(q) + 1.0
     lo, hi = -width, width
-    _, g_lo_at_lo, g_hi_at_lo = ev(lo)
+    at_lo = ev(lo)
     for _ in range(80):
-        if g_hi_at_lo >= 0:
+        if at_lo.g_hi >= 0:
             break
         hi = lo
         lo -= width
         width *= 2.0
-        _, g_lo_at_lo, g_hi_at_lo = ev(lo)
+        at_lo = ev(lo)
     else:
         raise SolverError("dual bracket search failed on the left; no supergradient sign change")
-    if g_lo_at_lo <= g_tol and g_hi_at_lo >= -g_tol:
-        return _dual_point_at(q, r, problem.dim, lo)
-    _, g_lo_at_hi, g_hi_at_hi = ev(hi)
+    if straddles(at_lo):
+        return _dual_point_at(problem, at_lo)
+    at_hi = ev(hi)
     for _ in range(80):
-        if g_lo_at_hi <= 0:
+        if at_hi.g_lo <= 0:
             break
         lo = hi
         hi += width
         width *= 2.0
-        _, g_lo_at_hi, g_hi_at_hi = ev(hi)
+        at_hi = ev(hi)
     else:
         raise SolverError("dual bracket search failed on the right; no supergradient sign change")
-    if g_lo_at_hi <= g_tol and g_hi_at_hi >= -g_tol:
-        return _dual_point_at(q, r, problem.dim, hi)
+    if straddles(at_hi):
+        return _dual_point_at(problem, at_hi)
 
     # Bracket invariant: some supergradient is > 0 at lo and < 0 at hi.
-    f_lo, f_hi = g_hi_at_lo, g_lo_at_hi
+    f_lo, f_hi = at_lo.g_hi, at_hi.g_lo
     eps = float(np.finfo(float).eps)
-    mu2 = 0.5 * (lo + hi)
+    e = at_hi  # the latest evaluation
+    prev_step = last_step = np.inf
     side = 0
     for _ in range(300):
         mu2 = 0.5 * (lo + hi)
         if hi - lo <= 16.0 * eps * (1.0 + abs(mu2)):
+            e = ev(mu2)
             break
-        if f_hi < f_lo:
+        # Newton must land inside the bracket and at least halve the step
+        # before last; a Newton step that does not is oscillating.
+        newton = e.mu2 - e.g_lo / e.dg if e.dg else None
+        if newton is not None and lo < newton < hi and abs(newton - e.mu2) <= 0.5 * abs(prev_step):
+            mu2 = newton
+        elif f_hi < f_lo:
             secant = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
             if lo < secant < hi:
                 mu2 = secant
-        _, g_lo, g_hi = ev(mu2)
-        if g_lo <= g_tol and g_hi >= -g_tol:
+        prev_step, last_step = last_step, mu2 - e.mu2
+        e = ev(mu2)
+        if straddles(e):
             break
-        if max(abs(g_lo), abs(g_hi)) <= g_accept and hi - lo <= tol * (1.0 + abs(mu2)):
+        if max(abs(e.g_lo), abs(e.g_hi)) <= g_accept and hi - lo <= tol * (1.0 + abs(mu2)):
             break
-        if g_lo > 0.0:
-            lo, f_lo = mu2, g_lo
+        if e.g_lo > 0.0:
+            lo, f_lo = mu2, e.g_lo
             if side == 1:
                 f_hi *= 0.5
             side = 1
         else:
-            hi, f_hi = mu2, g_hi
+            hi, f_hi = mu2, e.g_hi
             if side == -1:
                 f_lo *= 0.5
             side = -1
     else:
         raise SolverError("dual root finding failed to converge")
-    return _dual_point_at(q, r, problem.dim, mu2)
+    return _dual_point_at(problem, e)
 
 
-def _dual_point_at(q: np.ndarray, r: np.ndarray, dim: int, mu2: float) -> DualPoint:
-    lam = float(np.linalg.eigvalsh(q + mu2 * r)[0])
-    mu1 = -lam
-    h = _sym(q + mu1 * np.eye(dim) + mu2 * r)
-    return DualPoint(mu1=mu1, mu2=mu2, fval=-mu2 + lam, h_matrix=h)
+def _dual_point_at(problem: QecqpProblem, e: _DualEval) -> DualPoint:
+    mu1 = -e.lam
+    h = _sym(problem.q + mu1 * np.eye(problem.dim) + e.mu2 * problem.r)
+    return DualPoint(mu1=mu1, mu2=e.mu2, fval=-e.mu2 + e.lam, h_matrix=h)
 
 
 def _null_point_from_eigh(

@@ -77,6 +77,18 @@ def test_bad_keep_value(tmp_path):
     )
 
 
+def test_negative_seed(tmp_path, capsys):
+    assert run("generate", "--graph", "ring", "--n", 8, "--seed", -1, "--out", tmp_path / "o") == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
+def test_zero_trials(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run("roundtrip", "--graph", "ring", "--n", 8, "--trials", 0, "--out", out) == 2
+    assert "--trials must be at least 1" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 # -- generate ------------------------------------------------------------------
 
 

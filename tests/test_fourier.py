@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 import graphfb as gf
-from graphfb import fourier, sampling
+from graphfb import fourier, qecqp, sampling
 from graphfb.errors import InputError, NumericalError
 
 PATH4_U = 0.5 * np.array(
@@ -42,6 +42,41 @@ PATH4_U = 0.5 * np.array(
 def build(g: gf.Graph) -> fourier.FourierBasis:
     l_matrix = gf.laplacian(g)
     return fourier.compute_basis(l_matrix, sampling.greedy_max_cut(l_matrix))
+
+
+def _reference_basis(l_matrix: np.ndarray, pattern: sampling.SamplingPattern):
+    """The construction in full coordinates: an SVD complement per pair.
+
+    Returns (U, energies, pair_tags) sorted like compute_basis.
+    """
+    n = l_matrix.shape[0]
+    s = pattern.sign
+    cols: list[np.ndarray] = []
+    tags: list[int] = []
+    step = 0
+    while len(cols) < n:
+        a = fourier.complement_basis(np.column_stack(cols) if cols else None, n)
+        if fourier.classify_subspace(a, s) is fourier.SubspaceClass.MIXED:
+            q = a.T @ l_matrix @ a
+            r = a.T @ (s[:, None] * a) + np.eye(a.shape[1])
+            sol = qecqp.solve(qecqp.QecqpProblem(q, r))
+            u = a @ sol.x
+            u = qecqp._fix_sign(u / np.linalg.norm(u))
+            w = s * u
+            w = w - (u @ w) * u
+            cols.extend([u, w / np.linalg.norm(w)])
+            tags.extend([step, step])
+            step += 1
+        else:
+            qa = a.T @ l_matrix @ a
+            _, vecs = np.linalg.eigh(0.5 * (qa + qa.T))
+            cols.extend(qecqp._fix_sign(v) for v in (a @ vecs).T)
+            tags.extend([-1] * a.shape[1])
+            break
+    u_mat = np.column_stack(cols)
+    energies = np.einsum("ij,jk,ik->i", u_mat.T, l_matrix, u_mat.T)
+    order = np.argsort(energies, kind="stable")
+    return u_mat[:, order], energies[order], np.asarray(tags)[order]
 
 
 # -- Golden fixtures -----------------------------------------------------------
@@ -115,6 +150,33 @@ def test_basis_invariants_random(seed):
     # column energies really are Dirichlet energies
     for i in (0, n // 2, n - 1):
         assert b.energies[i] == pytest.approx(float(b.u[:, i] @ l_matrix @ b.u[:, i]), abs=1e-8)
+
+
+@pytest.mark.parametrize("n", [24, 64])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_basis_matches_reference_construction(n, seed):
+    g = gf.generate("random_geometric", n, seed=seed)
+    l_matrix = gf.laplacian(g)
+    pat = sampling.greedy_max_cut(l_matrix)
+    b = fourier.compute_basis(l_matrix, pat)
+    u_ref, e_ref, tags_ref = _reference_basis(l_matrix, pat)
+    assert np.abs(b.u - u_ref).max() <= 1e-9
+    assert np.abs(b.energies - e_ref).max() <= 1e-9
+    np.testing.assert_array_equal(b.pair_tags, tags_ref)
+
+
+@pytest.mark.parametrize("kind,n", [("ring", 16), ("grid", 36)])
+def test_basis_on_degenerate_spectra_matches_reference_energies(kind, n):
+    # Degenerate energies leave each pair free to rotate inside its
+    # eigenspace, so only the energies and the invariants are compared.
+    g = gf.generate(kind, n)
+    l_matrix = gf.laplacian(g)
+    pat = sampling.greedy_max_cut(l_matrix)
+    b = fourier.compute_basis(l_matrix, pat)
+    _, e_ref, _ = _reference_basis(l_matrix, pat)
+    assert np.abs(b.energies - e_ref).max() <= 1e-9
+    assert np.abs(b.u.T @ b.u - np.eye(n)).max() <= 1e-12
+    assert np.abs(pat.sign[:, None] * b.u - b.u @ b.phi.as_matrix()).max() <= 1e-12
 
 
 def test_phi_is_symmetric_involution():

@@ -102,6 +102,23 @@ def test_dual_concavity_probe():
         assert fm >= t * fa + (1 - t) * fb - 1e-12
 
 
+def test_dual_curvature_matches_closed_form_and_finite_difference():
+    # Closed form: g(mu2) = f'(mu2) = -mu2 / sqrt(mu2^2 + 1), so
+    # g'(mu2) = -(mu2^2 + 1)^(-3/2).
+    p = qecqp.QecqpProblem(Q_PATH, R_20)
+    for mu2 in (-2.0, 0.0, 0.3, 4.0):
+        e = qecqp._dual_eval(p.q, p.r, mu2)
+        assert e.dg == pytest.approx(-((mu2**2 + 1.0) ** -1.5), rel=1e-9)
+    p = random_problem(5, seed=21)
+    h = 1e-5
+    for mu2 in (-1.0, 0.5, 2.0):
+        e = qecqp._dual_eval(p.q, p.r, mu2)
+        assert e.g_lo == e.g_hi  # a smooth point
+        g_plus = qecqp._dual_eval(p.q, p.r, mu2 + h).g_lo
+        g_minus = qecqp._dual_eval(p.q, p.r, mu2 - h).g_lo
+        assert e.dg == pytest.approx((g_plus - g_minus) / (2.0 * h), rel=1e-6)
+
+
 # -- Dual maximization --------------------------------------------------------
 
 
@@ -121,6 +138,16 @@ def test_maximize_dual_kink_maximum():
     assert d.mu2 == pytest.approx(2.0, abs=1e-6)
     assert d.fval == pytest.approx(2.0, abs=1e-8)
     assert d.mu1 == pytest.approx(-4.0, abs=1e-6)
+
+
+def test_maximize_dual_mu2_within_tolerance():
+    tol = 1e-10
+    d = qecqp.maximize_dual(qecqp.QecqpProblem(Q_PATH, R_20), tol=tol)
+    assert abs(d.mu2) <= tol
+    # At the kink the search stops as soon as the two eigenvalues 2 mu2 and 4
+    # of Q + mu2 R cluster, i.e. |2 mu2 - 4| <= 1e-9 * 4: within 2e-9 of 2.
+    d = qecqp.maximize_dual(qecqp.QecqpProblem(np.diag([0.0, 4.0]), R_20), tol=tol)
+    assert abs(d.mu2 - 2.0) <= 2e-9
 
 
 def test_maximize_dual_h_is_psd_with_zero_min():
