@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .filterbank import build_level
+from .filterbank import _DESIGNS, build_level
 from .fourier import compute_basis
 from .graphs import Graph, generate, laplacian, read_graph_file, write_graph_file
 from .multires import (
@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_pyramid(p: argparse.ArgumentParser) -> None:
         p.add_argument("--depth", type=int, help="number of pyramid levels")
-        p.add_argument("--design", choices=("hstar", "minimax"), help="filter design (default hstar)")
+        p.add_argument("--design", choices=_DESIGNS, help="filter design (default hstar)")
         p.add_argument("--hstar", type=float, help="constant h* in [0, 2] for the hstar design")
         p.add_argument("--eps", type=float, help="sparsifier accuracy in (0, 1) (default 0.3)")
         p.add_argument("--tol", type=float, help="solver tolerance (default 1e-10)")

@@ -130,6 +130,9 @@ class FilterLevel:
         return self.graph.n
 
 
+_DESIGNS = ("hstar", "minimax")
+
+
 def build_level(
     graph: Graph,
     *,

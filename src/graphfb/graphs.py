@@ -275,11 +275,11 @@ def parse_graph(text: str) -> tuple[Graph, np.ndarray | None]:
     a comment, blank lines are skipped.  Symmetric duplicates with equal
     weights merge; conflicting weights are an error.  An optional block after
     a ``%signal`` line holds ``i value`` rows and becomes a signal vector
-    (unlisted vertices default to 0).  The vertex count is one plus the
-    largest index mentioned.
+    (unlisted vertices default to 0); its values must be finite.  The vertex
+    count is one plus the largest index mentioned.
     """
     edge_rows: list[tuple[int, int, float]] = []
-    signal_rows: list[tuple[int, float]] = []
+    signal_rows: list[tuple[int, int, float]] = []
     in_signal = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -295,7 +295,7 @@ def parse_graph(text: str) -> tuple[Graph, np.ndarray | None]:
             if in_signal:
                 if len(parts) != 2:
                     raise ValueError
-                signal_rows.append((int(parts[0]), float(parts[1])))
+                signal_rows.append((lineno, int(parts[0]), float(parts[1])))
             else:
                 if len(parts) == 2:
                     edge_rows.append((int(parts[0]), int(parts[1]), 1.0))
@@ -323,9 +323,11 @@ def parse_graph(text: str) -> tuple[Graph, np.ndarray | None]:
     signal = None
     if in_signal:
         signal = np.zeros(n)
-        for i, val in signal_rows:
+        for lineno, i, val in signal_rows:
             if not (0 <= i < n):
                 raise InputError(f"signal index {i} out of range for n={n}")
+            if not math.isfinite(val):
+                raise InputError(f"line {lineno}: signal value {val} is not finite")
             signal[i] = val
     g = Graph(n, tuple((i, j, w) for (i, j), w in sorted(merged.items())))
     return g, signal

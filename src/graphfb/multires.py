@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .filterbank import FilterLevel, FilterQuartet, analyze, build_level, synthesize, verify_pr
+from .filterbank import _DESIGNS, FilterLevel, FilterQuartet, analyze, build_level, synthesize, verify_pr
 from .fourier import FourierBasis, SignedPermutation
 from .graphs import Graph, _UnionFind, as_signal, check_laplacian, format_graph, laplacian, parse_graph
 from .sampling import SamplingPattern
@@ -169,6 +169,14 @@ class PyramidConfig:
     design: str = "hstar"
     hstar: float = 2.0
     tol: float = 1e-10
+
+    def __post_init__(self) -> None:
+        if not (0.0 < self.eps < 1.0):
+            raise InputError(f"eps must lie in (0, 1), got {self.eps}")
+        if not (self.tol > 0.0):
+            raise InputError(f"tol must be positive, got {self.tol}")
+        if self.design not in _DESIGNS:
+            raise InputError(f"design must be one of {_DESIGNS}, got {self.design!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,15 +330,30 @@ def save_pyramid(p: Pyramid, path: str | Path) -> None:
 
 
 def load_pyramid(path: str | Path) -> Pyramid:
-    """Rebuild a saved pyramid.  Invariants are not re-verified on load."""
-    root = Path(path)
+    """Rebuild a saved pyramid.  Invariants are not re-verified on load.
+
+    A missing or malformed file, or a manifest whose ``config`` does not
+    name exactly the PyramidConfig fields, raises InputError.
+    """
     try:
-        manifest = json.loads((root / _MANIFEST_NAME).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read pyramid manifest: {exc}") from exc
+        return _read_pyramid(Path(path))
+    except InputError:
+        raise
+    except (OSError, KeyError, IndexError, TypeError, ValueError) as exc:
+        raise InputError(f"cannot load pyramid from {path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _read_pyramid(root: Path) -> Pyramid:
+    manifest = json.loads((root / _MANIFEST_NAME).read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise InputError("pyramid manifest is not a JSON object")
     if manifest.get("format") != _FORMAT:
         raise InputError(f"unrecognized pyramid format {manifest.get('format')!r}")
-    config = PyramidConfig(**manifest["config"])
+    stored = manifest.get("config")
+    names = {f.name for f in fields(PyramidConfig)}
+    if not isinstance(stored, dict) or set(stored) != names:
+        raise InputError(f"manifest config must have exactly the keys {sorted(names)}, got {stored!r}")
+    config = PyramidConfig(**stored)
     levels = []
     for idx, meta in enumerate(manifest["levels"]):
         d = root / f"level{idx}"

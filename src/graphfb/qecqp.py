@@ -19,18 +19,36 @@ so the duality gap is zero and global optimality is certified by
 
     H >= 0,  H x ~ 0,  x^T x = 1,  x^T R x = 1,  x^T Q x = -mu1 - mu2.
 
-The maximizer is a root of the supergradient, found inside a sign-change
-bracket by safeguarded Newton steps.  Where the smallest eigenvalue is simple
-the supergradient g is differentiable and its derivative
+The maximizer is a root of the supergradient.  The search starts at
+mu2 = 0, where the evaluation is the eigendecomposition of Q itself: if its
+supergradient interval straddles zero the maximum is found, otherwise its
+sign tells which side of 0 holds the root and its extreme eigenvalues give
+||Q||_2 for a one-sided sign-change bracket.  Inside the bracket the root is
+found by safeguarded Newton steps, the first one taken from mu2 = 0.  Where
+the smallest eigenvalue is simple the supergradient g is differentiable and
+its derivative
 
     g'(mu2) = 2 sum_{j>0} (v_0^T R v_j)^2 / (lambda_0 - lambda_j)
 
 comes from the eigenpairs the evaluation already computed.  A Newton step is
 taken when it lands strictly inside the bracket and shrinks fast enough;
-otherwise an Illinois secant step, or failing that bisection, narrows it.  At kinks the smallest
-eigenvalue is degenerate and the supergradient is an interval; the search
-moves toward the side the whole interval lies on and stops when the interval
-straddles zero or the bracket is narrower than the tolerance.
+otherwise an Illinois secant step, or failing that bisection, narrows it.  At
+kinks the smallest eigenvalue is degenerate and the supergradient is an
+interval; the search moves toward the side the whole interval lies on and
+stops when the interval straddles zero or the bracket is narrower than the
+tolerance.
+
+H = Q + mu1 I + mu2 R is a shift of Q + mu2 R by a multiple of I, so the
+last evaluation's eigenpairs (w - lambda_min, V) are those of H, and the
+feasible null point is read off them: a solve costs exactly one k x k
+symmetric eigendecomposition per dual evaluation (plus one of R projected
+onto the null space of H, whose dimension is usually 1).  Reused
+eigenvalues cannot certify H >= 0 (the smallest is 0 by construction), so
+that certificate is a Cholesky factorization of the explicitly formed
+H + delta I: if it succeeds, lambda_min(H) >= -delta up to O(k u ||H||)
+rounding.  The other residuals are explicit products with H, Q and R.  The
+spectrum of R is computed once per problem, read off the diagonal when R is
+diagonal.
 """
 
 from __future__ import annotations
@@ -68,31 +86,35 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _norm2(m: np.ndarray) -> float:
-    """Spectral norm of a symmetric matrix, from its extreme eigenvalues."""
-    w = np.linalg.eigvalsh(m)
-    return max(-float(w[0]), float(w[-1]))
-
-
 @dataclass(frozen=True, eq=False)
 class QecqpProblem:
-    """Validated problem data (Q, R)."""
+    """Validated problem data (Q, R), with the spectral norm ``r_norm`` of R."""
 
     q: np.ndarray
     r: np.ndarray
+    r_norm: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         q = np.asarray(self.q, dtype=float)
         r = np.asarray(self.r, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape != r.shape:
             raise InputError(f"Q and R must be square with equal shapes, got {q.shape} and {r.shape}")
+        if not (np.isfinite(q).all() and np.isfinite(r).all()):
+            raise InputError("Q and R must be finite")
         qs = max(1.0, float(np.abs(q).max(initial=0.0)))
         rs = max(1.0, float(np.abs(r).max(initial=0.0)))
         if float(np.abs(q - q.T).max(initial=0.0)) > _SYM_TOL * qs:
             raise InputError("Q is not symmetric")
         if float(np.abs(r - r.T).max(initial=0.0)) > _SYM_TOL * rs:
             raise InputError("R is not symmetric")
-        ev = np.linalg.eigvalsh(_sym(r))
+        r = _sym(r)
+        # A diagonal R (as the basis construction builds it) shows its
+        # spectrum on the diagonal.
+        diag = np.diagonal(r)
+        if np.count_nonzero(r) == np.count_nonzero(diag):
+            ev = np.sort(diag)
+        else:
+            ev = np.linalg.eigvalsh(r)
         if ev[0] < -1e-10 * rs:
             raise InputError(f"R is not positive semidefinite (lambda_min = {ev[0]:.3e})")
         gap = _EIG_ONE_GAP * rs
@@ -101,7 +123,8 @@ class QecqpProblem:
         if np.abs(ev - 1.0).min() <= gap:
             raise InputError("R has an eigenvalue at 1, which the dual approach excludes")
         object.__setattr__(self, "q", _sym(q))
-        object.__setattr__(self, "r", _sym(r))
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "r_norm", max(-float(ev[0]), float(ev[-1])))
 
     @property
     def dim(self) -> int:
@@ -143,12 +166,14 @@ class _DualEval(NamedTuple):
     g_lo: float  # supergradient interval [g_lo, g_hi]
     g_hi: float
     dg: float | None  # g'(mu2) when lambda_min is simple, else None
+    w: np.ndarray | None  # eigenpairs of Q + mu2 R, ascending
+    v: np.ndarray | None
 
 
 def _dual_eval(q: np.ndarray, r: np.ndarray, mu2: float) -> _DualEval:
     """Smallest eigenvalue and supergradient interval at mu2, plus the
     curvature g'(mu2) of the module docstring when the smallest eigenvalue is
-    simple."""
+    simple, and the eigenpairs they came from."""
     w, v = _eigh(q + mu2 * r)
     lam = float(w[0])
     cluster_tol = 1e-9 * max(1.0, float(np.abs(w).max()))
@@ -157,10 +182,10 @@ def _dual_eval(q: np.ndarray, r: np.ndarray, mu2: float) -> _DualEval:
         c = v.T @ (r @ v[:, 0])
         g = float(c[0]) - 1.0
         dg = 2.0 * float(np.sum(c[1:] ** 2 / (lam - w[1:])))
-        return _DualEval(mu2, lam, g, g, dg)
+        return _DualEval(mu2, lam, g, g, dg, w, v)
     vc = v[:, :k]
     d = np.linalg.eigvalsh(_sym(vc.T @ r @ vc))
-    return _DualEval(mu2, lam, float(d[0]) - 1.0, float(d[-1]) - 1.0, None)
+    return _DualEval(mu2, lam, float(d[0]) - 1.0, float(d[-1]) - 1.0, None, w, v)
 
 
 def dual_objective(problem: QecqpProblem, mu2: float) -> tuple[float, float]:
@@ -181,22 +206,37 @@ def maximize_dual(
 ) -> DualPoint:
     """Maximize the concave dual by safeguarded Newton steps on the supergradient.
 
-    The initial bracket is +-(||Q||_2 + 1), widened by doubling until the
-    supergradient changes sign across it.  Inside the bracket each step is a
-    Newton step on the supergradient g from the latest evaluation, using the
-    curvature g' from that evaluation's eigenpairs, whenever it lands strictly
-    inside the bracket and is at most half the step before last (so an
-    oscillating Newton iteration is cut off); otherwise it is a bracketed
-    secant step (Illinois weighting) or, failing that, bisection.  Convergence is declared when the
-    supergradient interval straddles zero within a small band (the kink
-    case), or the bracket is narrower than ``tol`` with a supergradient small
-    enough that a near-feasible null vector exists (the smooth case).
-    ``trace``, if given, collects (mu2, f(mu2)) for every evaluation.
+    The first evaluation is at mu2 = 0.  If its supergradient interval
+    straddles zero it is the maximizer.  Otherwise the root lies on the side
+    its sign points to, and the bracket on that side runs from 0 to
+    +-(||Q||_2 + 1), with ||Q||_2 read off the eigenvalues of Q; it is
+    widened by doubling until the supergradient changes sign.  Inside the
+    bracket each step is a Newton step on the supergradient g from the
+    latest evaluation (from mu2 = 0 for the first step), using the curvature
+    g' from that evaluation's eigenpairs, whenever it lands strictly inside
+    the bracket and is at most half the step before last (so an oscillating
+    Newton iteration is cut off); otherwise it is a bracketed secant step
+    (Illinois weighting) or, failing that, bisection.  Convergence is
+    declared when the supergradient interval straddles zero within a small
+    band (the kink case), or the bracket is narrower than ``tol`` with a
+    supergradient small enough that a near-feasible null vector exists (the
+    smooth case).  ``trace``, if given, collects (mu2, f(mu2)) for every
+    evaluation.
     """
+    return _dual_point_at(problem, _maximize_dual(problem, tol, trace))
+
+
+def _maximize_dual(
+    problem: QecqpProblem,
+    tol: float,
+    trace: list[tuple[float, float]] | None,
+) -> _DualEval:
+    """The search of maximize_dual; returns the evaluation at the maximizer,
+    which is always the latest one and the only one holding eigenpairs."""
     if tol <= 0:
         raise InputError(f"tolerance must be positive, got {tol}")
     q, r = problem.q, problem.r
-    r_scale = max(1.0, _norm2(r))
+    r_scale = max(1.0, problem.r_norm)
     g_tol = 1e-13 * r_scale
     g_accept = 1e-8 * r_scale
 
@@ -209,44 +249,49 @@ def maximize_dual(
     def straddles(e: _DualEval) -> bool:
         return e.g_lo <= g_tol and e.g_hi >= -g_tol
 
-    width = _norm2(q) + 1.0
-    lo, hi = -width, width
-    at_lo = ev(lo)
-    for _ in range(80):
-        if at_lo.g_hi >= 0:
-            break
-        hi = lo
-        lo -= width
-        width *= 2.0
-        at_lo = ev(lo)
+    e = ev(0.0)
+    if straddles(e):
+        return e
+    width = max(-float(e.w[0]), float(e.w[-1])) + 1.0
+    # The first Newton step starts from mu2 = 0; its eigenpairs are not
+    # needed any more.
+    e = e._replace(w=None, v=None)
+    if e.g_lo > 0.0:
+        # Bracket invariant: some supergradient is > 0 at lo and < 0 at hi.
+        lo, f_lo, hi = 0.0, e.g_hi, width
+        for _ in range(80):
+            far = ev(hi)
+            if far.g_lo <= 0:
+                break
+            lo, f_lo = hi, far.g_hi
+            hi += width
+            width *= 2.0
+        else:
+            raise SolverError("dual bracket search failed on the right; no supergradient sign change")
+        f_hi = far.g_lo
     else:
-        raise SolverError("dual bracket search failed on the left; no supergradient sign change")
-    if straddles(at_lo):
-        return _dual_point_at(problem, at_lo)
-    at_hi = ev(hi)
-    for _ in range(80):
-        if at_hi.g_lo <= 0:
-            break
-        lo = hi
-        hi += width
-        width *= 2.0
-        at_hi = ev(hi)
-    else:
-        raise SolverError("dual bracket search failed on the right; no supergradient sign change")
-    if straddles(at_hi):
-        return _dual_point_at(problem, at_hi)
+        lo, hi, f_hi = -width, 0.0, e.g_lo
+        for _ in range(80):
+            far = ev(lo)
+            if far.g_hi >= 0:
+                break
+            hi, f_hi = lo, far.g_lo
+            lo -= width
+            width *= 2.0
+        else:
+            raise SolverError("dual bracket search failed on the left; no supergradient sign change")
+        f_lo = far.g_hi
+    if straddles(far):
+        return far
+    del far
 
-    # Bracket invariant: some supergradient is > 0 at lo and < 0 at hi.
-    f_lo, f_hi = at_lo.g_hi, at_hi.g_lo
     eps = float(np.finfo(float).eps)
-    e = at_hi  # the latest evaluation
     prev_step = last_step = np.inf
     side = 0
     for _ in range(300):
         mu2 = 0.5 * (lo + hi)
         if hi - lo <= 16.0 * eps * (1.0 + abs(mu2)):
-            e = ev(mu2)
-            break
+            return ev(mu2)
         # Newton must land inside the bracket and at least halve the step
         # before last; a Newton step that does not is oscillating.
         newton = e.mu2 - e.g_lo / e.dg if e.dg else None
@@ -257,11 +302,12 @@ def maximize_dual(
             if lo < secant < hi:
                 mu2 = secant
         prev_step, last_step = last_step, mu2 - e.mu2
+        del e  # only the latest evaluation's eigenvectors stay alive
         e = ev(mu2)
         if straddles(e):
-            break
+            return e
         if max(abs(e.g_lo), abs(e.g_hi)) <= g_accept and hi - lo <= tol * (1.0 + abs(mu2)):
-            break
+            return e
         if e.g_lo > 0.0:
             lo, f_lo = mu2, e.g_lo
             if side == 1:
@@ -272,15 +318,21 @@ def maximize_dual(
             if side == -1:
                 f_lo *= 0.5
             side = -1
-    else:
-        raise SolverError("dual root finding failed to converge")
-    return _dual_point_at(problem, e)
+    raise SolverError("dual root finding failed to converge")
 
 
 def _dual_point_at(problem: QecqpProblem, e: _DualEval) -> DualPoint:
-    mu1 = -e.lam
-    h = _sym(problem.q + mu1 * np.eye(problem.dim) + e.mu2 * problem.r)
-    return DualPoint(mu1=mu1, mu2=e.mu2, fval=-e.mu2 + e.lam, h_matrix=h)
+    h = _h_matrix(problem, -e.lam, e.mu2)
+    return DualPoint(mu1=-e.lam, mu2=e.mu2, fval=-e.mu2 + e.lam, h_matrix=h)
+
+
+def _h_matrix(problem: QecqpProblem, mu1: float, mu2: float) -> np.ndarray:
+    """Q + mu1 I + mu2 R, built in place to keep the peak of temporaries low;
+    exactly symmetric because Q and R are."""
+    h = problem.q.copy()
+    h.flat[:: problem.dim + 1] += mu1
+    h += mu2 * problem.r
+    return h
 
 
 def _null_point_from_eigh(
@@ -348,16 +400,36 @@ def solve(
 ) -> QecqpSolution:
     """Globally solve the problem and certify optimality.
 
-    Raises SolverError if any certificate residual exceeds its threshold
-    (thresholds scale with ``tol``; at the default they are 1e-7 relative for
-    positive semidefiniteness of H, 1e-6 relative for stationarity and the
-    duality gap, 1e-8 for the unit norm, and 1e-6 for x^T R x - 1).
+    The feasible null point is read off the eigenpairs of the last dual
+    evaluation, shifted to those of H, so the solve performs no k x k
+    eigendecomposition beyond the dual evaluations.  Positive
+    semidefiniteness of H is certified by a Cholesky factorization of
+    H + delta I with delta = 1e3 * tol * (1 + ||H||_2); every other residual
+    is an explicit product.  Raises SolverError if any certificate fails
+    (thresholds scale with ``tol``; at the default they are delta = 1e-7
+    relative for positive semidefiniteness, 1e-6 relative for stationarity
+    and the duality gap, 1e-8 for the unit norm, and 1e-6 for x^T R x - 1).
     """
-    dual = maximize_dual(problem, tol=tol, trace=trace)
-    w, v = _eigh(dual.h_matrix)
-    x = _fix_sign(_null_point_from_eigh(w, v, problem.r, tol_null=1e-8))
+    e = _maximize_dual(problem, tol, trace)
+    x = _fix_sign(_null_point_from_eigh(e.w - e.lam, e.v, problem.r, tol_null=1e-8))
+    e = e._replace(v=None)  # frees the eigenvectors before the certificate's k x k work
+    return _certify(problem, e, x, tol)
 
-    h_scale = 1.0 + max(0.0, float(w[-1]), -float(w[0]))
+
+def _certify(problem: QecqpProblem, e: _DualEval, x: np.ndarray, tol: float) -> QecqpSolution:
+    """Check every optimality certificate of x for the dual point of the
+    evaluation e."""
+    h_scale = 1.0 + max(0.0, float(e.w[-1] - e.lam), float(e.lam - e.w[0]))
+    delta = 1e3 * tol * h_scale
+    # H + delta I is factored before H is built, so that the two and the
+    # factor are never alive together.
+    try:
+        np.linalg.cholesky(_h_matrix(problem, delta - e.lam, e.mu2))
+        psd = True
+    except np.linalg.LinAlgError:
+        psd = False
+
+    dual = _dual_point_at(problem, e)
     objective = float(x @ problem.q @ x)
     stationarity = float(np.linalg.norm(dual.h_matrix @ x))
     unit_error = abs(float(x @ x) - 1.0)
@@ -365,7 +437,7 @@ def solve(
     gap = abs(objective - dual.fval)
 
     checks = [
-        (float(w[0]) >= -1e3 * tol * h_scale, f"H not positive semidefinite: lambda_min = {float(w[0]):.3e}"),
+        (psd, f"H not positive semidefinite: Cholesky of H + {delta:.3e} I failed"),
         (stationarity <= 1e4 * tol * h_scale, f"stationarity residual {stationarity:.3e} too large"),
         (unit_error <= 1e2 * tol, f"unit-norm residual {unit_error:.3e} too large"),
         (feas_error <= 1e4 * tol, f"feasibility residual {feas_error:.3e} too large"),

@@ -302,6 +302,45 @@ def test_verify_load_missing_directory(tmp_path):
     assert run("verify", "--load", tmp_path / "nothing", "--out", tmp_path / "o") == 2
 
 
+def _saved_cli_pyramid(tmp_path: Path) -> Path:
+    out = tmp_path / "a"
+    assert run("verify", "--graph", "ring", "--n", 12, "--depth", 2, "--save", "--out", out) == 0
+    return out / "pyramid"
+
+
+def test_verify_load_missing_level_file(tmp_path, capsys):
+    pyr = _saved_cli_pyramid(tmp_path)
+    (pyr / "level1" / "basis_u.csv").unlink()
+    assert run("verify", "--load", pyr, "--out", tmp_path / "b") == 2
+    assert "basis_u.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", ["unknown", "missing"])
+def test_verify_load_bad_manifest_config(tmp_path, capsys, edit):
+    pyr = _saved_cli_pyramid(tmp_path)
+    manifest = json.loads((pyr / "manifest.json").read_text(encoding="utf-8"))
+    if edit == "unknown":
+        manifest["config"]["colour"] = "blue"
+    else:
+        del manifest["config"]["tol"]
+    (pyr / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert run("verify", "--load", pyr, "--out", tmp_path / "b") == 2
+    assert "manifest config" in capsys.readouterr().err
+
+
+def test_roundtrip_rejects_non_finite_signal(tmp_path, capsys):
+    path = write_path4(tmp_path / "g.txt", signal=True)
+    path.write_text(path.read_text(encoding="utf-8").replace("2.0", "nan"), encoding="utf-8")
+    assert run("roundtrip", "--graph-file", path, "--out", tmp_path / "o") == 2
+    assert "not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [("--eps", 5), ("--tol", 0)])
+def test_invalid_pyramid_config_at_depth_one(tmp_path, flags):
+    assert run("roundtrip", "--graph", "ring", "--n", 8, "--depth", 1, *flags,
+               "--out", tmp_path / "o") == 2
+
+
 def test_verify_load_reproduces_saved_report(tmp_path):
     out1 = tmp_path / "a"
     assert run("verify", "--graph", "ring", "--n", 16, "--depth", 2,

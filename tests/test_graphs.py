@@ -201,6 +201,13 @@ def test_parse_graph_with_signal_block():
     np.testing.assert_allclose(signal, [0.5, -1.5, 2.5])
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_parse_graph_rejects_non_finite_signal(value):
+    text = f"0 1 1.0\n1 2 2.0\n%signal\n0 0.5\n1 {value}\n"
+    with pytest.raises(InputError, match="line 5: signal value .* is not finite"):
+        gf.parse_graph(text)
+
+
 def test_format_graph_with_signal_round_trip():
     g = gf.Graph(3, ((0, 1, 1.0), (1, 2, 1.0)))
     sig = np.array([0.1, 0.2, 0.3])

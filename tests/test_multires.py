@@ -395,3 +395,61 @@ def test_corrupted_basis_fails_verification(tmp_path):
     rep = multires.verify_pyramid(q)
     assert rep["ok"] is False
     assert rep["levels"][0]["folding"] > 1e-6 or rep["levels"][0]["orthonormality"] > 1e-8
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"eps": 5.0}, {"eps": 0.0}, {"eps": 1.0}, {"eps": float("nan")}, {"tol": 0.0}, {"tol": -1e-10},
+     {"design": "nosuch"}],
+)
+def test_pyramid_config_rejects_invalid_values(kwargs):
+    with pytest.raises(InputError):
+        multires.PyramidConfig(**kwargs)
+
+
+def _saved_pyramid(tmp_path):
+    multires.save_pyramid(multires.build_pyramid(random_connected_graph(12, seed=3), 2), tmp_path / "pyr")
+    return tmp_path / "pyr"
+
+
+@pytest.mark.parametrize("name", ["basis_u.csv", "energies.csv", "pair_tags.csv", "phi.csv", "filters.csv",
+                                  "graph.txt"])
+def test_load_rejects_missing_level_file(tmp_path, name):
+    d = _saved_pyramid(tmp_path)
+    (d / "level1" / name).unlink()
+    with pytest.raises(InputError, match=name):
+        multires.load_pyramid(d)
+
+
+def test_load_rejects_malformed_level_file(tmp_path):
+    d = _saved_pyramid(tmp_path)
+    (d / "level0" / "filters.csv").write_text("1,2\n")
+    with pytest.raises(InputError):
+        multires.load_pyramid(d)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda c: c.update(extra=1),
+        lambda c: c.pop("eps"),
+        lambda c: c.update(eps=5.0),
+    ],
+    ids=["unknown-key", "missing-key", "invalid-value"],
+)
+def test_load_rejects_bad_manifest_config(tmp_path, edit):
+    d = _saved_pyramid(tmp_path)
+    manifest = json.loads((d / "manifest.json").read_text())
+    edit(manifest["config"])
+    (d / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(InputError):
+        multires.load_pyramid(d)
+
+
+def test_load_rejects_manifest_without_levels(tmp_path):
+    d = _saved_pyramid(tmp_path)
+    manifest = json.loads((d / "manifest.json").read_text())
+    del manifest["levels"]
+    (d / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(InputError):
+        multires.load_pyramid(d)

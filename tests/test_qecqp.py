@@ -71,6 +71,45 @@ def test_problem_rejects_shape_mismatch():
         qecqp.QecqpProblem(Q_PATH, np.diag([2.0, 0.0, 0.0]))
 
 
+def test_problem_rejects_non_finite_data():
+    with pytest.raises(InputError, match="finite"):
+        qecqp.QecqpProblem(np.array([[np.nan, 0.0], [0.0, 1.0]]), R_20)
+    with pytest.raises(InputError, match="finite"):
+        qecqp.QecqpProblem(Q_PATH, np.diag([np.inf, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "spectrum, message",
+    [
+        ([1.0, 2.0, 0.0], "eigenvalue at 1"),
+        ([2.0, -0.5, 0.0], "not positive semidefinite"),
+        ([0.5, 0.25, 0.0], "straddle 1"),
+        ([2.0, 3.0, 1.5], "straddle 1"),
+    ],
+)
+def test_problem_rejects_r_spectrum_diagonal_and_rotated(spectrum, message):
+    # The diagonal form is read off its diagonal, the rotated one goes
+    # through an eigensolver; both must give the same verdict.
+    q = np.eye(3)
+    rot, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((3, 3)))
+    r_diag = np.diag(spectrum)
+    r_rot = rot @ r_diag @ rot.T
+    r_rot = 0.5 * (r_rot + r_rot.T)
+    assert np.count_nonzero(r_rot - np.diag(np.diagonal(r_rot)))  # really not diagonal
+    for r in (r_diag, r_rot):
+        with pytest.raises(InputError, match=message):
+            qecqp.QecqpProblem(q, r)
+
+
+def test_problem_keeps_r_norm_of_channel_matrix():
+    s = np.array([1.0, -1.0, -1.0, 1.0, 1.0])
+    p = qecqp.QecqpProblem(np.eye(5), np.diag(s) + np.eye(5))
+    assert p.r_norm == 2.0
+    rot, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((5, 5)))
+    p = qecqp.QecqpProblem(np.eye(5), rot @ np.diag([2.0, 2.0, 0.5, 0.0, 0.0]) @ rot.T)
+    assert p.r_norm == pytest.approx(2.0, rel=1e-14)
+
+
 # -- Dual objective against the closed form -----------------------------------
 
 
@@ -160,12 +199,22 @@ def test_maximize_dual_h_is_psd_with_zero_min():
 
 
 def test_maximize_dual_trace_collects_evaluations():
+    # The search starts at mu2 = 0, where this fixture has its maximum
+    # f(0) = 0 with supergradient 0: one evaluation settles it.
     p = qecqp.QecqpProblem(Q_PATH, R_20)
     trace: list[tuple[float, float]] = []
     qecqp.maximize_dual(p, trace=trace)
+    assert trace == [(0.0, 0.0)]
+
+
+def test_maximize_dual_trace_off_zero_maximum():
+    p = random_problem(6, seed=3)
+    trace: list[tuple[float, float]] = []
+    d = qecqp.maximize_dual(p, trace=trace)
+    assert abs(d.mu2) > 1e-3  # the maximum is not at the starting point
+    assert trace[0][0] == 0.0
     assert len(trace) >= 2
-    best = max(f for _, f in trace)
-    assert best <= 0.0 + 1e-12  # dual values never exceed the maximum
+    assert max(f for _, f in trace) <= d.fval + 1e-12  # dual values never exceed the maximum
 
 
 def test_maximize_dual_rejects_bad_tol():
@@ -259,6 +308,58 @@ def test_solution_payload_consistency():
     sol = qecqp.solve(p)
     assert sol.objective == pytest.approx(float(sol.x @ p.q @ sol.x), rel=1e-12, abs=1e-12)
     assert sol.gap == pytest.approx(abs(sol.objective - sol.dual.fval), abs=1e-15)
+
+
+def test_solve_decomposes_once_per_dual_evaluation(monkeypatch):
+    # Every full-size eigendecomposition is a dual evaluation; the only other
+    # one is of the projection of R onto the null space of H, whose
+    # dimension is 1 at these smooth maxima.
+    sizes: list[int] = []
+    eigh = qecqp._eigh
+
+    def counting_eigh(m):
+        sizes.append(m.shape[0])
+        return eigh(m)
+
+    monkeypatch.setattr(qecqp, "_eigh", counting_eigh)
+    for seed in range(5):
+        p = random_problem(8, seed=200 + seed)
+        sizes.clear()
+        trace: list[tuple[float, float]] = []
+        qecqp.solve(p, trace=trace)
+        assert sizes.count(p.dim) == len(trace)
+        assert sorted(s for s in sizes if s != p.dim) == [1]
+
+
+def test_problem_with_diagonal_r_needs_no_eigensolver(monkeypatch):
+    calls: list[int] = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(m):
+        calls.append(m.shape[0])
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    qecqp.QecqpProblem(np.eye(4), np.diag([2.0, 0.0, 2.0, 0.0]))
+    assert calls == []
+    rot, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((4, 4)))
+    qecqp.QecqpProblem(np.eye(4), rot @ np.diag([2.0, 0.0, 2.0, 0.0]) @ rot.T)
+    assert calls == [4]
+
+
+def test_psd_certificate_rejects_lowered_mu1():
+    # Raising lambda_min by s lowers mu1 = -lambda_min by s, so H shifts by
+    # -s I and lambda_min(H) = -s.  The Cholesky gate must reject once
+    # -s < -delta and pass below it.
+    tol = 1e-10
+    p = random_problem(6, seed=3)
+    x = qecqp.solve(p, tol=tol).x
+    e = qecqp._maximize_dual(p, tol, None)
+    assert qecqp._certify(p, e, x, tol).objective == pytest.approx(e.lam - e.mu2, abs=1e-8)
+    delta = 1e3 * tol * (1.0 + float(e.w[-1] - e.w[0]))
+    qecqp._certify(p, e._replace(lam=e.lam + 0.5 * delta), x, tol)
+    with pytest.raises(SolverError, match="not positive semidefinite"):
+        qecqp._certify(p, e._replace(lam=e.lam + 2.0 * delta), x, tol)
 
 
 # -- Sampling oracle ----------------------------------------------------------
