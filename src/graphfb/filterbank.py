@@ -9,13 +9,26 @@ of the sampled two-channel bank to two pointwise equations on the gains:
 
 Both designs here produce h with h + |Phi| h = 2 on every entry, take
 h0 = g0 = sqrt(h) and h1 = g1 = |Phi| h0, and therefore satisfy both
-equations exactly up to rounding.  The resulting analysis operator is
-orthogonal: keeping all n sampled coefficients reconstructs any signal.
+equations exactly up to rounding.
+
+Each level applies its bank as two n x n matrices, built once on first use
+from U and the quartet and shared by ``analyze``, ``synthesize`` and
+``verify_pr``:
+
+    analysis  = [rows keep_low of F_h0; rows keep_high of F_h1],
+    synthesis = [cols keep_low of F_g0, cols keep_high of F_g1].
+
+Filtering then sampling a channel keeps the rows of its filter operator;
+zero-filling then filtering keeps the columns.  With g = h the synthesis
+operator is the transpose of the analysis operator, which is orthogonal:
+keeping all n sampled coefficients reconstructs any signal.  Signals with a
+non-finite entry are rejected with InputError before any filtering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -23,7 +36,7 @@ import numpy as np
 from .errors import InputError
 from .fourier import FourierBasis, SignedPermutation, compute_basis
 from .graphs import Graph, as_signal, laplacian
-from .sampling import SamplingPattern, downsample, greedy_max_cut, upsample
+from .sampling import SamplingPattern, greedy_max_cut
 
 __all__ = [
     "FilterQuartet",
@@ -118,7 +131,11 @@ def apply_filter(basis: FourierBasis, h: np.ndarray, f: np.ndarray) -> np.ndarra
 
 @dataclass(frozen=True, eq=False)
 class FilterLevel:
-    """One analysis/synthesis stage: graph, partition, basis, and quartet."""
+    """One analysis/synthesis stage: graph, partition, basis, and quartet.
+
+    ``analysis`` and ``synthesis`` are the level's sampled operators, formed
+    on first access and kept read-only for the life of the level.
+    """
 
     graph: Graph
     pattern: SamplingPattern
@@ -128,6 +145,25 @@ class FilterLevel:
     @property
     def n(self) -> int:
         return self.graph.n
+
+    @cached_property
+    def analysis(self) -> np.ndarray:
+        """n x n: the keep_low rows of F_h0 above the keep_high rows of F_h1."""
+        u = self.basis.u
+        low, high = list(self.pattern.keep_low), list(self.pattern.keep_high)
+        return _frozen(np.vstack([(u[low] * self.quartet.h0) @ u.T, (u[high] * self.quartet.h1) @ u.T]))
+
+    @cached_property
+    def synthesis(self) -> np.ndarray:
+        """n x n: the keep_low columns of F_g0 beside the keep_high columns of F_g1."""
+        u = self.basis.u
+        low, high = list(self.pattern.keep_low), list(self.pattern.keep_high)
+        return _frozen(np.hstack([(u * self.quartet.g0) @ u[low].T, (u * self.quartet.g1) @ u[high].T]))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 _DESIGNS = ("hstar", "minimax")
@@ -160,18 +196,26 @@ def build_level(
 
 
 def analyze(level: FilterLevel, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a signal into sampled low and high channel coefficients."""
-    f = as_signal(f, level.n)
-    f_low = downsample(apply_filter(level.basis, level.quartet.h0, f), level.pattern, "low")
-    f_high = downsample(apply_filter(level.basis, level.quartet.h1, f), level.pattern, "high")
-    return f_low, f_high
+    """Split a signal into sampled low and high channel coefficients.
+
+    One product with ``level.analysis``, split after the low channel.
+    Raises InputError on a wrong length or a non-finite entry.
+    """
+    c = level.analysis @ as_signal(f, level.n)
+    m = len(level.pattern.keep_low)
+    return c[:m], c[m:]
 
 
 def synthesize(level: FilterLevel, f_low: np.ndarray, f_high: np.ndarray) -> np.ndarray:
-    """Reassemble a signal from its two sampled channels."""
-    y0 = apply_filter(level.basis, level.quartet.g0, upsample(f_low, level.pattern, "low"))
-    y1 = apply_filter(level.basis, level.quartet.g1, upsample(f_high, level.pattern, "high"))
-    return y0 + y1
+    """Reassemble a signal from its two sampled channels.
+
+    One product of ``level.synthesis`` with the low channel followed by the
+    high one.  Raises InputError when a channel has the wrong length or a
+    non-finite entry.
+    """
+    f_low = as_signal(f_low, len(level.pattern.keep_low))
+    f_high = as_signal(f_high, len(level.pattern.keep_high))
+    return level.synthesis @ np.concatenate([f_low, f_high])
 
 
 def verify_pr(level: FilterLevel) -> dict[str, float]:
@@ -179,20 +223,12 @@ def verify_pr(level: FilterLevel) -> dict[str, float]:
 
     Returns max-norm residuals: ``gain_sum`` for g0.h0 + g1.h1 = 2,
     ``gain_fold`` for (|Phi| g0).h0 - (|Phi| g1).h1 = 0, and ``operator`` for
-    the end-to-end analysis/synthesis operator against the identity.
+    ``level.synthesis @ level.analysis`` against the identity, so the check
+    covers the very operators that ``analyze`` and ``synthesize`` apply.
     """
     h0, h1, g0, g1 = level.quartet
     phi = level.basis.phi
     gain_sum = float(np.abs(g0 * h0 + g1 * h1 - 2.0).max())
     gain_fold = float(np.abs(phi.apply_abs(g0) * h0 - phi.apply_abs(g1) * h1).max())
-    u = level.basis.u
-    s = level.pattern.sign
-    f0 = (u * h0) @ u.T
-    f1 = (u * h1) @ u.T
-    fg0 = (u * g0) @ u.T
-    fg1 = (u * g1) @ u.T
-    d_low = 0.5 * (1.0 + s)
-    d_high = 0.5 * (1.0 - s)
-    t = fg0 @ (d_low[:, None] * f0) + fg1 @ (d_high[:, None] * f1)
-    operator = float(np.abs(t - np.eye(level.n)).max())
+    operator = float(np.abs(level.synthesis @ level.analysis - np.eye(level.n)).max())
     return {"gain_sum": gain_sum, "gain_fold": gain_fold, "operator": operator}

@@ -137,10 +137,12 @@ def laplacian(g: Graph) -> np.ndarray:
 
 
 def as_signal(f: object, n: int) -> np.ndarray:
-    """Validate and return f as a float vector of length n."""
+    """Validate and return f as a finite float vector of length n."""
     arr = np.asarray(f, dtype=float)
     if arr.ndim != 1 or arr.shape[0] != n:
         raise InputError(f"signal must be a length-{n} vector, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InputError("signal has a non-finite entry (nan or inf)")
     return arr
 
 

@@ -57,13 +57,14 @@ def kron_reduce(l_matrix: np.ndarray, keep: tuple[int, ...] | list[int]) -> np.n
     l_matrix = np.asarray(l_matrix, dtype=float)
     n = l_matrix.shape[0]
     keep_idx = sorted(int(i) for i in keep)
-    if len(set(keep_idx)) != len(keep_idx):
+    kept = set(keep_idx)
+    if len(kept) != len(keep_idx):
         raise InputError("kept vertex set has duplicates")
     if any(i < 0 or i >= n for i in keep_idx):
         raise InputError("kept vertex index out of range")
     if not keep_idx or len(keep_idx) >= n:
         raise InputError("kept set must be a non-empty proper subset of the vertices")
-    elim = [i for i in range(n) if i not in set(keep_idx)]
+    elim = [i for i in range(n) if i not in kept]
     lkk = l_matrix[np.ix_(keep_idx, keep_idx)]
     lke = l_matrix[np.ix_(keep_idx, elim)]
     lee = l_matrix[np.ix_(elim, elim)]

@@ -78,7 +78,8 @@ class SamplingPattern:
             raise InputError(f"malformed sampling pattern document: {exc}") from None
         if any(i < 0 or i >= n for i in low):
             raise InputError("keep_low index out of range")
-        high = tuple(i for i in range(n) if i not in set(low))
+        low_set = set(low)
+        high = tuple(i for i in range(n) if i not in low_set)
         sign = np.full(n, -1.0)
         sign[list(low)] = 1.0
         return cls(low, high, sign)

@@ -241,9 +241,28 @@ def test_criterion_8_sparsifier_spectral_check():
     star = gf.Graph(5, tuple((0, i, 1.0) for i in range(1, 5)))
     ssp = multires.sparsify(star, eps=0.3)
     trees_ok = trees_ok and np.array_equal(gf.laplacian(star), gf.laplacian(ssp))
-    ok = hits >= 190 and trees_ok
+    # K30 at eps=0.3 lies under sparsify's pass-through gate, so the probes
+    # above compare the graph with itself.  K40 at eps=0.9 is over the gate
+    # and really samples; its probes must lie within the factor 1 +- eps.
+    eps = 0.9
+    k40 = gf.generate("complete", 40)
+    s40 = multires.sparsify(k40, eps=eps, seed=0)
+    sampled = len(s40.edges) < len(k40.edges)
+    l0, l1 = gf.laplacian(k40), gf.laplacian(s40)
+    rng = np.random.default_rng(30)
+    hits40 = 0
+    worst40 = 0.0
+    for _ in range(200):
+        x = rng.standard_normal(40)
+        q0 = float(x @ l0 @ x)
+        dev = abs(float(x @ l1 @ x) - q0) / q0
+        worst40 = max(worst40, dev)
+        hits40 += dev <= eps
+    ok = hits >= 190 and trees_ok and sampled and hits40 >= 190
     _report(
         8, "sparsifier spectral approximation", ok,
         f"K30 eps=0.3: {hits}/200 probes within factor 1+-0.9 (need >= 190); "
+        f"K40 eps={eps}: {len(k40.edges)} -> {len(s40.edges)} edges (need fewer), "
+        f"{hits40}/200 probes within factor 1+-{eps} (need >= 190, worst {worst40:.3f}); "
         f"tree inputs returned spectrally exact: {trees_ok}",
     )

@@ -231,3 +231,66 @@ def test_verify_pr_catches_broken_quartet():
     )
     rep = filterbank.verify_pr(broken)
     assert rep["gain_sum"] > 0.1 or rep["operator"] > 0.1
+    assert rep["operator"] > 0.1  # the operator gate sees the synthesis side
+
+
+def _chain_analyze(level, f):
+    # Reference: filter with each analysis gain, then keep the channel's entries.
+    b, q, pat = level.basis, level.quartet, level.pattern
+    low = sampling.downsample(filterbank.apply_filter(b, q.h0, f), pat, "low")
+    high = sampling.downsample(filterbank.apply_filter(b, q.h1, f), pat, "high")
+    return low, high
+
+
+def _chain_synthesize(level, f_low, f_high):
+    # Reference: zero-fill each channel, filter with its synthesis gain, add.
+    b, q, pat = level.basis, level.quartet, level.pattern
+    y0 = filterbank.apply_filter(b, q.g0, sampling.upsample(f_low, pat, "low"))
+    y1 = filterbank.apply_filter(b, q.g1, sampling.upsample(f_high, pat, "high"))
+    return y0 + y1
+
+
+@pytest.mark.parametrize("g", [
+    gf.generate("ring", 16),
+    gf.generate("grid", 25),
+    random_connected_graph(12, seed=1),
+    random_connected_graph(21, seed=5),
+], ids=["ring16", "grid25", "rgg12", "rgg21"])
+@pytest.mark.parametrize("design_kw", [{"design": "hstar", "hstar": 1.3}, {"design": "minimax"}])
+def test_operators_match_filter_chain(g, design_kw):
+    level = filterbank.build_level(g, **design_kw)
+    rng = np.random.default_rng(g.n)
+    m = len(level.pattern.keep_low)
+    for _ in range(3):
+        f = rng.standard_normal(g.n)
+        for got, ref in zip(filterbank.analyze(level, f), _chain_analyze(level, f)):
+            assert np.abs(got - ref).max() <= 1e-12
+        c = rng.standard_normal(g.n)
+        got = filterbank.synthesize(level, c[:m], c[m:])
+        assert np.abs(got - _chain_synthesize(level, c[:m], c[m:])).max() <= 1e-12
+
+
+def test_level_operators_are_cached_and_read_only():
+    level = filterbank.build_level(random_connected_graph(12, seed=3))
+    assert level.analysis is level.analysis
+    assert level.synthesis is level.synthesis
+    for op in (level.analysis, level.synthesis):
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_analyze_and_synthesize_reject_non_finite(bad):
+    level = filterbank.build_level(gf.generate("ring", 8))
+    f = np.ones(8)
+    f[2] = bad
+    with pytest.raises(InputError, match="non-finite"):
+        filterbank.analyze(level, f)
+    f_low, f_high = filterbank.analyze(level, np.ones(8))
+    bad_low, bad_high = f_low.copy(), f_high.copy()
+    bad_low[0] = bad
+    bad_high[-1] = bad
+    with pytest.raises(InputError, match="non-finite"):
+        filterbank.synthesize(level, bad_low, f_high)
+    with pytest.raises(InputError, match="non-finite"):
+        filterbank.synthesize(level, f_low, bad_high)

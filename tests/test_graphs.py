@@ -263,3 +263,9 @@ def test_as_signal_validates_length():
         as_signal([1.0, 2.0], 3)
     out = as_signal([1, 2, 3], 3)
     assert out.dtype == float
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_as_signal_rejects_non_finite(value):
+    with pytest.raises(InputError, match="non-finite"):
+        as_signal([1.0, value, 3.0], 3)

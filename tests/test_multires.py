@@ -254,6 +254,26 @@ def test_pyramid_config_controls_design():
     assert np.linalg.norm(back - f) / np.linalg.norm(f) <= 1e-7
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pyramid_transforms_reject_non_finite(bad):
+    g = random_connected_graph(20, seed=3)
+    p = multires.build_pyramid(g, 2)
+    f = np.ones(g.n)
+    f[5] = bad
+    with pytest.raises(InputError, match="non-finite"):
+        multires.pyramid_analyze(p, f)
+    tree = multires.pyramid_analyze(p, np.ones(g.n))
+    lows = tree.lows.copy()
+    lows[0] = bad
+    with pytest.raises(InputError, match="non-finite"):
+        multires.pyramid_synthesize(p, multires.CoefficientTree(lows=lows, highs=tree.highs))
+    for k in range(p.depth):
+        highs = [h.copy() for h in tree.highs]
+        highs[k][-1] = bad
+        with pytest.raises(InputError, match="non-finite"):
+            multires.pyramid_synthesize(p, multires.CoefficientTree(lows=tree.lows, highs=tuple(highs)))
+
+
 def test_verify_pyramid_green():
     g = random_connected_graph(30, seed=6)
     p = multires.build_pyramid(g, 2)

@@ -1,5 +1,7 @@
-"""Property tests: global optimality of the QECQP solve and the basis
-invariants on random inputs.
+"""Property tests: global optimality of the QECQP solve, the basis
+invariants, perfect reconstruction of a level's operators, and exact round
+trips through the graph text format and the saved-pyramid format on random
+inputs.
 
 Examples are drawn deterministically (``derandomize``) so the suite gives the
 same verdict on every run; the example budget keeps it to a few seconds.
@@ -7,12 +9,14 @@ same verdict on every run; the example budget keeps it to a few seconds.
 
 from __future__ import annotations
 
+import tempfile
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import graphfb as gf
-from graphfb import qecqp
+from graphfb import multires, qecqp
 
 _SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
@@ -64,3 +68,54 @@ def test_basis_is_orthonormal_and_folds(g):
     b = gf.compute_basis(lap, pattern)
     assert np.abs(b.u.T @ b.u - np.eye(g.n)).max() <= 1e-10
     assert np.abs(pattern.sign[:, None] * b.u - b.u @ b.phi.as_matrix()).max() <= 1e-10
+
+
+@st.composite
+def graphs_with_signals(draw, elements=_ENTRY) -> tuple[gf.Graph, np.ndarray]:
+    """A connected graph and one signal on its vertices."""
+    g = draw(connected_graphs())
+    return g, draw(hnp.arrays(np.float64, g.n, elements=elements))
+
+
+@_SETTINGS
+@given(graphs_with_signals())
+def test_level_operators_reconstruct(case):
+    g, f = case
+    level = gf.build_level(g)
+    eye = np.eye(g.n)
+    assert np.abs(level.analysis @ level.analysis.T - eye).max() <= 1e-10
+    assert np.abs(level.synthesis @ level.analysis - eye).max() <= 1e-10
+    back = gf.synthesize(level, *gf.analyze(level, f))
+    assert np.abs(back - f).max() <= 1e-10
+
+
+@_SETTINGS
+@given(graphs_with_signals(st.floats(allow_nan=False, allow_infinity=False)))
+def test_graph_text_round_trip_is_exact(case):
+    g, f = case
+    g2, f2 = gf.parse_graph(gf.format_graph(g, f))
+    assert g2.n == g.n and g2.edges == g.edges
+    assert np.array_equal(f2, f)
+
+
+@_SETTINGS
+@given(connected_graphs(), st.integers(1, 3))
+def test_saved_pyramid_round_trip_is_exact(g, depth):
+    p = multires.build_pyramid(g, depth)
+    with tempfile.TemporaryDirectory() as tmp:
+        multires.save_pyramid(p, tmp)
+        q = multires.load_pyramid(tmp)
+    assert (q.config, q.requested_depth, q.depth) == (p.config, p.requested_depth, p.depth)
+    for a, b in zip(p.levels, q.levels):
+        assert a.graph.edges == b.graph.edges
+        assert a.pattern.keep_low == b.pattern.keep_low
+        for x, y in [
+            (a.basis.u, b.basis.u),
+            (a.basis.energies, b.basis.energies),
+            (a.basis.pair_tags, b.basis.pair_tags),
+            (a.basis.phi.perm, b.basis.phi.perm),
+            (a.basis.phi.signs, b.basis.phi.signs),
+            *zip(a.quartet, b.quartet),
+            (a.analysis, b.analysis),
+        ]:
+            assert np.array_equal(x, y)
