@@ -1,17 +1,20 @@
 """Weighted undirected graphs, Laplacians, and smoothness measures.
 
 A graph is a vertex count together with a set of weighted edges (i, j, w),
-i < j, w > 0.  Graphs are validated on construction: no self-loops, no
-duplicate edges, indices in range, and a single connected component.  The
-combinatorial Laplacian is L = D - W with D the diagonal degree matrix, and
-the smoothness of a signal f is the quadratic form f^T L f, which equals the
-weighted sum of squared differences across edges.
+i < j, w > 0.  ``Graph`` stores the edges as three numpy arrays (endpoints
+``lo`` < ``hi`` and weights ``w``), so producers hand over arrays and the
+tuple view ``edges`` is built only when read.  Every graph passes one
+vectorized validation, whichever constructor made it: integer indices in
+range, no self-loops, positive finite weights, no duplicate edges, and a
+single connected component.  The combinatorial Laplacian is L = D - W with
+D the diagonal degree matrix, and the smoothness of a signal f is the
+quadratic form f^T L f, which equals the weighted sum of squared
+differences across edges.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -34,95 +37,184 @@ __all__ = [
 Edge = tuple[int, int, float]
 
 
-class _UnionFind:
-    """Disjoint-set forest with path compression, used for connectivity."""
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> bool:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return False
-        self.parent[ri] = rj
-        return True
+def _check_vertex_count(n: object) -> None:
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise InputError(f"vertex count must be a positive integer, got {n!r}")
 
 
-def connected_components(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
-    """Component label per vertex; labels are the smallest member index."""
-    uf = _UnionFind(n)
-    for i, j in pairs:
-        uf.union(i, j)
-    roots = [uf.find(i) for i in range(n)]
-    label = {}
-    for i, r in enumerate(roots):
-        label.setdefault(r, i)
-    return [label[r] for r in roots]
+def _components(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Component label per vertex: the smallest vertex index in its component.
+
+    Label propagation with pointer jumping: each round hooks every tree root
+    onto the smallest root across its edges, then replaces each label by its
+    label's label until every vertex points at a root.  Labels only ever
+    decrease, so the roots end as the component minima.
+    """
+    label = np.arange(n)
+    while True:
+        a, b = label[lo], label[hi]
+        crossing = a != b
+        if not crossing.any():
+            return label
+        a, b = a[crossing], b[crossing]
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
 
 
-@dataclass(frozen=True, eq=False)
+def _checked_edges(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Validate an edge list given as columns; return it as (lo, hi, w).
+
+    Every edge is checked for integer vertex indices, a self-loop, an index
+    out of range, a non-positive or non-finite weight and, last, a repeat of
+    an earlier edge.  The error names the first offending edge in input
+    order and the first check it fails.  Connectivity is left to the caller.
+    """
+    w = np.array(w, dtype=np.float64)
+    checks = (
+        (~(_integral(i) & _integral(j)), "integer"),
+        (i == j, "loop"),
+        ((i < 0) | (i >= n) | (j < 0) | (j >= n), "range"),
+        (~(np.isfinite(w) & (w > 0)), "weight"),
+    )
+    # Each check only looks before the first failure found so far, so the
+    # error kept is the earliest edge's first failing check.
+    stop, failed = len(w), None
+    for bad, name in checks:
+        hit = np.flatnonzero(bad[:stop])
+        if hit.size:
+            stop, failed = int(hit[0]), name
+    lo = np.minimum(i[:stop], j[:stop]).astype(np.int64)
+    hi = np.maximum(i[:stop], j[:stop]).astype(np.int64)
+    key = lo * n + hi
+    if np.any(key[1:] <= key[:-1]):
+        order = np.argsort(key, kind="stable")
+        repeats = order[1:][key[order[1:]] == key[order[:-1]]]
+        if repeats.size:
+            stop, failed = int(repeats.min()), "duplicate"
+    if failed is None:
+        return lo, hi, w
+    k = stop
+    if failed == "integer":
+        raise InputError(f"edge ({float(i[k])}, {float(j[k])}) has a non-integer vertex index")
+    ik, jk = int(i[k]), int(j[k])
+    if failed == "loop":
+        raise InputError(f"self-loop at vertex {ik}")
+    if failed == "range":
+        raise InputError(f"edge ({ik}, {jk}) has a vertex index out of range for n={n}")
+    if failed == "weight":
+        raise InputError(f"edge ({ik}, {jk}) has non-positive or non-finite weight {float(w[k])}")
+    raise InputError(f"duplicate edge ({min(ik, jk)}, {max(ik, jk)})")
+
+
+def _integral(col: np.ndarray) -> np.ndarray:
+    if col.dtype.kind in "biu":
+        return np.ones(len(col), dtype=bool)
+    return np.isfinite(col) & (np.floor(col) == col)
+
+
+def _edge_columns(n: int, edges: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns i, j, w of a sequence of (i, j, w) triples.
+
+    A row that is not a triple of numbers is reported after the rows before
+    it have passed ``_checked_edges``, so the first offending edge still wins.
+    """
+    rows = np.empty((0, 3))
+    if len(edges):
+        try:
+            rows = np.array(edges, dtype=np.float64)
+        except (TypeError, ValueError):
+            rows = None
+    if rows is None or rows.shape != (len(edges), 3):
+        k = next((k for k, e in enumerate(edges) if not _is_triple(e)), None)
+        if k is None:
+            raise InputError("edges must be (i, j, w) triples of numbers")
+        _checked_edges(n, *_edge_columns(n, edges[:k]))
+        raise InputError(f"edge must be (i, j, w), got {edges[k]!r}")
+    return rows[:, 0], rows[:, 1], rows[:, 2]
+
+
+def _is_triple(e: object) -> bool:
+    try:
+        return np.shape(np.asarray(e, dtype=np.float64)) == (3,)
+    except (TypeError, ValueError):
+        return False
+
+
 class Graph:
     """Connected weighted undirected graph.
+
+    The edges are held as three read-only arrays in input order: ``lo`` and
+    ``hi`` (int64, lo < hi) and ``w`` (float64, w > 0).  Both constructors,
+    ``Graph(n, edges, coords)`` from (i, j, w) triples and
+    ``Graph.from_arrays(n, i, j, w, coords)`` from columns, run the same
+    vectorized validation (``_checked_edges``, then one connectivity pass),
+    which raises InputError for the first offending edge.  Instances are
+    immutable.
 
     Attributes
     ----------
     n : int
         Number of vertices, labeled 0..n-1.
+    lo, hi, w : ndarray
+        Edge endpoints and weights, one entry per edge.
     edges : tuple of (int, int, float)
-        Weighted edges with i < j and w > 0.  Normalized on construction.
+        The same edges as Python tuples, built on first access.
     coords : ndarray or None
         Optional (n, 2) vertex coordinates used by coordinate-derived signals.
     """
 
-    n: int
-    edges: tuple[Edge, ...]
-    coords: np.ndarray | None = field(default=None, repr=False)
+    def __init__(self, n: int, edges: Iterable[Edge], coords: np.ndarray | None = None) -> None:
+        _check_vertex_count(n)
+        if not isinstance(edges, (tuple, list)):
+            edges = tuple(edges)
+        self._validate(n, *_edge_columns(n, edges), coords)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise InputError(f"vertex count must be a positive integer, got {self.n!r}")
-        norm: list[Edge] = []
-        seen: set[tuple[int, int]] = set()
-        for e in self.edges:
-            if len(e) != 3:
-                raise InputError(f"edge must be (i, j, w), got {e!r}")
-            i, j, w = int(e[0]), int(e[1]), float(e[2])
-            if i == j:
-                raise InputError(f"self-loop at vertex {i}")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise InputError(f"edge ({i}, {j}) has a vertex index out of range for n={self.n}")
-            if not (math.isfinite(w) and w > 0):
-                raise InputError(f"edge ({i}, {j}) has non-positive or non-finite weight {w}")
-            if i > j:
-                i, j = j, i
-            if (i, j) in seen:
-                raise InputError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
-            norm.append((i, j, w))
-        object.__setattr__(self, "edges", tuple(norm))
-        labels = connected_components(self.n, [(i, j) for i, j, _ in norm])
-        if any(lab != 0 for lab in labels):
+    @classmethod
+    def from_arrays(
+        cls, n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, coords: np.ndarray | None = None
+    ) -> Graph:
+        """Graph with the edges (i[k], j[k], w[k]); the same checks as the constructor."""
+        _check_vertex_count(n)
+        i, j, w = np.asarray(i), np.asarray(j), np.asarray(w)
+        if not (i.ndim == j.ndim == w.ndim == 1 and len(i) == len(j) == len(w)):
+            shapes = f"{i.shape}, {j.shape}, {w.shape}"
+            raise InputError(f"edge columns must be 1-d and of equal length, got shapes {shapes}")
+        g = cls.__new__(cls)
+        g._validate(n, i, j, w, coords)
+        return g
+
+    def _validate(self, n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, coords: np.ndarray | None) -> None:
+        lo, hi, w = _checked_edges(n, i, j, w)
+        if _components(n, lo, hi).any():
             raise InputError("graph is disconnected")
-        if self.coords is not None:
-            c = np.asarray(self.coords, dtype=float)
-            if c.shape != (self.n, 2):
-                raise InputError(f"coords must have shape ({self.n}, 2), got {c.shape}")
-            object.__setattr__(self, "coords", c)
+        if coords is not None:
+            coords = np.asarray(coords, dtype=float)
+            if coords.shape != (n, 2):
+                raise InputError(f"coords must have shape ({n}, 2), got {coords.shape}")
+        for a in (lo, hi, w):
+            a.flags.writeable = False
+        for name, value in (("n", n), ("lo", lo), ("hi", hi), ("w", w), ("coords", coords)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Graph is immutable; cannot set {name!r}")
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, edges={self.edges!r})"
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(zip(self.lo.tolist(), self.hi.tolist(), self.w.tolist()))
 
     @cached_property
     def weight_matrix(self) -> np.ndarray:
         w = np.zeros((self.n, self.n))
-        for i, j, wt in self.edges:
-            w[i, j] = wt
-            w[j, i] = wt
+        w[self.lo, self.hi] = self.w
+        w[self.hi, self.lo] = self.w
         return w
 
     @cached_property
@@ -187,46 +279,44 @@ def check_laplacian(l_matrix: np.ndarray, *, tol: float = 1e-10) -> dict[str, fl
 def _ring(n: int) -> Graph:
     if n < 3:
         raise InputError(f"ring graph needs n >= 3, got {n}")
-    edges = [(i, (i + 1) % n, 1.0) for i in range(n)]
-    t = 2.0 * np.pi * np.arange(n) / n
+    v = np.arange(n)
+    t = 2.0 * np.pi * v / n
     coords = np.column_stack([np.cos(t), np.sin(t)])
-    return Graph(n, tuple(edges), coords)
+    return Graph.from_arrays(n, v, (v + 1) % n, np.ones(n), coords)
 
 
 def _path(n: int) -> Graph:
     if n < 2:
         raise InputError(f"path graph needs n >= 2, got {n}")
-    edges = [(i, i + 1, 1.0) for i in range(n - 1)]
+    v = np.arange(n - 1)
     coords = np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
-    return Graph(n, tuple(edges), coords)
+    return Graph.from_arrays(n, v, v + 1, np.ones(n - 1), coords)
 
 
 def _complete(n: int) -> Graph:
     if n < 2:
         raise InputError(f"complete graph needs n >= 2, got {n}")
-    edges = [(i, j, 1.0) for i in range(n) for j in range(i + 1, n)]
+    i, j = np.triu_indices(n, 1)
     t = 2.0 * np.pi * np.arange(n) / n
     coords = np.column_stack([np.cos(t), np.sin(t)])
-    return Graph(n, tuple(edges), coords)
+    return Graph.from_arrays(n, i, j, np.ones(len(i)), coords)
 
 
 def _grid(n: int) -> Graph:
     # Row-major lattice trimmed to exactly n vertices; trimming the tail of
-    # the last row keeps it connected.
+    # the last row keeps it connected.  Each vertex lists its right edge,
+    # then its down edge.
     if n < 2:
         raise InputError(f"grid graph needs n >= 2, got {n}")
     rows = max(1, int(math.isqrt(n)))
     cols = math.ceil(n / rows)
-    edges = []
-    coords = np.zeros((n, 2))
-    for v in range(n):
-        r, c = divmod(v, cols)
-        coords[v] = (c, r)
-        if c + 1 < cols and v + 1 < n:
-            edges.append((v, v + 1, 1.0))
-        if v + cols < n:
-            edges.append((v, v + cols, 1.0))
-    return Graph(n, tuple(edges), coords)
+    v = np.arange(n)
+    r, c = np.divmod(v, cols)
+    coords = np.column_stack([c, r]).astype(float)
+    src = np.repeat(v, 2)
+    dst = np.column_stack([v + 1, v + cols]).ravel()
+    ok = np.column_stack([(c + 1 < cols) & (v + 1 < n), v + cols < n]).ravel()
+    return Graph.from_arrays(n, src[ok], dst[ok], np.ones(int(ok.sum())), coords)
 
 
 def _random_geometric(n: int, seed: int, radius: float) -> Graph:
@@ -240,11 +330,10 @@ def _random_geometric(n: int, seed: int, radius: float) -> Graph:
     r = radius
     for _ in range(64):
         ii, jj = np.nonzero(np.triu(d <= r, k=1))
-        if len(ii) and all(lab == 0 for lab in connected_components(n, zip(ii.tolist(), jj.tolist()))):
+        if len(ii) and not _components(n, ii, jj).any():
             sigma = r / 2.0
             w = np.exp(-(d[ii, jj] ** 2) / (2.0 * sigma**2))
-            edges = tuple((int(i), int(j), float(wt)) for i, j, wt in zip(ii, jj, w))
-            return Graph(n, edges, pts)
+            return Graph.from_arrays(n, ii, jj, w, pts)
         r *= 1.25
     raise InputError("could not connect random geometric graph within radius growth budget")
 

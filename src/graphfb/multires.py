@@ -26,7 +26,7 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .filterbank import _DESIGNS, FilterLevel, FilterQuartet, analyze, build_level, synthesize, verify_pr
 from .fourier import FourierBasis, SignedPermutation
-from .graphs import Graph, _UnionFind, as_signal, check_laplacian, format_graph, laplacian, parse_graph
+from .graphs import Graph, _components, as_signal, check_laplacian, format_graph, laplacian, parse_graph
 from .sampling import SamplingPattern
 
 __all__ = [
@@ -52,9 +52,10 @@ def kron_reduce(l_matrix: np.ndarray, keep: tuple[int, ...] | list[int]) -> np.n
 
     The eliminated block must be invertible, which holds whenever the graph
     is connected and ``keep`` is a non-empty proper subset.  The result is
-    again a Laplacian, of the Kron-reduced graph.
+    again a Laplacian, of the Kron-reduced graph.  A matrix that is not
+    square or holds a nan or inf raises InputError.
     """
-    l_matrix = np.asarray(l_matrix, dtype=float)
+    l_matrix = _finite_square(l_matrix)
     n = l_matrix.shape[0]
     keep_idx = sorted(int(i) for i in keep)
     kept = set(keep_idx)
@@ -75,90 +76,95 @@ def kron_reduce(l_matrix: np.ndarray, keep: tuple[int, ...] | list[int]) -> np.n
     return 0.5 * (reduced + reduced.T)
 
 
+def _finite_square(l_matrix: np.ndarray) -> np.ndarray:
+    l_matrix = np.asarray(l_matrix, dtype=float)
+    if l_matrix.ndim != 2 or l_matrix.shape[0] != l_matrix.shape[1]:
+        raise InputError(f"Laplacian must be square, got shape {l_matrix.shape}")
+    if not np.isfinite(l_matrix).all():
+        raise InputError("Laplacian has a non-finite entry (nan or inf)")
+    return l_matrix
+
+
 def graph_from_laplacian(l_matrix: np.ndarray) -> Graph:
     """Recover the weighted graph of a Laplacian, dropping negligible edges.
 
-    Off-diagonal entries of magnitude below 1e-12 * max|L| are treated as
-    zero; positive off-diagonal entries beyond that tolerance are rejected.
+    Scans the strict upper triangle as arrays: off-diagonal entries of
+    magnitude below 1e-12 * max|L| are treated as zero, the rest become
+    edges (i, j, -L[i, j]) in row-major order, which go to
+    ``Graph.from_arrays`` without a tuple round trip.  A positive
+    off-diagonal entry beyond the tolerance raises NumericalError naming
+    the first one in row-major order; a matrix that is not square or holds
+    a nan or inf raises InputError.
     """
-    l_matrix = np.asarray(l_matrix, dtype=float)
+    l_matrix = _finite_square(l_matrix)
     n = l_matrix.shape[0]
-    if l_matrix.ndim != 2 or l_matrix.shape != (n, n):
-        raise InputError(f"Laplacian must be square, got shape {l_matrix.shape}")
     tol = 1e-12 * max(1e-300, float(np.abs(l_matrix).max(initial=0.0)))
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = l_matrix[i, j]
-            if v > tol:
-                raise NumericalError(f"positive off-diagonal entry {v:.3e} at ({i}, {j})")
-            if v < -tol:
-                edges.append((i, j, -float(v)))
-    return Graph(n, tuple(edges))
+    positive = np.argwhere(np.triu(l_matrix > tol, 1))
+    if len(positive):
+        i, j = positive[0]
+        raise NumericalError(f"positive off-diagonal entry {l_matrix[i, j]:.3e} at ({i}, {j})")
+    lo, hi = np.nonzero(np.triu(l_matrix < -tol, 1))
+    return Graph.from_arrays(n, lo, hi, -l_matrix[lo, hi])
 
 
 def _effective_resistances(g: Graph) -> np.ndarray:
     lp = np.linalg.pinv(laplacian(g))
     d = np.diag(lp)
-    return np.array([d[i] + d[j] - 2.0 * lp[i, j] for i, j, _ in g.edges])
+    return d[g.lo] + d[g.hi] - 2.0 * lp[g.lo, g.hi]
 
 
 def sparsify(g: Graph, eps: float, seed=0) -> Graph:
     """Spectral sparsifier by effective-resistance sampling.
 
     Draws q = ceil(9 n ln n / eps^2) edges with replacement, each edge with
-    probability proportional to weight times effective resistance, and
-    accumulates weight w_e / (q p_e) per draw.  Graphs already at or below
-    2 n ln n / eps^2 edges are returned unchanged, so trees and other sparse
-    graphs pass through exactly.  If sampling disconnects the graph, the
-    highest-probability crossing edges are added back at original weight.
-    Deterministic for a fixed ``seed``.
+    probability p_e proportional to weight times effective resistance, and
+    gives each drawn edge the weight counts_e * w_e / (q p_e).  Graphs
+    already at or below 2 n ln n / eps^2 edges are returned unchanged, so
+    trees and other sparse graphs pass through exactly.  If sampling
+    disconnects the graph, the highest-probability crossing edges are added
+    back at original weight.  The result lists its edges sorted by (i, j)
+    and is built from the selected edge indices as arrays.  Deterministic
+    for a fixed ``seed``.
     """
     if not (0.0 < eps < 1.0):
         raise InputError(f"eps must lie in (0, 1), got {eps}")
     n = g.n
-    m = len(g.edges)
+    m = len(g.w)
     if n < 2 or m <= 2.0 * n * math.log(n) / eps**2:
         return g
     q = math.ceil(9.0 * n * math.log(n) / eps**2)
-    w = np.array([e[2] for e in g.edges])
-    p = w * _effective_resistances(g)
+    p = g.w * _effective_resistances(g)
     p = p / p.sum()
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(q, p)
-    new_w = {}
-    for e_idx in np.nonzero(counts)[0]:
-        i, j, we = g.edges[e_idx]
-        new_w[(i, j)] = counts[e_idx] * we / (q * p[e_idx])
-
-    _reconnect(new_w, g, p)
-    edges = tuple((i, j, float(wv)) for (i, j), wv in sorted(new_w.items()))
-    return Graph(n, edges, g.coords)
+    drawn = np.flatnonzero(counts)
+    idx, w = _reconnect(g, drawn, counts[drawn] * g.w[drawn] / (q * p[drawn]), p)
+    order = np.argsort(g.lo[idx] * n + g.hi[idx])
+    idx, w = idx[order], w[order]
+    return Graph.from_arrays(n, g.lo[idx], g.hi[idx], w, g.coords)
 
 
-def _reconnect(new_w: dict, g: Graph, p: np.ndarray) -> None:
-    """Add the most probable crossing edges back until new_w spans g.
+def _reconnect(g: Graph, idx: np.ndarray, w: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Add edges of g back until the edges ``idx`` (weights ``w``) span g.
 
-    Mutates ``new_w`` in place; restored edges carry their original weight.
-    Edge sampling with effective-resistance weights almost never drops a
-    cut, so this is a rarely taken safety net.
+    While the chosen edges leave more than one component, the edge of g
+    with the highest probability ``p`` (the first of equals) that crosses
+    between two components is appended at its original weight.  Returns
+    the grown (idx, w).  Edge sampling with effective-resistance weights
+    almost never drops a cut, so this is a rarely taken safety net.
     """
-    uf = _UnionFind(g.n)
-    comp = g.n
-    for i, j in new_w:
-        if uf.union(i, j):
-            comp -= 1
-    while comp > 1:
-        best = -1
-        for e_idx, (i, j, _) in enumerate(g.edges):
-            if uf.find(i) != uf.find(j) and (best < 0 or p[e_idx] > p[best]):
-                best = e_idx
-        if best < 0:
+    label = _components(g.n, g.lo[idx], g.hi[idx])
+    added = []
+    while label.any():
+        a, b = label[g.lo], label[g.hi]
+        crossing = a != b
+        if not crossing.any():
             raise NumericalError("cannot reconnect sparsified graph")
-        i, j, we = g.edges[best]
-        new_w[(i, j)] = we
-        uf.union(i, j)
-        comp -= 1
+        best = int(np.argmax(np.where(crossing, p, -np.inf)))
+        label[label == max(a[best], b[best])] = min(a[best], b[best])
+        added.append(best)
+    added = np.array(added, dtype=np.int64)
+    return np.concatenate([idx, added]), np.concatenate([w, g.w[added]])
 
 
 @dataclass(frozen=True)

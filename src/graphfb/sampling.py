@@ -128,7 +128,7 @@ def cut_value(g: Graph, pattern: SamplingPattern) -> float:
     if pattern.n != g.n:
         raise InputError(f"pattern size {pattern.n} does not match graph size {g.n}")
     s = pattern.sign
-    return float(sum(w for i, j, w in g.edges if s[i] != s[j]))
+    return float(g.w[s[g.lo] != s[g.hi]].sum())
 
 
 def _channel_indices(pattern: SamplingPattern, channel: str) -> tuple[int, ...]:

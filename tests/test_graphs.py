@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,124 @@ def test_graph_rejects_disconnected():
 def test_graph_rejects_duplicate_edge():
     with pytest.raises(InputError):
         gf.Graph(2, ((0, 1, 1.0), (1, 0, 2.0)))
+
+
+def _reference_edges(n: int, edges) -> tuple:
+    """The per-edge validation Graph ran before its edges became arrays:
+    the normalized edge tuple, or the InputError it raised."""
+    norm, seen = [], set()
+    for e in edges:
+        if len(e) != 3:
+            raise InputError(f"edge must be (i, j, w), got {e!r}")
+        i, j, w = int(e[0]), int(e[1]), float(e[2])
+        if i == j:
+            raise InputError(f"self-loop at vertex {i}")
+        if not (0 <= i < n and 0 <= j < n):
+            raise InputError(f"edge ({i}, {j}) has a vertex index out of range for n={n}")
+        if not (math.isfinite(w) and w > 0):
+            raise InputError(f"edge ({i}, {j}) has non-positive or non-finite weight {w}")
+        if i > j:
+            i, j = j, i
+        if (i, j) in seen:
+            raise InputError(f"duplicate edge ({i}, {j})")
+        seen.add((i, j))
+        norm.append((i, j, w))
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j, _ in norm:
+        parent[find(i)] = find(j)
+    if len({find(i) for i in range(n)}) > 1:
+        raise InputError("graph is disconnected")
+    return tuple(norm)
+
+
+def _reference_message(n: int, edges) -> str:
+    with pytest.raises(InputError) as ref:
+        _reference_edges(n, edges)
+    return str(ref.value)
+
+
+@pytest.mark.parametrize("n, seed", [(64, 1), (64, 2), (300, 1), (300, 2)])
+def test_graph_matches_loop_reference_validation(n, seed):
+    g = gf.generate("random_geometric", n, seed=seed)
+    assert g.edges == _reference_edges(n, g.edges)
+    # Input order is kept and each edge is flipped to i < j.
+    flipped = tuple((j, i, w) if k % 3 == 0 else (i, j, w) for k, (i, j, w) in enumerate(reversed(g.edges)))
+    assert gf.Graph(n, flipped).edges == _reference_edges(n, flipped)
+    h = gf.Graph.from_arrays(n, g.hi, g.lo, g.w)
+    assert h.edges == g.edges
+    assert all(a.dtype == np.int64 for a in (h.lo, h.hi)) and h.w.dtype == np.float64
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (3, ((0, 1, 1.0), (2, 2, 1.0), (0, 5, 1.0))),  # self-loop before out of range
+        (3, ((0, 5, 1.0), (2, 2, 1.0))),  # out of range before self-loop
+        (3, ((3, 3, 1.0), (0, 1, -1.0))),  # one edge, two faults: self-loop is checked first
+        (3, ((0, 1, 1.0), (1, 0, 2.0), (1, 2, float("nan")))),  # duplicate before bad weight
+        (3, ((0, 1, 1.0), (1, 2, float("inf")), (1, 0, 2.0))),  # bad weight before duplicate
+        (3, ((0, 1, 0.0), (0, 1, 1.0), (0, 9, 1.0))),  # zero weight first
+        (3, ((0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0), (1, 2, 1.0))),  # first repeat named
+        (3, ((0, 0, 1.0), (1, 2))),  # self-loop before a malformed edge
+        (3, ((0, 1, 1.0), (1, 2), (0, 0, 1.0))),  # malformed edge before a self-loop
+        (4, ((0, 1, 1.0), (2, 3, 1.0))),  # disconnected
+        (3, ()),  # no edges
+    ],
+)
+def test_graph_reports_first_offending_edge(n, edges):
+    expected = _reference_message(n, edges)
+    with pytest.raises(InputError) as got:
+        gf.Graph(n, edges)
+    assert str(got.value) == expected
+    if all(len(e) == 3 for e in edges) and edges:
+        i, j, w = np.array(edges).T
+        with pytest.raises(InputError) as got_arrays:
+            gf.Graph.from_arrays(n, i.astype(int), j.astype(int), w)
+        assert str(got_arrays.value) == expected
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        ((0.7, 1, 1.0), (1, 2.9, 1.0)),
+        ((0, 1, 1.0), (1, float("nan"), 1.0)),
+        ((0, 1, 1.0), (float("inf"), 2, 1.0)),
+    ],
+)
+def test_graph_rejects_non_integer_vertex_index(edges):
+    # int() used to truncate (0.7, 1) to the edge (0, 1).
+    with pytest.raises(InputError, match="non-integer vertex index"):
+        gf.Graph(3, edges)
+    with pytest.raises(InputError, match="non-integer vertex index"):
+        gf.Graph.from_arrays(3, [e[0] for e in edges], [e[1] for e in edges], [e[2] for e in edges])
+
+
+def test_graph_from_arrays_rejects_mismatched_columns():
+    with pytest.raises(InputError, match="equal length"):
+        gf.Graph.from_arrays(3, [0, 1], [1, 2], [1.0])
+    with pytest.raises(InputError, match="equal length"):
+        gf.Graph.from_arrays(3, [[0, 1]], [[1, 2]], [[1.0, 1.0]])
+
+
+def test_graph_accepts_integral_float_indices():
+    g = gf.Graph(3, ((0.0, 1.0, 1.0), (2.0, 1.0, 0.5)))
+    assert g.edges == ((0, 1, 1.0), (1, 2, 0.5))
+    assert type(g.edges[0][0]) is int
+
+
+def test_graph_is_immutable():
+    g = gf.Graph(3, ((0, 1, 2.0), (1, 2, 0.5)))
+    with pytest.raises(AttributeError):
+        g.n = 4
+    with pytest.raises(ValueError):
+        g.w[0] = 3.0
+    assert g.edges == ((0, 1, 2.0), (1, 2, 0.5))
 
 
 def test_weight_matrix_symmetric():

@@ -14,6 +14,8 @@ Kron oracles:
 from __future__ import annotations
 
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -113,6 +115,35 @@ def test_graph_from_laplacian_rejects_invalid():
         multires.graph_from_laplacian(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_graph_from_laplacian_rejects_non_finite(bad):
+    # A nan edge used to be dropped silently (ring 4 came back with three
+    # edges), and -inf made the tolerance infinite ("graph is disconnected").
+    l_matrix = gf.laplacian(gf.generate("ring", 4)).copy()
+    l_matrix[0, 1] = l_matrix[1, 0] = bad
+    with pytest.raises(InputError, match="non-finite"):
+        multires.graph_from_laplacian(l_matrix)
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3), (2, 2, 2)])
+def test_graph_from_laplacian_and_kron_reject_non_square(shape):
+    bad = np.ones(shape)
+    with pytest.raises(InputError, match="must be square"):
+        multires.graph_from_laplacian(bad)
+    with pytest.raises(InputError, match="must be square"):
+        multires.kron_reduce(bad, [0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kron_rejects_non_finite(bad):
+    with pytest.raises(InputError, match="non-finite"):
+        multires.kron_reduce(np.full((3, 3), bad), [0])
+    l_matrix = gf.laplacian(gf.generate("path", 4)).copy()
+    l_matrix[3, 3] = bad
+    with pytest.raises(InputError, match="non-finite"):
+        multires.kron_reduce(l_matrix, [0, 1])
+
+
 # -- Sparsifier ------------------------------------------------------------------
 
 
@@ -178,25 +209,156 @@ def test_reconnect_restores_dropped_bridge():
     # helper directly with a selection missing the only crossing edge.
     g = gf.Graph(4, ((0, 1, 1.0), (2, 3, 1.0), (1, 2, 0.25)))
     p = np.array([0.4, 0.4, 0.2])
-    new_w = {(0, 1): 1.0, (2, 3): 1.0}
-    multires._reconnect(new_w, g, p)
-    assert new_w[(1, 2)] == 0.25  # restored at original weight
-    assert len(new_w) == 3
+    idx, w = multires._reconnect(g, np.array([0, 1]), np.array([1.0, 1.0]), p)
+    assert idx.tolist() == [0, 1, 2]
+    assert w[2] == 0.25  # restored at original weight
+    assert len(w) == 3
 
 
 def test_reconnect_noop_when_connected():
     g = gf.Graph(3, ((0, 1, 1.0), (1, 2, 1.0)))
-    new_w = {(0, 1): 0.7, (1, 2): 0.9}
-    multires._reconnect(new_w, g, np.array([0.5, 0.5]))
-    assert new_w == {(0, 1): 0.7, (1, 2): 0.9}
+    idx, w = multires._reconnect(g, np.array([0, 1]), np.array([0.7, 0.9]), np.array([0.5, 0.5]))
+    assert idx.tolist() == [0, 1]
+    assert w.tolist() == [0.7, 0.9]
 
 
 def test_reconnect_picks_most_probable_crossing():
     g = gf.Graph(4, ((0, 1, 1.0), (2, 3, 1.0), (0, 2, 0.5), (1, 3, 0.8)))
     p = np.array([0.3, 0.3, 0.1, 0.3])
-    new_w = {(0, 1): 1.0, (2, 3): 1.0}
-    multires._reconnect(new_w, g, p)
-    assert (1, 3) in new_w and (0, 2) not in new_w
+    idx, _ = multires._reconnect(g, np.array([0, 1]), np.array([1.0, 1.0]), p)
+    assert 3 in idx and 2 not in idx
+
+
+# -- Loop references ---------------------------------------------------------------
+#
+# The per-edge loops graph_from_laplacian, sparsify and _reconnect ran before
+# graphs held their edges as arrays.  The array code must give the same edge
+# tuples, weights bit for bit.
+
+
+def _reference_graph_from_laplacian(l_matrix: np.ndarray) -> tuple:
+    n = l_matrix.shape[0]
+    tol = 1e-12 * max(1e-300, float(np.abs(l_matrix).max(initial=0.0)))
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = l_matrix[i, j]
+            if v > tol:
+                raise NumericalError(f"positive off-diagonal entry {v:.3e} at ({i}, {j})")
+            if v < -tol:
+                edges.append((i, j, -float(v)))
+    return tuple(edges)
+
+
+def _reference_reconnect(new_w: dict, g: gf.Graph, p: np.ndarray) -> None:
+    parent = list(range(g.n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    comp = g.n
+    for i, j in new_w:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            comp -= 1
+    while comp > 1:
+        best = -1
+        for e_idx, (i, j, _) in enumerate(g.edges):
+            if find(i) != find(j) and (best < 0 or p[e_idx] > p[best]):
+                best = e_idx
+        i, j, we = g.edges[best]
+        new_w[(i, j)] = we
+        parent[find(i)] = find(j)
+        comp -= 1
+
+
+def _reference_sparsify(g: gf.Graph, eps: float, seed) -> tuple:
+    n, m = g.n, len(g.edges)
+    if n < 2 or m <= 2.0 * n * math.log(n) / eps**2:
+        return g.edges
+    q = math.ceil(9.0 * n * math.log(n) / eps**2)
+    lp = np.linalg.pinv(gf.laplacian(g))
+    d = np.diag(lp)
+    w = np.array([e[2] for e in g.edges])
+    p = w * np.array([d[i] + d[j] - 2.0 * lp[i, j] for i, j, _ in g.edges])
+    p = p / p.sum()
+    counts = np.random.default_rng(seed).multinomial(q, p)
+    new_w = {}
+    for e_idx in np.nonzero(counts)[0]:
+        i, j, we = g.edges[e_idx]
+        new_w[(i, j)] = counts[e_idx] * we / (q * p[e_idx])
+    _reference_reconnect(new_w, g, p)
+    return tuple((i, j, float(wv)) for (i, j), wv in sorted(new_w.items()))
+
+
+def _same_bits(a: tuple, b: tuple) -> bool:
+    """Equal edge tuples with equal Python types and weight bit patterns."""
+    return len(a) == len(b) and all(
+        type(x[0]) is type(y[0]) is int
+        and type(x[1]) is type(y[1]) is int
+        and type(x[2]) is type(y[2]) is float
+        and x[:2] == y[:2]
+        and struct.pack("<d", x[2]) == struct.pack("<d", y[2])
+        for x, y in zip(a, b)
+    )
+
+
+@pytest.fixture(scope="module")
+def coarsening_step_1024() -> np.ndarray:
+    """Kron-reduced Laplacian of the first coarsening step of a random
+    geometric graph with 1024 vertices (505 vertices, 127k edges)."""
+    lap = gf.laplacian(gf.generate("random_geometric", 1024, seed=1))
+    return multires.kron_reduce(lap, sampling.greedy_max_cut(lap).keep_low)
+
+
+@pytest.mark.parametrize("n, seed", [(64, 1), (64, 2), (300, 1), (300, 2)])
+def test_coarsening_matches_loop_reference_on_random_geometric(n, seed):
+    lap = gf.laplacian(gf.generate("random_geometric", n, seed=seed))
+    h = multires.graph_from_laplacian(lap)
+    assert _same_bits(h.edges, _reference_graph_from_laplacian(lap))
+    for eps, step in ((0.3, 1), (0.9, 2)):
+        assert _same_bits(multires.sparsify(h, eps, seed=[0, step]).edges, _reference_sparsify(h, eps, [0, step]))
+
+
+def test_coarsening_matches_loop_reference_at_n1024(coarsening_step_1024):
+    red = coarsening_step_1024
+    h = multires.graph_from_laplacian(red)
+    assert _same_bits(h.edges, _reference_graph_from_laplacian(red))
+    s = multires.sparsify(h, 0.3, seed=[0, 1])
+    assert s is not h and len(s.edges) < len(h.edges)
+    assert _same_bits(s.edges, _reference_sparsify(h, 0.3, [0, 1]))
+
+
+def test_sparsify_matches_loop_reference_on_k40():
+    g = gf.generate("complete", 40)
+    assert _same_bits(multires.graph_from_laplacian(gf.laplacian(g)).edges, g.edges)
+    for seed in range(3):
+        s = multires.sparsify(g, 0.9, seed=seed)
+        assert len(s.edges) < len(g.edges)
+        assert _same_bits(s.edges, _reference_sparsify(g, 0.9, seed))
+
+
+@pytest.mark.parametrize(
+    "edges, p, new_w",
+    [
+        (((0, 1, 1.0), (2, 3, 1.0), (1, 2, 0.25)), [0.4, 0.4, 0.2], {(0, 1): 1.0, (2, 3): 1.0}),
+        (((0, 1, 1.0), (1, 2, 1.0)), [0.5, 0.5], {(0, 1): 0.7, (1, 2): 0.9}),
+        (((0, 1, 1.0), (2, 3, 1.0), (0, 2, 0.5), (1, 3, 0.8)), [0.3, 0.3, 0.1, 0.3], {(0, 1): 1.0, (2, 3): 1.0}),
+    ],
+)
+def test_reconnect_matches_loop_reference(edges, p, new_w):
+    g = gf.Graph(1 + max(max(i, j) for i, j, _ in edges), edges)
+    p = np.array(p)
+    keys = [(i, j) for i, j, _ in g.edges]
+    kept = np.array([keys.index(key) for key in new_w])
+    idx, w = multires._reconnect(g, kept, np.array(list(new_w.values())), p)
+    got = dict(zip(((int(g.lo[k]), int(g.hi[k])) for k in idx), w.tolist()))
+    expected = dict(new_w)
+    _reference_reconnect(expected, g, p)
+    assert got == expected
 
 
 # -- Pyramid construction ----------------------------------------------------------

@@ -1,7 +1,7 @@
 """Property tests: global optimality of the QECQP solve, the basis
-invariants, perfect reconstruction of a level's operators, and exact round
-trips through the graph text format and the saved-pyramid format on random
-inputs.
+invariants, exact recovery of a graph from its Laplacian, perfect
+reconstruction of a level's operators, and exact round trips through the
+graph text format and the saved-pyramid format on random inputs.
 
 Examples are drawn deterministically (``derandomize``) so the suite gives the
 same verdict on every run; the example budget keeps it to a few seconds.
@@ -68,6 +68,12 @@ def test_basis_is_orthonormal_and_folds(g):
     b = gf.compute_basis(lap, pattern)
     assert np.abs(b.u.T @ b.u - np.eye(g.n)).max() <= 1e-10
     assert np.abs(pattern.sign[:, None] * b.u - b.u @ b.phi.as_matrix()).max() <= 1e-10
+
+
+@_SETTINGS
+@given(connected_graphs())
+def test_graph_from_laplacian_recovers_the_edges_exactly(g):
+    assert multires.graph_from_laplacian(gf.laplacian(g)).edges == g.edges
 
 
 @st.composite
