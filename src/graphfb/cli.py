@@ -100,7 +100,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("basis", help="build a basis and export it with its energies")
     add_common(p, graph_file=True)
     p.add_argument("--tol", type=float, help="solver tolerance (default 1e-10)")
-    p.add_argument("--trace", action="store_true", default=None, help="dump dual bisection traces")
+    p.add_argument(
+        "--trace",
+        action="store_true",
+        default=None,
+        help="write one CSV per subproblem with a (mu2, f) row per full-size dual evaluation",
+    )
 
     p = sub.add_parser("roundtrip", help="measure analysis/synthesis reconstruction error")
     add_common(p, graph_file=True)
@@ -292,6 +297,12 @@ def _cmd_roundtrip(cfg: dict, out: Path) -> None:
 
 
 def _cmd_denoise(cfg: dict, out: Path) -> None:
+    try:
+        sigma = float(cfg["sigma"])
+    except (TypeError, ValueError):
+        sigma = float("nan")
+    if not (np.isfinite(sigma) and sigma >= 0.0):
+        raise InputError(f"--sigma must be a finite non-negative number, got {cfg['sigma']}")
     g, _ = _load_graph(cfg)
     if g.coords is None:
         raise InputError("denoise needs a graph with coordinates")
@@ -301,7 +312,7 @@ def _cmd_denoise(cfg: dict, out: Path) -> None:
         raise InputError("x coordinates are constant; no signal to build")
     clean = 5.0 * (x - x.min()) / span
     rng = np.random.default_rng(_fanout(cfg["seed"], 1))
-    noise = float(cfg["sigma"]) * rng.standard_normal(g.n)
+    noise = sigma * rng.standard_normal(g.n)
     noisy = clean + noise
     pyramid = build_pyramid(g, int(cfg["depth"]), _pyramid_config(cfg))
     tree = pyramid_analyze(pyramid, noisy)

@@ -202,7 +202,8 @@ def compute_basis(
     """Build the folding-adapted orthonormal basis for (L, pattern).
 
     ``trace_hook``, if given, is called as trace_hook(step, trace) with the
-    dual evaluation trace of each projected subproblem.
+    trace of ``qecqp.solve`` for the subproblem of each step: one (mu2, f)
+    row per full-size dual evaluation.
     """
     l_matrix = np.asarray(l_matrix, dtype=float)
     n = l_matrix.shape[0]

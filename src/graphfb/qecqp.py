@@ -23,32 +23,50 @@ The maximizer is a root of the supergradient.  The search starts at
 mu2 = 0, where the evaluation is the eigendecomposition of Q itself: if its
 supergradient interval straddles zero the maximum is found, otherwise its
 sign tells which side of 0 holds the root and its extreme eigenvalues give
-||Q||_2 for a one-sided sign-change bracket.  Inside the bracket the root is
-found by safeguarded Newton steps, the first one taken from mu2 = 0.  Where
-the smallest eigenvalue is simple the supergradient g is differentiable and
-its derivative
+||Q||_2 as the first width of a one-sided bracket.  Where the smallest
+eigenvalue is simple the supergradient g is differentiable and its
+derivative
 
     g'(mu2) = 2 sum_{j>0} (v_0^T R v_j)^2 / (lambda_0 - lambda_j)
 
-comes from the eigenpairs the evaluation already computed.  A Newton step is
-taken when it lands strictly inside the bracket and shrinks fast enough;
-otherwise an Illinois secant step, or failing that bisection, narrows it.  At
-kinks the smallest eigenvalue is degenerate and the supergradient is an
-interval; the search moves toward the side the whole interval lies on and
-stops when the interval straddles zero or the bracket is narrower than the
-tolerance.
+comes from the eigenpairs the evaluation already computed.  The root is
+found by safeguarded Newton steps, the first one taken from mu2 = 0 before
+any far bracket end is evaluated.  A Newton step is taken when it lands
+strictly inside the bracket and shrinks fast enough; while the bracket is
+still open a far end is evaluated instead, at doubling distances; once it
+is closed, the intersection of the tangent lines of f at its two ends (or
+bisection) narrows it.  At kinks the smallest eigenvalue is degenerate and
+the supergradient is an interval; the tangent intersection lands on a lone
+kink exactly, and the search stops when the interval straddles zero or the
+bracket is narrower than the tolerance.
+
+For k x k problems with k >= _PROJECT_MIN_DIM that search runs on a small
+subspace W first (Rayleigh-Ritz): the dual of (W^T Q W, W^T R W) is
+maximized with the same routine, at the cost of m x m eigendecompositions
+only, and the full problem is evaluated once at that maximizer.  W starts
+from the lowest eigenvectors of Q, the derivative dv_0/dmu2 of the lowest
+one, and the lowest eigenvector whose v^T R v lies on the other side of 1,
+so that the projected dual has a maximizer.  An evaluation that straddles
+zero is the answer; otherwise W grows by that evaluation's lowest
+eigenvectors and dv_0/dmu2, and the next round starts from its mu2.  A
+supergradient within the acceptance band, a subspace that cannot grow, or
+a projected search that fails hands over to the full search, started from
+the latest full evaluation.  Every stopping rule is therefore one of the
+full search.
 
 H = Q + mu1 I + mu2 R is a shift of Q + mu2 R by a multiple of I, so the
-last evaluation's eigenpairs (w - lambda_min, V) are those of H, and the
-feasible null point is read off them: a solve costs exactly one k x k
-symmetric eigendecomposition per dual evaluation (plus one of R projected
-onto the null space of H, whose dimension is usually 1).  Reused
-eigenvalues cannot certify H >= 0 (the smallest is 0 by construction), so
-that certificate is a Cholesky factorization of the explicitly formed
-H + delta I: if it succeeds, lambda_min(H) >= -delta up to O(k u ||H||)
-rounding.  The other residuals are explicit products with H, Q and R.  The
-spectrum of R is computed once per problem, read off the diagonal when R is
-diagonal.
+last full evaluation's eigenpairs (w - lambda_min, V) are those of H, and
+the feasible null point is read off them.  A solve costs one k x k
+symmetric eigendecomposition per full-size dual evaluation: the one at
+mu2 = 0, one per round of the projected search, and those of the full
+search if it runs.  Its other eigendecompositions are small: m x m ones of
+the projected duals, and one of R projected onto the null space of H, whose
+dimension is usually 1.  Reused eigenvalues cannot certify H >= 0 (the
+smallest is 0 by construction), so that certificate is a Cholesky
+factorization of the explicitly formed H + delta I: if it succeeds,
+lambda_min(H) >= -delta up to O(k u ||H||) rounding.  The other residuals
+are explicit products with H, Q and R.  The spectrum of R is computed once
+per problem, read off the diagonal when R is diagonal.
 """
 
 from __future__ import annotations
@@ -208,20 +226,26 @@ def maximize_dual(
 
     The first evaluation is at mu2 = 0.  If its supergradient interval
     straddles zero it is the maximizer.  Otherwise the root lies on the side
-    its sign points to, and the bracket on that side runs from 0 to
-    +-(||Q||_2 + 1), with ||Q||_2 read off the eigenvalues of Q; it is
-    widened by doubling until the supergradient changes sign.  Inside the
-    bracket each step is a Newton step on the supergradient g from the
-    latest evaluation (from mu2 = 0 for the first step), using the curvature
-    g' from that evaluation's eigenpairs, whenever it lands strictly inside
-    the bracket and is at most half the step before last (so an oscillating
-    Newton iteration is cut off); otherwise it is a bracketed secant step
-    (Illinois weighting) or, failing that, bisection.  Convergence is
-    declared when the supergradient interval straddles zero within a small
-    band (the kink case), or the bracket is narrower than ``tol`` with a
-    supergradient small enough that a near-feasible null vector exists (the
-    smooth case).  ``trace``, if given, collects (mu2, f(mu2)) for every
-    evaluation.
+    its sign points to.  The bracket on that side is open at first: Newton
+    steps on the supergradient g, with the curvature g' from each
+    evaluation's eigenpairs, move toward the root, and when one is not
+    usable the far end, ||Q||_2 + 1 away and doubling, is evaluated until
+    the supergradient changes sign.  Inside a closed bracket each step is a
+    Newton step whenever it lands strictly inside and is at most half the
+    step before last (so an oscillating Newton iteration is cut off);
+    otherwise it is the intersection of the tangent lines of f at the
+    bracket ends or, failing that, bisection.  Convergence is declared when
+    the supergradient interval straddles zero within a small band (a kink,
+    or an exact root), or the bracket is narrower than ``tol`` with a
+    supergradient small enough that a near-feasible null vector exists.  A
+    Newton iteration stalled at rounding level inside that band probes just
+    past its root to close the bracket.
+
+    For k >= _PROJECT_MIN_DIM the search runs on a subspace first and checks
+    each projected maximizer with one full-size evaluation (see the module
+    docstring), so most of its steps cost small eigendecompositions only.
+    ``trace``, if given, collects one (mu2, f(mu2)) row per full-size
+    evaluation, in order; the subspace evaluations are not recorded.
     """
     return _dual_point_at(problem, _maximize_dual(problem, tol, trace))
 
@@ -231,14 +255,14 @@ def _maximize_dual(
     tol: float,
     trace: list[tuple[float, float]] | None,
 ) -> _DualEval:
-    """The search of maximize_dual; returns the evaluation at the maximizer,
-    which is always the latest one and the only one holding eigenpairs."""
+    """The search of maximize_dual; returns the full-size evaluation at the
+    maximizer, which is always the latest one and the only one holding
+    eigenpairs."""
     if tol <= 0:
         raise InputError(f"tolerance must be positive, got {tol}")
     q, r = problem.q, problem.r
     r_scale = max(1.0, problem.r_norm)
-    g_tol = 1e-13 * r_scale
-    g_accept = 1e-8 * r_scale
+    lim = _Limits(tol, 1e-13 * r_scale, 1e-8 * r_scale)
 
     def ev(mu2: float) -> _DualEval:
         e = _dual_eval(q, r, mu2)
@@ -246,78 +270,202 @@ def _maximize_dual(
             trace.append((mu2, -mu2 + e.lam))
         return e
 
-    def straddles(e: _DualEval) -> bool:
-        return e.g_lo <= g_tol and e.g_hi >= -g_tol
-
     e = ev(0.0)
-    if straddles(e):
+    if lim.straddles(e):
         return e
     width = max(-float(e.w[0]), float(e.w[-1])) + 1.0
-    # The first Newton step starts from mu2 = 0; its eigenpairs are not
-    # needed any more.
-    e = e._replace(w=None, v=None)
-    if e.g_lo > 0.0:
-        # Bracket invariant: some supergradient is > 0 at lo and < 0 at hi.
-        lo, f_lo, hi = 0.0, e.g_hi, width
-        for _ in range(80):
-            far = ev(hi)
-            if far.g_lo <= 0:
-                break
-            lo, f_lo = hi, far.g_hi
-            hi += width
-            width *= 2.0
-        else:
-            raise SolverError("dual bracket search failed on the right; no supergradient sign change")
-        f_hi = far.g_lo
-    else:
-        lo, hi, f_hi = -width, 0.0, e.g_lo
-        for _ in range(80):
-            far = ev(lo)
-            if far.g_hi >= 0:
-                break
-            hi, f_hi = lo, far.g_lo
-            lo -= width
-            width *= 2.0
-        else:
-            raise SolverError("dual bracket search failed on the left; no supergradient sign change")
-        f_lo = far.g_hi
-    if straddles(far):
-        return far
-    del far
-
-    eps = float(np.finfo(float).eps)
-    prev_step = last_step = np.inf
-    side = 0
-    for _ in range(300):
-        mu2 = 0.5 * (lo + hi)
-        if hi - lo <= 16.0 * eps * (1.0 + abs(mu2)):
-            return ev(mu2)
-        # Newton must land inside the bracket and at least halve the step
-        # before last; a Newton step that does not is oscillating.
-        newton = e.mu2 - e.g_lo / e.dg if e.dg else None
-        if newton is not None and lo < newton < hi and abs(newton - e.mu2) <= 0.5 * abs(prev_step):
-            mu2 = newton
-        elif f_hi < f_lo:
-            secant = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-            if lo < secant < hi:
-                mu2 = secant
-        prev_step, last_step = last_step, mu2 - e.mu2
-        del e  # only the latest evaluation's eigenvectors stay alive
-        e = ev(mu2)
-        if straddles(e):
+    w = _start_subspace(problem, e) if problem.dim >= _PROJECT_MIN_DIM else None
+    e = e._replace(w=None, v=None)  # only the latest evaluation's eigenpairs stay alive
+    if w is not None:
+        try:
+            e = _projected_search(problem, ev, e, w, width, lim)
+        except SolverError:
+            pass
+        if e.v is not None:
             return e
-        if max(abs(e.g_lo), abs(e.g_hi)) <= g_accept and hi - lo <= tol * (1.0 + abs(mu2)):
+    # The full search, from the latest full-size evaluation.
+    return _search(ev, e, width, lim)
+
+
+class _Limits(NamedTuple):
+    """Stopping rules of a dual search."""
+
+    tol: float  # bracket width, relative to 1 + |mu2|
+    g_tol: float  # an interval within g_tol of 0 straddles it: a kink or an exact root
+    g_accept: float  # a supergradient small enough for a near-feasible null vector
+
+    def straddles(self, e: _DualEval) -> bool:
+        return e.g_lo <= self.g_tol and e.g_hi >= -self.g_tol
+
+    def accepts(self, e: _DualEval) -> bool:
+        return max(abs(e.g_lo), abs(e.g_hi)) <= self.g_accept
+
+
+# Below this size a full search costs less than the projected one: a k x k
+# eigendecomposition then takes about as long as the Python work of a
+# projected search (measured crossover k ~ 40-50 with one BLAS thread).
+_PROJECT_MIN_DIM = 48
+# Eigenvectors each full-size evaluation adds to the subspace.
+_SUBSPACE_DIM = 4
+# Rounds of the projected search before the full search takes over.
+_MAX_ROUNDS = 8
+_MAX_FAR_EVALS = 80
+_MAX_EVALS = 400
+
+
+def _projected_search(
+    problem: QecqpProblem, ev, e: _DualEval, new: np.ndarray, width: float, lim: _Limits
+) -> _DualEval:
+    """Dual maximizer searched on a subspace W and checked on the full problem.
+
+    W starts as the span of ``new``, built from the full-size evaluation
+    ``e``.  Each round maximizes the dual of (W^T Q W, W^T R W) with
+    _search, which costs only m x m eigendecompositions, and makes one
+    full-size evaluation ``ev`` at that maximizer.  The first evaluation
+    that straddles zero is returned, with its eigenpairs.  Otherwise W grows
+    by that evaluation's lowest eigenvectors and the derivative of its
+    lowest one, and the next round starts from its mu2.  When that
+    evaluation is already within g_accept, when W cannot grow or would fill
+    the space, or when the rounds run out, the latest full evaluation is
+    returned without eigenpairs, for the full search to finish from.
+
+    W always holds the lowest eigenvector v_0 of the latest full evaluation
+    and its derivative dv_0/dmu2, so the projected dual has the same value,
+    supergradient and curvature there: where v_0 is simple that evaluation
+    is the start of the round's search, and no projected evaluation is spent
+    on it.
+    """
+    q, r = problem.q, problem.r
+    w = np.zeros((problem.dim, 0))
+    qw = rw = w
+    for _ in range(_MAX_ROUNDS):
+        new = _orthonormal_complement(w, new)
+        e = e._replace(w=None, v=None)  # only the latest evaluation's eigenpairs stay alive
+        if not new.shape[1] or w.shape[1] + new.shape[1] >= problem.dim:
+            break
+        w = np.column_stack([w, new])
+        qw = np.column_stack([qw, q @ new])
+        rw = np.column_stack([rw, r @ new])
+        qs, rs = _sym(w.T @ qw), _sym(w.T @ rw)
+        start = e if e.dg is not None else _dual_eval(qs, rs, e.mu2)
+        e = ev(_search(lambda mu2: _dual_eval(qs, rs, mu2), start, width, lim).mu2)
+        if lim.straddles(e):
+            return e
+        if lim.accepts(e):
+            break  # close enough for the full search to finish in a step or two
+        new = _lowest_with_derivative(problem, e)
+    return e._replace(w=None, v=None)
+
+
+def _lowest_with_derivative(problem: QecqpProblem, e: _DualEval) -> np.ndarray:
+    """The lowest _SUBSPACE_DIM eigenvectors of the evaluation e and the
+    derivative dv_0/dmu2 = sum_{j>0} v_j (v_j^T R v_0) / (lambda_0 - lambda_j)
+    of its lowest one (terms of eigenvalues equal to lambda_0 left out),
+    unless that is 0 (R v_0 parallel to v_0)."""
+    c = e.v.T @ (problem.r @ e.v[:, 0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = c[1:] / (e.w[0] - e.w[1:])
+    coef[~np.isfinite(coef)] = 0.0
+    d = e.v[:, 1:] @ coef
+    low = e.v[:, :_SUBSPACE_DIM]
+    return np.column_stack([low, d]) if d.any() else low.copy()
+
+
+def _start_subspace(problem: QecqpProblem, e: _DualEval) -> np.ndarray | None:
+    """First subspace of the projected search, from the evaluation e at
+    mu2 = 0: _lowest_with_derivative, plus the lowest eigenvector whose
+    v^T R v lies on the other side of 1 from v_0^T R v_0 when no column
+    already does.  A unit vector on each side makes the spectrum of
+    W^T R W straddle 1, without which the projected dual has no maximizer.
+    None when no eigenvector lies on the other side."""
+    side = np.sign(e.g_lo)
+    cols = _lowest_with_derivative(problem, e)
+    lo, hi = 0, _SUBSPACE_DIM
+    while lo < problem.dim:
+        x = cols if lo == 0 else e.v[:, lo:hi]
+        c = np.einsum("ij,ij->j", x, problem.r @ x) / np.einsum("ij,ij->j", x, x) - 1.0
+        if (side * c < 0.0).any():
+            j = lo + int(np.argmax(side * c < 0.0))
+            return cols if lo == 0 else np.column_stack([cols, e.v[:, j]])
+        lo, hi = hi, 2 * hi
+    return None
+
+
+def _orthonormal_complement(w: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the part of span(new) orthogonal to the
+    orthonormal columns of w; columns that are (numerically) inside span(w)
+    are dropped."""
+    new = new / np.linalg.norm(new, axis=0)
+    for _ in range(2):  # twice is enough (Kahan-Parlett)
+        new = new - w @ (w.T @ new)
+    new = new[:, np.linalg.norm(new, axis=0) > 1e-8]
+    return np.linalg.qr(new)[0] if new.shape[1] else new
+
+
+def _search(ev, e: _DualEval, width: float, lim: _Limits) -> _DualEval:
+    """Root of the supergradient of the dual that ``ev`` evaluates, searched
+    from the evaluation ``e``; returns the latest evaluation, at which the
+    search converged.
+
+    The bracket starts one-sided at e.mu2 on the side the supergradient
+    points to.  Each step is, in this order of preference:
+
+    * a Newton step from the latest evaluation, when it lands strictly
+      inside the bracket, is at most half the step before last (so an
+      oscillating Newton iteration is cut off) and, while the bracket is
+      open, at most ``width``;
+    * a probe just past the Newton point, when Newton has stalled at
+      rounding level with the supergradient within g_accept and the Newton
+      step within half the tolerance, so that the bracket closes within the
+      tolerance;
+    * on an open bracket, the far end ``width`` past its finite end, with
+      width doubling each time;
+    * on a closed bracket, the intersection of the tangent lines of f at
+      the two ends, exact where f has a kink, or bisection when it does not
+      land strictly inside.
+    """
+    eps = float(np.finfo(float).eps)
+    lo = hi = None  # (mu2, f, supergradient) at the two ends of the bracket
+    prev_step = last_step = np.inf
+    far = 0
+    for _ in range(_MAX_EVALS):
+        if lim.straddles(e):
             return e
         if e.g_lo > 0.0:
-            lo, f_lo = mu2, e.g_lo
-            if side == 1:
-                f_hi *= 0.5
-            side = 1
+            lo = (e.mu2, -e.mu2 + e.lam, e.g_lo)
         else:
-            hi, f_hi = mu2, e.g_hi
-            if side == -1:
-                f_lo *= 0.5
-            side = -1
+            hi = (e.mu2, -e.mu2 + e.lam, e.g_hi)
+        a = lo[0] if lo else -np.inf
+        b = hi[0] if hi else np.inf
+        closed = lo is not None and hi is not None
+        tol_abs = lim.tol * (1.0 + abs(e.mu2))
+        if closed:
+            if lim.accepts(e) and b - a <= tol_abs:
+                return e
+            mu2 = 0.5 * (a + b)
+            if b - a <= 16.0 * eps * (1.0 + abs(mu2)):
+                return ev(mu2)
+        newton = e.mu2 - e.g_lo / e.dg if e.dg else np.nan
+        step = abs(newton - e.mu2)
+        if a < newton < b and step <= 0.5 * abs(prev_step) and (closed or step <= width):
+            mu2 = newton
+        elif a < newton < b and step <= 0.5 * tol_abs and lim.accepts(e):
+            # Past the Newton point, so the bracket closes within tol_abs.
+            mu2 = newton + np.copysign(0.1 * tol_abs, newton - e.mu2)
+        elif closed:
+            (_, fa, ga), (_, fb, gb) = lo, hi
+            cut = (fb - fa + ga * a - gb * b) / (ga - gb)
+            if a < cut < b:
+                mu2 = cut
+        else:
+            far += 1
+            if far > _MAX_FAR_EVALS:
+                raise SolverError("dual bracket search failed; no supergradient sign change")
+            mu2 = a + width if lo else b - width
+            width *= 2.0
+        prev_step, last_step = last_step, mu2 - e.mu2
+        e = e._replace(w=None, v=None)  # only the latest evaluation's eigenpairs stay alive
+        e = ev(mu2)
     raise SolverError("dual root finding failed to converge")
 
 
@@ -400,9 +548,10 @@ def solve(
 ) -> QecqpSolution:
     """Globally solve the problem and certify optimality.
 
-    The feasible null point is read off the eigenpairs of the last dual
-    evaluation, shifted to those of H, so the solve performs no k x k
-    eigendecomposition beyond the dual evaluations.  Positive
+    The feasible null point is read off the eigenpairs of the last
+    full-size dual evaluation, shifted to those of H, so the solve performs
+    no k x k eigendecomposition beyond the full-size dual evaluations of
+    maximize_dual, one per row of ``trace``.  Positive
     semidefiniteness of H is certified by a Cholesky factorization of
     H + delta I with delta = 1e3 * tol * (1 + ||H||_2); every other residual
     is an explicit product.  Raises SolverError if any certificate fails

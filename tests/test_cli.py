@@ -210,6 +210,21 @@ def test_roundtrip_keep_integer(tmp_path):
 # -- denoise -------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf", "-inf"])
+def test_denoise_rejects_bad_sigma(tmp_path, capsys, sigma):
+    out = tmp_path / "o"
+    assert run("denoise", "--graph", "ring", "--n", 16, f"--sigma={sigma}", "--out", out) == 2
+    assert "--sigma must be a finite non-negative number" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_denoise_rejects_bad_sigma_from_config(tmp_path, capsys):
+    cfg = tmp_path / "runconfig.json"
+    cfg.write_text(json.dumps({"command": "denoise", "sigma": "loud"}), encoding="utf-8")
+    assert run("denoise", "--config", cfg, "--graph", "ring", "--n", 16, "--out", tmp_path / "o") == 2
+    assert "--sigma must be a finite non-negative number" in capsys.readouterr().err
+
+
 def test_denoise_noiseless_inf_threshold_is_exact(tmp_path):
     out = tmp_path / "o"
     assert run("denoise", "--graph", "random_geometric", "--n", 60, "--seed", 5,

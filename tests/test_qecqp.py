@@ -16,7 +16,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from graphfb import qecqp
+import graphfb as gf
+from graphfb import multires, qecqp, sampling
 from graphfb.errors import InputError, SolverError
 from conftest import random_problem
 
@@ -360,6 +361,169 @@ def test_psd_certificate_rejects_lowered_mu1():
     qecqp._certify(p, e._replace(lam=e.lam + 0.5 * delta), x, tol)
     with pytest.raises(SolverError, match="not positive semidefinite"):
         qecqp._certify(p, e._replace(lam=e.lam + 2.0 * delta), x, tol)
+
+
+# -- Projected dual search ----------------------------------------------------
+
+
+class _Enough(Exception):
+    pass
+
+
+def basis_subproblems(l_matrix: np.ndarray, steps: int) -> list[qecqp.QecqpProblem]:
+    """The first ``steps`` problems compute_basis solves for L and its
+    greedy max-cut split."""
+    problems: list[qecqp.QecqpProblem] = []
+    solve = qecqp.solve
+
+    def record(problem, tol=1e-10, trace=None):
+        problems.append(problem)
+        if len(problems) == steps:
+            raise _Enough
+        return solve(problem, tol=tol, trace=trace)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qecqp, "solve", record)
+        try:
+            gf.compute_basis(l_matrix, sampling.greedy_max_cut(l_matrix))
+        except _Enough:
+            pass
+    return problems
+
+
+def rgg_subproblem(n: int, seed: int, step: int) -> qecqp.QecqpProblem:
+    """Step ``step`` of the basis construction on a random geometric graph;
+    step 0 is Q = L (split-ordered) with R = diag(2I, 0)."""
+    l_matrix = gf.laplacian(gf.generate("random_geometric", n, seed=seed))
+    return basis_subproblems(l_matrix, step + 1)[step]
+
+
+def solve_counted(problem: qecqp.QecqpProblem, project: bool = True):
+    """Solve, returning the solution, the trace and the sizes of every
+    eigendecomposition; ``project=False`` forces the full search."""
+    sizes: list[int] = []
+    trace: list[tuple[float, float]] = []
+    eigh = qecqp._eigh
+
+    def counting_eigh(m):
+        sizes.append(m.shape[0])
+        return eigh(m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qecqp, "_eigh", counting_eigh)
+        if not project:
+            mp.setattr(qecqp, "_PROJECT_MIN_DIM", problem.dim + 1)
+        sol = qecqp.solve(problem, trace=trace)
+    return sol, trace, sizes
+
+
+def projected_evaluations(problem: qecqp.QecqpProblem, sizes: list[int]) -> int:
+    # Subspace evaluations are 2 x 2 or larger; the null-space
+    # eigendecomposition of R at a smooth maximum is 1 x 1.
+    return sum(1 for s in sizes if 1 < s < problem.dim)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_projected_search_matches_full_search(seed):
+    p = rgg_subproblem(96, seed, 0)
+    assert p.dim >= qecqp._PROJECT_MIN_DIM
+    proj, _, sizes = solve_counted(p)
+    full, _, full_sizes = solve_counted(p, project=False)
+    assert projected_evaluations(p, sizes) > 0
+    assert projected_evaluations(p, full_sizes) == 0
+    assert abs(proj.dual.mu2 - full.dual.mu2) <= 1e-7
+    assert proj.objective == pytest.approx(full.objective, rel=1e-9)
+    assert qecqp.oracle_min(p, samples=20000, seed=seed) >= proj.objective - 1e-9
+
+
+@pytest.mark.parametrize("step", [0, 9, 18])
+def test_projected_search_counts_only_full_decompositions(step):
+    p = rgg_subproblem(96, 1, step)
+    assert p.dim >= qecqp._PROJECT_MIN_DIM
+    _, trace, sizes = solve_counted(p)
+    _, full_trace, full_sizes = solve_counted(p, project=False)
+    assert sizes.count(p.dim) == len(trace)
+    assert full_sizes.count(p.dim) == len(full_trace)
+    if step == 18:
+        # k = 60, where the full search needs 12 evaluations.
+        assert 2 * len(trace) <= len(full_trace)
+
+
+def test_projected_search_recovers_from_start_subspace_without_straddle(monkeypatch):
+    # The lowest eigenvectors of Q while the spectrum of W^T R W stays on the
+    # side of 1 that v_0^T R v_0 is on: the projected dual has no maximizer,
+    # and the search must fall back to the full one.
+    p = rgg_subproblem(96, 1, 0)
+    spectra = []
+
+    def same_side(problem, e):
+        side = np.sign(e.g_lo)
+        j = 1
+        while j < qecqp._SUBSPACE_DIM:
+            w = e.v[:, : j + 1]
+            if not (side * (np.linalg.eigvalsh(w.T @ problem.r @ w) - 1.0) > 0).all():
+                break
+            j += 1
+        w = e.v[:, :j]
+        spectra.append(np.linalg.eigvalsh(w.T @ problem.r @ w))
+        return w
+
+    monkeypatch.setattr(qecqp, "_start_subspace", same_side)
+    sol, _, sizes = solve_counted(p)
+    (d,) = spectra
+    assert (d < 1.0).all() or (d > 1.0).all()
+    assert projected_evaluations(p, sizes) > 0
+    monkeypatch.undo()
+    full, _, _ = solve_counted(p, project=False)
+    assert abs(sol.dual.mu2 - full.dual.mu2) <= 1e-7
+    assert sol.objective == pytest.approx(full.objective, rel=1e-9)
+
+
+def test_start_subspace_adds_eigenvector_on_other_side():
+    # Q = diag(0, 1, ..., 49), R = 2 on the first 5 coordinates: the
+    # eigenvectors are the coordinate vectors, v_0^T R v_0 = 2, the lowest
+    # four and their derivative (0 here, R v_0 = 2 v_0) all lie above 1, and
+    # e_5 is the lowest eigenvector below.  The dual maximum is the kink
+    # 2 mu2 = 5 between e_0 and e_5, with f = 2.5.
+    k = 50
+    r = np.diag(np.where(np.arange(k) < 5, 2.0, 0.0))
+    p = qecqp.QecqpProblem(np.diag(np.arange(k, dtype=float)), r)
+    assert p.dim >= qecqp._PROJECT_MIN_DIM
+    e = qecqp._dual_eval(p.q, p.r, 0.0)
+    w = qecqp._start_subspace(p, e)
+    np.testing.assert_allclose(np.abs(w), np.eye(k)[:, [0, 1, 2, 3, 5]], atol=1e-15)
+    sol, trace, sizes = solve_counted(p)
+    assert projected_evaluations(p, sizes) > 0
+    assert len(trace) == 2
+    assert sol.dual.mu2 == pytest.approx(2.5, abs=1e-8)
+    assert sol.objective == pytest.approx(2.5, abs=1e-8)
+
+
+def test_projected_search_certifies_at_clustered_minimum(monkeypatch):
+    # Step 1 on the Kron-reduced 16 x 16 grid (k = 126): the smallest
+    # eigenvalue is degenerate at evaluations of both the projected and the
+    # full problem, so the search meets supergradient intervals, not values.
+    l0 = gf.laplacian(gf.generate("grid", 256))
+    l1 = multires.kron_reduce(l0, sampling.greedy_max_cut(l0).keep_low)
+    p = basis_subproblems(l1, 2)[1]
+    assert p.dim >= qecqp._PROJECT_MIN_DIM
+    clustered: list[int] = []
+    dual_eval = qecqp._dual_eval
+
+    def recording(q, r, mu2):
+        e = dual_eval(q, r, mu2)
+        if e.dg is None:
+            clustered.append(q.shape[0])
+        return e
+
+    monkeypatch.setattr(qecqp, "_dual_eval", recording)
+    sol, _, _ = solve_counted(p)  # raises SolverError if a certificate fails
+    assert any(k < p.dim for k in clustered) and p.dim in clustered
+    monkeypatch.undo()
+    full, _, _ = solve_counted(p, project=False)
+    assert sol.objective == pytest.approx(full.objective, rel=1e-9)
+    assert sol.stationarity <= 1e-6 * max(1.0, float(np.linalg.norm(p.q, 2)))
+    assert sol.feas_error <= 1e-6
 
 
 # -- Sampling oracle ----------------------------------------------------------
