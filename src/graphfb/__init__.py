@@ -5,7 +5,6 @@ from .filterbank import (
     FilterLevel,
     FilterQuartet,
     analyze,
-    apply_filter,
     build_level,
     design_from_hstar,
     design_minimax,
@@ -21,7 +20,6 @@ from .fourier import (
     classify_subspace,
     complement_basis,
     compute_basis,
-    transform,
 )
 from .graphs import (
     Graph,
@@ -50,16 +48,7 @@ from .multires import (
     threshold_highpass,
     verify_pyramid,
 )
-from .qecqp import (
-    DualPoint,
-    QecqpProblem,
-    QecqpSolution,
-    dual_objective,
-    feasible_null_point,
-    maximize_dual,
-    oracle_min,
-    solve,
-)
-from .sampling import SamplingPattern, cut_value, downsample, greedy_max_cut, upsample
+from .qecqp import QecqpProblem, QecqpSolution, oracle_min, solve
+from .sampling import SamplingPattern, cut_value, greedy_max_cut
 
 __version__ = "0.1.0"

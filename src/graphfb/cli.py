@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .filterbank import _DESIGNS, build_level
+from .filterbank import _DESIGNS
 from .fourier import compute_basis
 from .graphs import Graph, generate, laplacian, read_graph_file, write_graph_file
 from .multires import (
@@ -145,6 +145,8 @@ def _resolve(args: argparse.Namespace) -> dict:
             stored = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read config file: {exc}") from exc
+        if not isinstance(stored, dict):
+            raise InputError("config file must hold a JSON object")
         if stored.get("command") != cmd:
             raise InputError(
                 f"config file is for command {stored.get('command')!r}, not {cmd!r}"
@@ -157,11 +159,48 @@ def _resolve(args: argparse.Namespace) -> dict:
             continue
         if val is not None:
             cfg[key] = val
+    if cmd == "denoise":
+        _check_sigma(cfg["sigma"])  # before the type check, whose message names no range
+    _check_types(cmd, cfg)
     if cfg.get("out") is None:
         raise InputError("an output directory is required (--out)")
     if cfg["seed"] < 0:
         raise InputError(f"--seed must be non-negative, got {cfg['seed']}")
     return cfg
+
+
+def _check_sigma(sigma) -> None:
+    try:
+        ok = bool(np.isfinite(float(sigma)) and float(sigma) >= 0.0)
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise InputError(f"--sigma must be a finite non-negative number, got {sigma}")
+
+
+def _check_types(cmd: str, cfg: dict) -> None:
+    """Reject a value (from a config file) that is not of the type its flag
+    parses to, or not one of the flag's choices.  None stands for an unset
+    option whose default is None."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices[cmd]._actions}
+    for key, val in cfg.items():
+        if val is None and _DEFAULTS[cmd].get(key) is None:
+            continue
+        action = actions[key]
+        if action.nargs == 0:
+            kinds, what = (bool,), "true or false"
+        elif action.type is int:
+            kinds, what = (int,), "an integer"
+        elif action.type is float:
+            kinds, what = (int, float), "a number"
+        else:
+            kinds, what = (str,), "a string"
+        ok = isinstance(val, kinds) and (isinstance(val, bool) == (kinds == (bool,)))
+        if ok and action.choices is not None and val not in action.choices:
+            ok, what = False, f"one of {list(action.choices)}"
+        if not ok:
+            raise InputError(f"config key {key!r} must be {what}, got {val!r}")
 
 
 def _load_graph(cfg: dict) -> tuple[Graph, np.ndarray | None]:
@@ -297,12 +336,7 @@ def _cmd_roundtrip(cfg: dict, out: Path) -> None:
 
 
 def _cmd_denoise(cfg: dict, out: Path) -> None:
-    try:
-        sigma = float(cfg["sigma"])
-    except (TypeError, ValueError):
-        sigma = float("nan")
-    if not (np.isfinite(sigma) and sigma >= 0.0):
-        raise InputError(f"--sigma must be a finite non-negative number, got {cfg['sigma']}")
+    sigma = float(cfg["sigma"])
     g, _ = _load_graph(cfg)
     if g.coords is None:
         raise InputError("denoise needs a graph with coordinates")

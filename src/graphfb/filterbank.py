@@ -45,7 +45,6 @@ __all__ = [
     "design_from_hstar",
     "design_minimax",
     "quartet",
-    "apply_filter",
     "build_level",
     "analyze",
     "synthesize",
@@ -120,13 +119,6 @@ def quartet(h: np.ndarray, phi: SignedPermutation) -> FilterQuartet:
     h0 = np.sqrt(h)
     h1 = phi.apply_abs(h0)
     return FilterQuartet(h0=h0, h1=h1, g0=h0.copy(), g1=h1.copy())
-
-
-def apply_filter(basis: FourierBasis, h: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Spectral filtering U diag(h) U^T f."""
-    h = as_signal(h, basis.n)
-    f = as_signal(f, basis.n)
-    return basis.u @ (h * (basis.u.T @ f))
 
 
 @dataclass(frozen=True, eq=False)

@@ -44,7 +44,6 @@ __all__ = [
     "classify_subspace",
     "complement_basis",
     "compute_basis",
-    "transform",
 ]
 
 
@@ -264,13 +263,3 @@ def compute_basis(
     pair_tags = tags[order]
     phi = _round_signed_permutation(u_mat.T @ (s[:, None] * u_mat))
     return FourierBasis(u=u_mat, energies=energies, phi=phi, pattern=pattern, pair_tags=pair_tags)
-
-
-def transform(basis: FourierBasis, f: np.ndarray, direction: str = "forward") -> np.ndarray:
-    """Analysis (U^T f) or synthesis (U f) transform of a signal."""
-    f = as_signal(f, basis.n)
-    if direction == "forward":
-        return basis.u.T @ f
-    if direction == "inverse":
-        return basis.u @ f
-    raise InputError(f"direction must be 'forward' or 'inverse', got {direction!r}")

@@ -339,8 +339,9 @@ def save_pyramid(p: Pyramid, path: str | Path) -> None:
 def load_pyramid(path: str | Path) -> Pyramid:
     """Rebuild a saved pyramid.  Invariants are not re-verified on load.
 
-    A missing or malformed file, or a manifest whose ``config`` does not
-    name exactly the PyramidConfig fields, raises InputError.
+    A missing or malformed file, an array whose shape does not fit its
+    level's vertex count, or a manifest whose ``config`` does not name
+    exactly the PyramidConfig fields, raises InputError.
     """
     try:
         return _read_pyramid(Path(path))
@@ -372,8 +373,18 @@ def _read_pyramid(root: Path) -> Pyramid:
         energies = np.loadtxt(d / "energies.csv", delimiter=",", ndmin=1)
         pair_tags = np.loadtxt(d / "pair_tags.csv", delimiter=",", dtype=int, ndmin=1)
         phi_rows = np.loadtxt(d / "phi.csv", delimiter=",", dtype=int, ndmin=2)
-        phi = SignedPermutation(phi_rows[:, 1], phi_rows[:, 2])
         filt = np.loadtxt(d / "filters.csv", delimiter=",", ndmin=2)
+        n = graph.n
+        for name, got, want in (
+            ("basis_u.csv", u.shape, (n, n)),
+            ("energies.csv", energies.shape, (n,)),
+            ("pair_tags.csv", pair_tags.shape, (n,)),
+            ("phi.csv", phi_rows.shape, (n, 3)),
+            ("filters.csv", filt.shape, (n, 4)),
+        ):
+            if got != want:
+                raise InputError(f"level {idx}: {name} holds shape {got}, expected {want}")
+        phi = SignedPermutation(phi_rows[:, 1], phi_rows[:, 2])
         basis = FourierBasis(u=u, energies=energies, phi=phi, pattern=pattern, pair_tags=pair_tags)
         level = FilterLevel(
             graph=graph,

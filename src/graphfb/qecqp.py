@@ -64,8 +64,9 @@ the projected duals, and one of R projected onto the null space of H, whose
 dimension is usually 1.  Reused eigenvalues cannot certify H >= 0 (the
 smallest is 0 by construction), so that certificate is a Cholesky
 factorization of the explicitly formed H + delta I: if it succeeds,
-lambda_min(H) >= -delta up to O(k u ||H||) rounding.  The other residuals
-are explicit products with H, Q and R.  The spectrum of R is computed once
+lambda_min(H) >= -delta up to O(k u ||H||) rounding; it is the only place
+H is formed.  The other residuals are explicit products with Q and R, H x
+among them as Q x + mu1 x + mu2 R x.  The spectrum of R is computed once
 per problem, read off the diagonal when R is diagonal.
 """
 
@@ -80,11 +81,7 @@ from .errors import EigensolverError, InputError, SolverError
 
 __all__ = [
     "QecqpProblem",
-    "DualPoint",
     "QecqpSolution",
-    "dual_objective",
-    "maximize_dual",
-    "feasible_null_point",
     "solve",
     "oracle_min",
 ]
@@ -150,26 +147,20 @@ class QecqpProblem:
 
 
 @dataclass(frozen=True, eq=False)
-class DualPoint:
-    """Dual maximizer with its certificate matrix H = Q + mu1 I + mu2 R."""
-
-    mu1: float
-    mu2: float
-    fval: float
-    h_matrix: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True, eq=False)
 class QecqpSolution:
-    """Certified global minimizer.
+    """Certified global minimizer with its dual maximizer (mu1, mu2) and the
+    dual value ``fval`` = -mu1 - mu2.
 
-    Residuals: ``stationarity`` = ||H x||_2, ``unit_error`` = |x^T x - 1|,
-    ``feas_error`` = |x^T R x - 1|.  ``gap`` is |x^T Q x - fval|.
+    Residuals, for H = Q + mu1 I + mu2 R: ``stationarity`` = ||H x||_2,
+    ``unit_error`` = |x^T x - 1|, ``feas_error`` = |x^T R x - 1|.  ``gap``
+    is |x^T Q x - fval|.
     """
 
     x: np.ndarray
     objective: float
-    dual: DualPoint
+    mu1: float
+    mu2: float
+    fval: float
     stationarity: float
     unit_error: float
     feas_error: float
@@ -206,40 +197,22 @@ def _dual_eval(q: np.ndarray, r: np.ndarray, mu2: float) -> _DualEval:
     return _DualEval(mu2, lam, float(d[0]) - 1.0, float(d[-1]) - 1.0, None, w, v)
 
 
-def dual_objective(problem: QecqpProblem, mu2: float) -> tuple[float, float]:
-    """Dual value f(mu2) = -mu2 + lambda_min(Q + mu2 R) and one supergradient.
-
-    The supergradient returned is v^T R v - 1 for v a unit eigenvector of the
-    smallest eigenvalue (the first one the eigensolver reports).
-    """
-    w, v = _eigh(problem.q + mu2 * problem.r)
-    v0 = v[:, 0]
-    return -mu2 + float(w[0]), float(v0 @ problem.r @ v0) - 1.0
-
-
-def maximize_dual(
+def _maximize_dual(
     problem: QecqpProblem,
-    tol: float = 1e-10,
-    trace: list[tuple[float, float]] | None = None,
-) -> DualPoint:
-    """Maximize the concave dual by safeguarded Newton steps on the supergradient.
+    tol: float,
+    trace: list[tuple[float, float]] | None,
+) -> _DualEval:
+    """Maximize the concave dual by safeguarded Newton steps on the
+    supergradient; returns the full-size evaluation at the maximizer, which
+    is always the latest one and the only one holding eigenpairs.
 
     The first evaluation is at mu2 = 0.  If its supergradient interval
     straddles zero it is the maximizer.  Otherwise the root lies on the side
-    its sign points to.  The bracket on that side is open at first: Newton
-    steps on the supergradient g, with the curvature g' from each
-    evaluation's eigenpairs, move toward the root, and when one is not
-    usable the far end, ||Q||_2 + 1 away and doubling, is evaluated until
-    the supergradient changes sign.  Inside a closed bracket each step is a
-    Newton step whenever it lands strictly inside and is at most half the
-    step before last (so an oscillating Newton iteration is cut off);
-    otherwise it is the intersection of the tangent lines of f at the
-    bracket ends or, failing that, bisection.  Convergence is declared when
-    the supergradient interval straddles zero within a small band (a kink,
-    or an exact root), or the bracket is narrower than ``tol`` with a
-    supergradient small enough that a near-feasible null vector exists.  A
-    Newton iteration stalled at rounding level inside that band probes just
-    past its root to close the bracket.
+    its sign points to, and _search finds it from there, the bracket's far
+    end ||Q||_2 + 1 away at first.  Convergence is declared when the
+    supergradient interval straddles zero within a small band (a kink, or an
+    exact root), or the bracket is narrower than ``tol`` with a
+    supergradient small enough that a near-feasible null vector exists.
 
     For k >= _PROJECT_MIN_DIM the search runs on a subspace first and checks
     each projected maximizer with one full-size evaluation (see the module
@@ -247,17 +220,6 @@ def maximize_dual(
     ``trace``, if given, collects one (mu2, f(mu2)) row per full-size
     evaluation, in order; the subspace evaluations are not recorded.
     """
-    return _dual_point_at(problem, _maximize_dual(problem, tol, trace))
-
-
-def _maximize_dual(
-    problem: QecqpProblem,
-    tol: float,
-    trace: list[tuple[float, float]] | None,
-) -> _DualEval:
-    """The search of maximize_dual; returns the full-size evaluation at the
-    maximizer, which is always the latest one and the only one holding
-    eigenpairs."""
     if tol <= 0:
         raise InputError(f"tolerance must be positive, got {tol}")
     q, r = problem.q, problem.r
@@ -469,11 +431,6 @@ def _search(ev, e: _DualEval, width: float, lim: _Limits) -> _DualEval:
     raise SolverError("dual root finding failed to converge")
 
 
-def _dual_point_at(problem: QecqpProblem, e: _DualEval) -> DualPoint:
-    h = _h_matrix(problem, -e.lam, e.mu2)
-    return DualPoint(mu1=-e.lam, mu2=e.mu2, fval=-e.mu2 + e.lam, h_matrix=h)
-
-
 def _h_matrix(problem: QecqpProblem, mu1: float, mu2: float) -> np.ndarray:
     """Q + mu1 I + mu2 R, built in place to keep the peak of temporaries low;
     exactly symmetric because Q and R are."""
@@ -523,16 +480,6 @@ def _null_point_from_eigh(
     raise SolverError("could not reach the feasibility constraint inside the null space of H")
 
 
-def feasible_null_point(h: np.ndarray, r: np.ndarray, tol_null: float = 1e-8) -> np.ndarray:
-    """Unit vector x in the (near-)null space of H with x^T R x = 1."""
-    h = _sym(np.asarray(h, dtype=float))
-    r = _sym(np.asarray(r, dtype=float))
-    if h.shape != r.shape or h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise InputError(f"H and R must be square with equal shapes, got {h.shape} and {r.shape}")
-    w, v = _eigh(h)
-    return _null_point_from_eigh(w, v, r, tol_null)
-
-
 def _fix_sign(x: np.ndarray) -> np.ndarray:
     # Lowest index within a relative band of the max magnitude, so that
     # rounding noise cannot flip the convention on tied entries.
@@ -550,11 +497,11 @@ def solve(
 
     The feasible null point is read off the eigenpairs of the last
     full-size dual evaluation, shifted to those of H, so the solve performs
-    no k x k eigendecomposition beyond the full-size dual evaluations of
-    maximize_dual, one per row of ``trace``.  Positive
-    semidefiniteness of H is certified by a Cholesky factorization of
-    H + delta I with delta = 1e3 * tol * (1 + ||H||_2); every other residual
-    is an explicit product.  Raises SolverError if any certificate fails
+    no k x k eigendecomposition beyond the full-size dual evaluations of the
+    search, one per row of ``trace``.  Positive semidefiniteness of H is
+    certified by a Cholesky factorization of H + delta I with
+    delta = 1e3 * tol * (1 + ||H||_2); every other residual is an explicit
+    product with Q and R.  Raises SolverError if any certificate fails
     (thresholds scale with ``tol``; at the default they are delta = 1e-7
     relative for positive semidefiniteness, 1e-6 relative for stationarity
     and the duality gap, 1e-8 for the unit norm, and 1e-6 for x^T R x - 1).
@@ -570,20 +517,21 @@ def _certify(problem: QecqpProblem, e: _DualEval, x: np.ndarray, tol: float) -> 
     evaluation e."""
     h_scale = 1.0 + max(0.0, float(e.w[-1] - e.lam), float(e.lam - e.w[0]))
     delta = 1e3 * tol * h_scale
-    # H + delta I is factored before H is built, so that the two and the
-    # factor are never alive together.
     try:
         np.linalg.cholesky(_h_matrix(problem, delta - e.lam, e.mu2))
         psd = True
     except np.linalg.LinAlgError:
         psd = False
 
-    dual = _dual_point_at(problem, e)
-    objective = float(x @ problem.q @ x)
-    stationarity = float(np.linalg.norm(dual.h_matrix @ x))
+    mu1, mu2, fval = -e.lam, e.mu2, -e.mu2 + e.lam
+    # H x = Q x + mu1 x + mu2 R x, from the products the other residuals need.
+    qx = x @ problem.q
+    rx = x @ problem.r
+    objective = float(qx @ x)
+    stationarity = float(np.linalg.norm(qx + mu1 * x + mu2 * rx))
     unit_error = abs(float(x @ x) - 1.0)
-    feas_error = abs(float(x @ problem.r @ x) - 1.0)
-    gap = abs(objective - dual.fval)
+    feas_error = abs(float(rx @ x) - 1.0)
+    gap = abs(objective - fval)
 
     checks = [
         (psd, f"H not positive semidefinite: Cholesky of H + {delta:.3e} I failed"),
@@ -598,7 +546,9 @@ def _certify(problem: QecqpProblem, e: _DualEval, x: np.ndarray, tol: float) -> 
     return QecqpSolution(
         x=x,
         objective=objective,
-        dual=dual,
+        mu1=mu1,
+        mu2=mu2,
+        fval=fval,
         stationarity=stationarity,
         unit_error=unit_error,
         feas_error=feas_error,

@@ -1,10 +1,11 @@
-"""Vertex partitioning and channel sampling operators.
+"""Vertex partitioning into the two sampled channels.
 
 A sampling pattern splits the vertices into a low-channel set and a
 high-channel set, encoded by a sign vector s with s_i = +1 on the low set.
-Downsampling keeps one channel's entries; upsampling zero-fills the other.
-With J = diag(s), the two zero-filling projectors are (I + J)/2 and
-(I - J)/2, so upsample(downsample(f)) summed over both channels returns f.
+Downsampling a channel keeps the entries ``keep_low`` (or ``keep_high``)
+indexes; upsampling zero-fills the others.  With J = diag(s), the two
+zero-filling projectors are (I + J)/2 and (I - J)/2, which sum to I.  The
+filter levels apply both steps as rows and columns of their operators.
 
 The partition is chosen greedily to maximize the weight of edges crossing
 between the two sets: starting from a maximum-degree vertex, it repeatedly
@@ -20,14 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .graphs import Graph, as_signal
+from .graphs import Graph
 
 __all__ = [
     "SamplingPattern",
     "greedy_max_cut",
     "cut_value",
-    "downsample",
-    "upsample",
 ]
 
 
@@ -129,26 +128,3 @@ def cut_value(g: Graph, pattern: SamplingPattern) -> float:
         raise InputError(f"pattern size {pattern.n} does not match graph size {g.n}")
     s = pattern.sign
     return float(g.w[s[g.lo] != s[g.hi]].sum())
-
-
-def _channel_indices(pattern: SamplingPattern, channel: str) -> tuple[int, ...]:
-    if channel == "low":
-        return pattern.keep_low
-    if channel == "high":
-        return pattern.keep_high
-    raise InputError(f"channel must be 'low' or 'high', got {channel!r}")
-
-
-def downsample(f: np.ndarray, pattern: SamplingPattern, channel: str) -> np.ndarray:
-    """Keep the entries of f indexed by the chosen channel."""
-    f = as_signal(f, pattern.n)
-    return f[list(_channel_indices(pattern, channel))]
-
-
-def upsample(f_ch: np.ndarray, pattern: SamplingPattern, channel: str) -> np.ndarray:
-    """Zero-fill a channel signal back to full length."""
-    idx = _channel_indices(pattern, channel)
-    f_ch = as_signal(f_ch, len(idx))
-    out = np.zeros(pattern.n)
-    out[list(idx)] = f_ch
-    return out

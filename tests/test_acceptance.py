@@ -79,7 +79,7 @@ def test_criterion_3_global_optimality_with_certificates():
         sol = qecqp.solve(problem)
         oracle = qecqp.oracle_min(problem, samples=100_000, seed=i)
         worst_excess = max(worst_excess, sol.objective - oracle)
-        h = sol.dual.h_matrix
+        h = problem.q + sol.mu1 * np.eye(dim) + sol.mu2 * problem.r
         h_scale = 1.0 + float(np.linalg.norm(h, 2))
         checks = [
             float(np.linalg.eigvalsh(h)[0]) >= -1e-7 * h_scale,

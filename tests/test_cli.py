@@ -70,6 +70,56 @@ def test_config_for_wrong_command(tmp_path):
     assert run("basis", "--config", out1 / "runconfig.json", "--out", tmp_path / "b") == 2
 
 
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"depth": "abc"}, "depth"),
+        ({"eps": None}, "eps"),
+        ({"seed": "x"}, "seed"),
+        ({"n": 8.7}, "n"),
+        ({"n": True}, "n"),
+        ({"tol": "1e-10"}, "tol"),
+        ({"design": "nosuch"}, "design"),
+        ({"save": 1}, "save"),
+        ({"out": 5}, "out"),
+    ],
+    ids=["str-int", "null-float", "str-seed", "float-int", "bool-int", "str-float", "choice",
+         "int-bool", "int-str"],
+)
+def test_config_rejects_wrong_typed_value(tmp_path, capsys, doc, key):
+    # Flags win over the file, so every value here comes from the file.
+    out = tmp_path / "o"
+    cfg = tmp_path / "c.json"
+    stored = {"command": "verify", "graph": "ring", "n": 8, "out": str(out), **doc}
+    cfg.write_text(json.dumps(stored), encoding="utf-8")
+    assert run("verify", "--config", cfg) == 2
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert not (out / "runconfig.json").exists()
+
+
+def test_config_rejects_non_object(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text("[1, 2]", encoding="utf-8")
+    assert run("verify", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--graph", "ring", "--n", 6),
+    ("roundtrip", "--graph", "ring", "--n", 8, "--trials", 2, "--keep", 5),
+    ("denoise", "--graph", "random_geometric", "--n", 20, "--depth", 1),
+    ("locality", "--n", 16, "--depth", 1),
+    ("verify", "--graph", "ring", "--n", 8, "--save"),
+])
+def test_runconfig_is_accepted_as_config(tmp_path, argv):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert run(*argv, "--out", out1) == 0
+    assert run(argv[0], "--config", out1 / "runconfig.json", "--out", out2) == 0
+    first = json.loads((out1 / "runconfig.json").read_text(encoding="utf-8"))
+    again = json.loads((out2 / "runconfig.json").read_text(encoding="utf-8"))
+    assert again == {**first, "out": str(out2)}
+
+
 def test_bad_keep_value(tmp_path):
     g = write_path4(tmp_path / "g.txt")
     assert (
@@ -326,6 +376,15 @@ def _saved_cli_pyramid(tmp_path: Path) -> Path:
 def test_verify_load_missing_level_file(tmp_path, capsys):
     pyr = _saved_cli_pyramid(tmp_path)
     (pyr / "level1" / "basis_u.csv").unlink()
+    assert run("verify", "--load", pyr, "--out", tmp_path / "b") == 2
+    assert "basis_u.csv" in capsys.readouterr().err
+
+
+def test_verify_load_rejects_basis_with_a_column_dropped(tmp_path, capsys):
+    pyr = _saved_cli_pyramid(tmp_path)
+    path = pyr / "level0" / "basis_u.csv"
+    rows = [row.rsplit(",", 1)[0] for row in path.read_text(encoding="utf-8").splitlines()]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     assert run("verify", "--load", pyr, "--out", tmp_path / "b") == 2
     assert "basis_u.csv" in capsys.readouterr().err
 

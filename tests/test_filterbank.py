@@ -139,11 +139,17 @@ def test_quartet_rejects_negative_gain():
 
 
 def test_apply_filter_scales_basis_columns(ring4):
+    # With every gain h, each operator filters a basis column into h[i] times
+    # itself: analysis samples it in (keep_low, keep_high) order, synthesis
+    # maps that back to the full column.
     b = basis_for(ring4)
     h = np.array([1.0, 2.0, 3.0, 4.0])
+    level = filterbank.FilterLevel(ring4, b.pattern, b, filterbank.FilterQuartet(h, h, h, h))
+    order = list(b.pattern.keep_low + b.pattern.keep_high)
     for i in range(4):
-        out = filterbank.apply_filter(b, h, b.u[:, i])
-        np.testing.assert_allclose(out, h[i] * b.u[:, i], atol=1e-10)
+        u_i = b.u[:, i]
+        np.testing.assert_allclose(level.analysis @ u_i, h[i] * u_i[order], atol=1e-10)
+        np.testing.assert_allclose(level.synthesis @ u_i[order], h[i] * u_i, atol=1e-10)
 
 
 def test_filter_conjugation_identity():
@@ -234,20 +240,26 @@ def test_verify_pr_catches_broken_quartet():
     assert rep["operator"] > 0.1  # the operator gate sees the synthesis side
 
 
+def _filter(u, h, f):
+    # Spectral filtering U diag(h) U^T f.
+    return u @ (h * (u.T @ f))
+
+
 def _chain_analyze(level, f):
     # Reference: filter with each analysis gain, then keep the channel's entries.
-    b, q, pat = level.basis, level.quartet, level.pattern
-    low = sampling.downsample(filterbank.apply_filter(b, q.h0, f), pat, "low")
-    high = sampling.downsample(filterbank.apply_filter(b, q.h1, f), pat, "high")
+    u, q, pat = level.basis.u, level.quartet, level.pattern
+    low = _filter(u, q.h0, f)[list(pat.keep_low)]
+    high = _filter(u, q.h1, f)[list(pat.keep_high)]
     return low, high
 
 
 def _chain_synthesize(level, f_low, f_high):
     # Reference: zero-fill each channel, filter with its synthesis gain, add.
-    b, q, pat = level.basis, level.quartet, level.pattern
-    y0 = filterbank.apply_filter(b, q.g0, sampling.upsample(f_low, pat, "low"))
-    y1 = filterbank.apply_filter(b, q.g1, sampling.upsample(f_high, pat, "high"))
-    return y0 + y1
+    u, q, pat = level.basis.u, level.quartet, level.pattern
+    up_low, up_high = np.zeros(level.n), np.zeros(level.n)
+    up_low[list(pat.keep_low)] = f_low
+    up_high[list(pat.keep_high)] = f_high
+    return _filter(u, q.g0, up_low) + _filter(u, q.g1, up_high)
 
 
 @pytest.mark.parametrize("g", [

@@ -275,32 +275,25 @@ def test_signed_permutation_rejects_bad_sign_values():
         fourier.SignedPermutation(perm=np.array([0, 1]), signs=np.array([1.0, 0.5]))
 
 
-# -- Transform ---------------------------------------------------------------------
+# -- Transform: coefficients U^T f, synthesis U c --------------------------------
 
 
 def test_transform_round_trip():
     g = gf.generate("random_geometric", 16, seed=4)
     b = build(g)
     f = np.random.default_rng(0).standard_normal(g.n)
-    coeff = fourier.transform(b, f)
-    back = fourier.transform(b, coeff, direction="inverse")
+    coeff = b.u.T @ f
+    back = b.u @ coeff
     np.testing.assert_allclose(back, f, atol=1e-10)
 
 
 def test_transform_diagonalizes_columns():
     g = gf.generate("ring", 8)
     b = build(g)
-    e = fourier.transform(b, b.u[:, 3])
+    e = b.u.T @ b.u[:, 3]
     expected = np.zeros(8)
     expected[3] = 1.0
     np.testing.assert_allclose(e, expected, atol=1e-10)
-
-
-def test_transform_rejects_bad_direction():
-    g = gf.generate("ring", 4)
-    b = build(g)
-    with pytest.raises(InputError):
-        fourier.transform(b, np.zeros(4), direction="sideways")
 
 
 # -- Input contracts ---------------------------------------------------------------

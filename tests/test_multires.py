@@ -603,6 +603,33 @@ def test_load_rejects_missing_level_file(tmp_path, name):
         multires.load_pyramid(d)
 
 
+def _drop_last_column(text: str) -> str:
+    return "".join(row.rsplit(",", 1)[0] + "\n" for row in text.splitlines())
+
+
+def _drop_last_row(text: str) -> str:
+    return "".join(row + "\n" for row in text.splitlines()[:-1])
+
+
+@pytest.mark.parametrize(
+    "name, cut",
+    [
+        ("basis_u.csv", _drop_last_column),
+        ("energies.csv", _drop_last_row),
+        ("pair_tags.csv", _drop_last_column),
+        ("phi.csv", _drop_last_row),
+        ("filters.csv", _drop_last_row),
+    ],
+)
+def test_load_rejects_level_file_of_wrong_shape(tmp_path, name, cut):
+    # Each file still parses; only its shape no longer fits the level's n.
+    d = _saved_pyramid(tmp_path)
+    path = d / "level0" / name
+    path.write_text(cut(path.read_text(encoding="utf-8")), encoding="utf-8")
+    with pytest.raises(InputError, match=f"{name} holds shape"):
+        multires.load_pyramid(d)
+
+
 def test_load_rejects_malformed_level_file(tmp_path):
     d = _saved_pyramid(tmp_path)
     (d / "level0" / "filters.csv").write_text("1,2\n")

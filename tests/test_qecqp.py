@@ -114,20 +114,26 @@ def test_problem_keeps_r_norm_of_channel_matrix():
 # -- Dual objective against the closed form -----------------------------------
 
 
+def dual_value(p: qecqp.QecqpProblem, mu2: float) -> float:
+    """f(mu2) = -mu2 + lambda_min(Q + mu2 R) from one dual evaluation."""
+    return -mu2 + qecqp._dual_eval(p.q, p.r, mu2).lam
+
+
 def test_dual_objective_matches_closed_form():
     p = qecqp.QecqpProblem(Q_PATH, R_20)
     for mu2 in (-2.0, -0.5, 0.0, 0.3, 1.0, 4.0):
-        fval, g = qecqp.dual_objective(p, mu2)
+        e = qecqp._dual_eval(p.q, p.r, mu2)
         f_exp, g_exp = dual_closed_form(mu2)
-        assert fval == pytest.approx(f_exp, abs=1e-12)
-        assert g == pytest.approx(g_exp, abs=1e-9)
+        assert dual_value(p, mu2) == pytest.approx(f_exp, abs=1e-12)
+        assert e.g_lo == e.g_hi  # a smooth point
+        assert e.g_lo == pytest.approx(g_exp, abs=1e-9)
 
 
 def test_dual_objective_frozen_values():
     p = qecqp.QecqpProblem(Q_PATH, R_20)
-    assert qecqp.dual_objective(p, 0.0)[0] == pytest.approx(0.0, abs=1e-12)
-    assert qecqp.dual_objective(p, 1.0)[0] == pytest.approx(1.0 - np.sqrt(2.0), abs=1e-12)
-    assert qecqp.dual_objective(p, -2.0)[0] == pytest.approx(1.0 - np.sqrt(5.0), abs=1e-12)
+    assert dual_value(p, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert dual_value(p, 1.0) == pytest.approx(1.0 - np.sqrt(2.0), abs=1e-12)
+    assert dual_value(p, -2.0) == pytest.approx(1.0 - np.sqrt(5.0), abs=1e-12)
 
 
 def test_dual_concavity_probe():
@@ -136,9 +142,9 @@ def test_dual_concavity_probe():
     for _ in range(20):
         a, b = rng.uniform(-4.0, 4.0, size=2)
         t = rng.uniform()
-        fa = qecqp.dual_objective(p, a)[0]
-        fb = qecqp.dual_objective(p, b)[0]
-        fm = qecqp.dual_objective(p, t * a + (1 - t) * b)[0]
+        fa = dual_value(p, a)
+        fb = dual_value(p, b)
+        fm = dual_value(p, t * a + (1 - t) * b)
         assert fm >= t * fa + (1 - t) * fb - 1e-12
 
 
@@ -159,12 +165,12 @@ def test_dual_curvature_matches_closed_form_and_finite_difference():
         assert e.dg == pytest.approx((g_plus - g_minus) / (2.0 * h), rel=1e-6)
 
 
-# -- Dual maximization --------------------------------------------------------
+# -- Dual maximization, read off the solution's dual point ---------------------
 
 
 def test_maximize_dual_smooth_maximum():
     p = qecqp.QecqpProblem(Q_PATH, R_20)
-    d = qecqp.maximize_dual(p)
+    d = qecqp.solve(p)
     assert d.mu2 == pytest.approx(0.0, abs=1e-6)
     assert d.fval == pytest.approx(0.0, abs=1e-12)
     assert d.mu1 == pytest.approx(0.0, abs=1e-6)
@@ -174,7 +180,7 @@ def test_maximize_dual_kink_maximum():
     # Q = diag(0,4), R = diag(2,0): f(mu2) = -mu2 + min(2 mu2, 4),
     # piecewise linear with the maximum f(2) = 2 at the kink.
     p = qecqp.QecqpProblem(np.diag([0.0, 4.0]), R_20)
-    d = qecqp.maximize_dual(p)
+    d = qecqp.solve(p)
     assert d.mu2 == pytest.approx(2.0, abs=1e-6)
     assert d.fval == pytest.approx(2.0, abs=1e-8)
     assert d.mu1 == pytest.approx(-4.0, abs=1e-6)
@@ -182,18 +188,18 @@ def test_maximize_dual_kink_maximum():
 
 def test_maximize_dual_mu2_within_tolerance():
     tol = 1e-10
-    d = qecqp.maximize_dual(qecqp.QecqpProblem(Q_PATH, R_20), tol=tol)
+    d = qecqp.solve(qecqp.QecqpProblem(Q_PATH, R_20), tol=tol)
     assert abs(d.mu2) <= tol
     # At the kink the search stops as soon as the two eigenvalues 2 mu2 and 4
     # of Q + mu2 R cluster, i.e. |2 mu2 - 4| <= 1e-9 * 4: within 2e-9 of 2.
-    d = qecqp.maximize_dual(qecqp.QecqpProblem(np.diag([0.0, 4.0]), R_20), tol=tol)
+    d = qecqp.solve(qecqp.QecqpProblem(np.diag([0.0, 4.0]), R_20), tol=tol)
     assert abs(d.mu2 - 2.0) <= 2e-9
 
 
 def test_maximize_dual_h_is_psd_with_zero_min():
     p = random_problem(6, seed=3)
-    d = qecqp.maximize_dual(p)
-    w = np.linalg.eigvalsh(d.h_matrix)
+    d = qecqp.solve(p)
+    w = np.linalg.eigvalsh(p.q + d.mu1 * np.eye(p.dim) + d.mu2 * p.r)
     scale = max(1.0, abs(w).max())
     assert w[0] >= -1e-8 * scale
     assert w[0] <= 1e-6 * scale  # lambda_min(H) = 0 by construction
@@ -204,14 +210,14 @@ def test_maximize_dual_trace_collects_evaluations():
     # f(0) = 0 with supergradient 0: one evaluation settles it.
     p = qecqp.QecqpProblem(Q_PATH, R_20)
     trace: list[tuple[float, float]] = []
-    qecqp.maximize_dual(p, trace=trace)
+    qecqp.solve(p, trace=trace)
     assert trace == [(0.0, 0.0)]
 
 
 def test_maximize_dual_trace_off_zero_maximum():
     p = random_problem(6, seed=3)
     trace: list[tuple[float, float]] = []
-    d = qecqp.maximize_dual(p, trace=trace)
+    d = qecqp.solve(p, trace=trace)
     assert abs(d.mu2) > 1e-3  # the maximum is not at the starting point
     assert trace[0][0] == 0.0
     assert len(trace) >= 2
@@ -221,15 +227,15 @@ def test_maximize_dual_trace_off_zero_maximum():
 def test_maximize_dual_rejects_bad_tol():
     p = qecqp.QecqpProblem(Q_PATH, R_20)
     with pytest.raises(InputError):
-        qecqp.maximize_dual(p, tol=0.0)
+        qecqp.solve(p, tol=0.0)
 
 
 def test_translation_shifts_mu1_only():
     p = random_problem(5, seed=8)
     c = 3.7
     shifted = qecqp.QecqpProblem(p.q + c * np.eye(5), p.r)
-    d0 = qecqp.maximize_dual(p)
-    d1 = qecqp.maximize_dual(shifted)
+    d0 = qecqp.solve(p)
+    d1 = qecqp.solve(shifted)
     assert d1.mu2 == pytest.approx(d0.mu2, abs=1e-6)
     assert d1.mu1 == pytest.approx(d0.mu1 - c, abs=1e-6)
     assert d1.fval == pytest.approx(d0.fval + c, rel=1e-8, abs=1e-8)
@@ -238,9 +244,15 @@ def test_translation_shifts_mu1_only():
 # -- Feasible point extraction ------------------------------------------------
 
 
+def null_point(h: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The feasible point solve reads off the eigenpairs of H."""
+    w, v = np.linalg.eigh(h)
+    return qecqp._null_point_from_eigh(w, v, r, tol_null=1e-8)
+
+
 def test_feasible_null_point_direct():
     # Null space of the path Laplacian is the constant; M = [1] exactly.
-    x = qecqp.feasible_null_point(Q_PATH, R_20)
+    x = null_point(Q_PATH, R_20)
     np.testing.assert_allclose(np.abs(x), np.full(2, 1 / np.sqrt(2)), atol=1e-12)
     assert x @ R_20 @ x == pytest.approx(1.0, abs=1e-12)
 
@@ -248,7 +260,7 @@ def test_feasible_null_point_direct():
 def test_feasible_null_point_interpolates_straddle():
     # H = 0 on a 2-space where R has eigenvalues {0, 2}: alpha^2 = 1/2.
     h = np.zeros((2, 2))
-    x = qecqp.feasible_null_point(h, R_20)
+    x = null_point(h, R_20)
     assert x @ x == pytest.approx(1.0, abs=1e-12)
     assert x @ R_20 @ x == pytest.approx(1.0, abs=1e-12)
 
@@ -257,7 +269,7 @@ def test_feasible_null_point_enlarges_when_needed():
     # Null vector alone has x^T R x = 0; the next eigenvector is required.
     h = np.diag([0.0, 0.0, 3.0])
     r = np.diag([0.0, 2.0, 1.0])
-    x = qecqp.feasible_null_point(h, r)
+    x = null_point(h, r)
     assert x @ r @ x == pytest.approx(1.0, abs=1e-10)
     assert x @ h @ x == pytest.approx(0.0, abs=1e-10)
 
@@ -266,7 +278,7 @@ def test_feasible_null_point_raises_when_unreachable():
     h = np.diag([0.0, 2.0])
     r = np.diag([0.5, 0.3])
     with pytest.raises(SolverError):
-        qecqp.feasible_null_point(h, r)
+        null_point(h, r)
 
 
 # -- End-to-end solve with certificates ---------------------------------------
@@ -308,7 +320,7 @@ def test_solution_payload_consistency():
     p = random_problem(5, seed=77)
     sol = qecqp.solve(p)
     assert sol.objective == pytest.approx(float(sol.x @ p.q @ sol.x), rel=1e-12, abs=1e-12)
-    assert sol.gap == pytest.approx(abs(sol.objective - sol.dual.fval), abs=1e-15)
+    assert sol.gap == pytest.approx(abs(sol.objective - sol.fval), abs=1e-15)
 
 
 def test_solve_decomposes_once_per_dual_evaluation(monkeypatch):
@@ -431,7 +443,7 @@ def test_projected_search_matches_full_search(seed):
     full, _, full_sizes = solve_counted(p, project=False)
     assert projected_evaluations(p, sizes) > 0
     assert projected_evaluations(p, full_sizes) == 0
-    assert abs(proj.dual.mu2 - full.dual.mu2) <= 1e-7
+    assert abs(proj.mu2 - full.mu2) <= 1e-7
     assert proj.objective == pytest.approx(full.objective, rel=1e-9)
     assert qecqp.oracle_min(p, samples=20000, seed=seed) >= proj.objective - 1e-9
 
@@ -475,7 +487,7 @@ def test_projected_search_recovers_from_start_subspace_without_straddle(monkeypa
     assert projected_evaluations(p, sizes) > 0
     monkeypatch.undo()
     full, _, _ = solve_counted(p, project=False)
-    assert abs(sol.dual.mu2 - full.dual.mu2) <= 1e-7
+    assert abs(sol.mu2 - full.mu2) <= 1e-7
     assert sol.objective == pytest.approx(full.objective, rel=1e-9)
 
 
@@ -495,7 +507,7 @@ def test_start_subspace_adds_eigenvector_on_other_side():
     sol, trace, sizes = solve_counted(p)
     assert projected_evaluations(p, sizes) > 0
     assert len(trace) == 2
-    assert sol.dual.mu2 == pytest.approx(2.5, abs=1e-8)
+    assert sol.mu2 == pytest.approx(2.5, abs=1e-8)
     assert sol.objective == pytest.approx(2.5, abs=1e-8)
 
 
