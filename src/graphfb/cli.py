@@ -420,7 +420,8 @@ def _cmd_verify(cfg: dict, out: Path) -> None:
         print(
             f"level {entry['level']} (n={entry['n']}): {status}  "
             f"orthonormality {entry['orthonormality']:.2e}, folding {entry['folding']:.2e}, "
-            f"operator {entry['operator']:.2e}"
+            f"operator {entry['operator']:.2e}, energies {entry['energies']:.2e}, "
+            f"pair tags {'ok' if entry['pair_tags_ok'] else 'FAILED'}"
         )
     if not report["ok"]:
         raise NumericalError("pyramid verification failed; see report.json")

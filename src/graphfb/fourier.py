@@ -200,9 +200,20 @@ def compute_basis(
 ) -> FourierBasis:
     """Build the folding-adapted orthonormal basis for (L, pattern).
 
+    Consecutive subproblems differ by one deflation, so each solve starts
+    warm from the one before: its final mu2 and the lowest 16 eigenvectors
+    (or Ritz vectors) of Q + mu2 R there, which follow Q through the same
+    block Householder reflections and row deletions.  The solve searches
+    that subspace before any k x k eigendecomposition, and may end at a
+    certified Ritz point without one (see ``qecqp``).  A solve that ended at
+    its own start (within ``tol``) hands on only its mu2, and the next one
+    starts with a full evaluation there, as nearly every pair of the
+    first level of a grid does at mu2 = 0.
+
     ``trace_hook``, if given, is called as trace_hook(step, trace) with the
-    trace of ``qecqp.solve`` for the subproblem of each step: one (mu2, f)
-    row per full-size dual evaluation.
+    trace of the solve for the subproblem of each step: one (mu2, f) row
+    per full-size dual evaluation, so none for a step that ended at a Ritz
+    point.
     """
     l_matrix = np.asarray(l_matrix, dtype=float)
     n = l_matrix.shape[0]
@@ -220,11 +231,12 @@ def compute_basis(
     u_mat = np.zeros((n, n))
     tags = np.full(n, -1, dtype=int)
     step = 0
+    start = qecqp._COLD
     while b_lo.shape[1] and b_hi.shape[1]:
         k_lo, k = b_lo.shape[1], q.shape[0]
         r = np.diag(np.repeat([2.0, 0.0], [k_lo, k - k_lo]))
         trace: list | None = [] if trace_hook is not None else None
-        sol = qecqp.solve(qecqp.QecqpProblem(q, r), tol=tol, trace=trace)
+        sol, start = qecqp._solve(qecqp.QecqpProblem(q, r), tol, trace, start)
         if trace_hook is not None:
             trace_hook(step, trace)
         u = np.zeros(n)
@@ -246,6 +258,9 @@ def compute_basis(
         q = q - 2.0 * (w + w.T)
         keep = np.r_[1:k_lo, k_lo + 1 : k]
         q = q[np.ix_(keep, keep)]
+        # The carried subspace follows Q: W <- H W, then the same rows go.
+        if start.w is not None:
+            start = start._replace(w=(start.w - 2.0 * (v @ (v.T @ start.w)))[keep])
         step += 1
 
     # One block is used up: J acts as +-I on what is left, and the

@@ -400,9 +400,12 @@ def verify_pyramid(p: Pyramid) -> dict:
     """Re-check every level's invariants; returns a report document.
 
     Per level: Laplacian validity of the graph, basis orthonormality,
-    folding J U = U Phi, the involution property of Phi, and the three
-    reconstruction residuals.  The report's ``ok`` field is True when every
-    check passes its threshold.
+    folding J U = U Phi, the involution property of Phi, the stored
+    energies against diag(U^T L U) (relative to max(1, max |energy|)), the
+    pair tags against Phi (each tag >= 0 on exactly two columns that Phi
+    swaps, every -1 column fixed by Phi), and the three reconstruction
+    residuals.  The report's ``ok`` field is True when every check passes
+    its threshold.
     """
     report = {"levels": [], "ok": True}
     for idx, level in enumerate(p.levels):
@@ -420,12 +423,19 @@ def verify_pyramid(p: Pyramid) -> dict:
         entry["folding"] = float(np.abs(s[:, None] * u - u @ level.basis.phi.as_matrix()).max())
         phi_m = level.basis.phi.as_matrix()
         entry["involution"] = float(np.abs(phi_m @ phi_m - np.eye(level.n)).max())
+        energies = np.einsum("ij,ij->j", u, lap @ u)
+        entry["energies"] = float(
+            np.abs(level.basis.energies - energies).max() / max(1.0, float(np.abs(energies).max()))
+        )
+        entry["pair_tags_ok"] = _pair_tags_match(level.basis.pair_tags, level.basis.phi.perm)
         entry.update(verify_pr(level))
         entry["checks_ok"] = bool(
             entry["laplacian_ok"]
             and entry["orthonormality"] <= 1e-8
             and entry["folding"] <= 1e-6
             and entry["involution"] == 0.0
+            and entry["energies"] <= 1e-10
+            and entry["pair_tags_ok"]
             and entry["gain_sum"] <= 1e-8
             and entry["gain_fold"] <= 1e-8
             and entry["operator"] <= 1e-8
@@ -433,3 +443,16 @@ def verify_pyramid(p: Pyramid) -> dict:
         report["ok"] = report["ok"] and entry["checks_ok"]
         report["levels"].append(entry)
     return report
+
+
+def _pair_tags_match(tags: np.ndarray, perm: np.ndarray) -> bool:
+    """Each tag >= 0 marks exactly two columns, which perm swaps; every
+    column tagged -1 is fixed by perm; no other tag occurs."""
+    idx = np.arange(len(tags))
+    paired = tags >= 0
+    if not ((tags == -1) | paired).all() or (perm[~paired] != idx[~paired]).any():
+        return False
+    cols = idx[paired]
+    _, counts = np.unique(tags[cols], return_counts=True)
+    partner = perm[cols]
+    return bool((counts == 2).all() and (partner != cols).all() and (tags[partner] == tags[cols]).all())

@@ -19,7 +19,7 @@ so the duality gap is zero and global optimality is certified by
 
     H >= 0,  H x ~ 0,  x^T x = 1,  x^T R x = 1,  x^T Q x = -mu1 - mu2.
 
-The maximizer is a root of the supergradient.  The search starts at
+The maximizer is a root of the supergradient.  A cold search starts at
 mu2 = 0, where the evaluation is the eigendecomposition of Q itself: if its
 supergradient interval straddles zero the maximum is found, otherwise its
 sign tells which side of 0 holds the root and its extreme eigenvalues give
@@ -30,44 +30,65 @@ derivative
     g'(mu2) = 2 sum_{j>0} (v_0^T R v_j)^2 / (lambda_0 - lambda_j)
 
 comes from the eigenpairs the evaluation already computed.  The root is
-found by safeguarded Newton steps, the first one taken from mu2 = 0 before
-any far bracket end is evaluated.  A Newton step is taken when it lands
-strictly inside the bracket and shrinks fast enough; while the bracket is
-still open a far end is evaluated instead, at doubling distances; once it
-is closed, the intersection of the tangent lines of f at its two ends (or
-bisection) narrows it.  At kinks the smallest eigenvalue is degenerate and
-the supergradient is an interval; the tangent intersection lands on a lone
-kink exactly, and the search stops when the interval straddles zero or the
-bracket is narrower than the tolerance.
+found by safeguarded Newton steps, the first one taken from the start
+before any far bracket end is evaluated.  A Newton step is taken when it
+lands strictly inside the bracket and shrinks fast enough; while the
+bracket is still open a far end is evaluated instead, at doubling
+distances; once it is closed, the intersection of the tangent lines of f at
+its two ends (or bisection) narrows it.  At kinks the smallest eigenvalue
+is degenerate and the supergradient is an interval; the tangent
+intersection lands on a lone kink exactly.  The search stops when the
+interval straddles zero, within the larger of 1e-13 ||R||_2 and the
+rounding noise k eps ||Q + mu2 R||_2 of g; when a smooth point is so close
+to the root that its null point v_0 is within 1e-2 tol of the root's; or
+when the bracket is narrower than the tolerance.
 
 For k x k problems with k >= _PROJECT_MIN_DIM that search runs on a small
 subspace W first (Rayleigh-Ritz): the dual of (W^T Q W, W^T R W) is
 maximized with the same routine, at the cost of m x m eigendecompositions
-only, and the full problem is evaluated once at that maximizer.  W starts
-from the lowest eigenvectors of Q, the derivative dv_0/dmu2 of the lowest
-one, and the lowest eigenvector whose v^T R v lies on the other side of 1,
-so that the projected dual has a maximizer.  An evaluation that straddles
-zero is the answer; otherwise W grows by that evaluation's lowest
-eigenvectors and dv_0/dmu2, and the next round starts from its mu2.  A
-supergradient within the acceptance band, a subspace that cannot grow, or
-a projected search that fails hands over to the full search, started from
+only.  W starts from the lowest eigenvectors of Q, the derivative
+dv_0/dmu2 of the lowest one, and the lowest eigenvector whose v^T R v lies
+on the other side of 1, so that the projected dual has a maximizer.  At
+that maximizer, the Ritz vectors of the smallest Ritz value theta are
+checked against the full problem, ||(Q + mu2 R) y - theta y|| <=
+1e-2 tol h_scale: if they pass, the Ritz point is the answer and no
+full-size evaluation is made.  Otherwise the full problem is evaluated
+once there.  An evaluation that stops the search is the answer; otherwise
+W grows by that evaluation's lowest eigenvectors and dv_0/dmu2, and the
+next round starts from its mu2, where the Ritz residual of the next round
+shrinks like the square of the step.  A subspace that cannot grow, or a
+projected search that fails, hands over to the full search, started from
 the latest full evaluation.  Every stopping rule is therefore one of the
-full search.
+full search or the Ritz gate.
+
+A solve may also start warm, from a mu2 and a subspace handed on by the
+solve of a nearby problem (the basis construction hands each pair's mu2
+and lowest 16 eigenvectors or Ritz vectors to the next, for k >=
+_WARM_MIN_DIM): the projected search then starts on that subspace at that
+mu2, and no full evaluation precedes it.
 
 H = Q + mu1 I + mu2 R is a shift of Q + mu2 R by a multiple of I, so the
 last full evaluation's eigenpairs (w - lambda_min, V) are those of H, and
-the feasible null point is read off them.  A solve costs one k x k
-symmetric eigendecomposition per full-size dual evaluation: the one at
-mu2 = 0, one per round of the projected search, and those of the full
-search if it runs.  Its other eigendecompositions are small: m x m ones of
-the projected duals, and one of R projected onto the null space of H, whose
-dimension is usually 1.  Reused eigenvalues cannot certify H >= 0 (the
-smallest is 0 by construction), so that certificate is a Cholesky
-factorization of the explicitly formed H + delta I: if it succeeds,
-lambda_min(H) >= -delta up to O(k u ||H||) rounding; it is the only place
-H is formed.  The other residuals are explicit products with Q and R, H x
-among them as Q x + mu1 x + mu2 R x.  The spectrum of R is computed once
-per problem, read off the diagonal when R is diagonal.
+the feasible null point is read off them, or off the Ritz pairs at a Ritz
+point.  A solve costs one k x k symmetric eigendecomposition per full-size
+dual evaluation: the one at the cold start, one per round of the projected
+search that ends without a Ritz point, and those of the full search if it
+runs; a warm solve that ends at a Ritz point costs none.  Its other
+eigendecompositions are small: m x m ones of the projected duals, and one
+of R projected onto the null space of H, whose dimension is usually 1.
+Reused eigenvalues cannot certify H >= 0 (the smallest is 0 by
+construction), so that certificate is a Cholesky factorization of the
+explicitly formed H + delta I: if it succeeds, lambda_min(H) >= -delta up
+to O(k u ||H||) rounding; it is the only place H is formed, and it costs a
+small fraction of an eigendecomposition.  At a Ritz point theta only bounds
+lambda_min(Q + mu2 R) from above, and this certificate, with delta
+tightened to 1e-2 tol h_scale, is what proves that no eigenvector outside
+W lies lower.  h_scale = 1 + ||H||_2 is exact after a full evaluation; at a
+Ritz point it is the lower bound 1 + max(theta_max, max_i (Q + mu2 R)_ii)
+- theta, so no gate is looser there.  The other residuals are explicit
+products with Q and R, H x among them as Q x + mu1 x + mu2 R x.  The
+spectrum of R is computed once per problem, read off the diagonal when R
+is diagonal.
 """
 
 from __future__ import annotations
@@ -168,7 +189,7 @@ class QecqpSolution:
 
 
 class _DualEval(NamedTuple):
-    """One dual evaluation."""
+    """One dual evaluation, of the full problem or of a projected one."""
 
     mu2: float
     lam: float  # lambda_min(Q + mu2 R)
@@ -177,6 +198,14 @@ class _DualEval(NamedTuple):
     dg: float | None  # g'(mu2) when lambda_min is simple, else None
     w: np.ndarray | None  # eigenpairs of Q + mu2 R, ascending
     v: np.ndarray | None
+    top: float  # lambda_max(Q + mu2 R), or a lower bound on it at a Ritz point
+    dv: float  # ||dv_0/dmu2|| when lambda_min is simple, else inf
+
+
+def _cluster_size(w: np.ndarray) -> int:
+    """Number of eigenvalues within rounding of the smallest one."""
+    tol = 1e-9 * max(1.0, float(np.abs(w).max()))
+    return int(np.searchsorted(w, w[0] + tol, side="right"))
 
 
 def _dual_eval(q: np.ndarray, r: np.ndarray, mu2: float) -> _DualEval:
@@ -184,39 +213,58 @@ def _dual_eval(q: np.ndarray, r: np.ndarray, mu2: float) -> _DualEval:
     curvature g'(mu2) of the module docstring when the smallest eigenvalue is
     simple, and the eigenpairs they came from."""
     w, v = _eigh(q + mu2 * r)
-    lam = float(w[0])
-    cluster_tol = 1e-9 * max(1.0, float(np.abs(w).max()))
-    k = int(np.searchsorted(w, lam + cluster_tol, side="right"))
+    lam, top = float(w[0]), float(w[-1])
+    k = _cluster_size(w)
     if k == 1:
         c = v.T @ (r @ v[:, 0])
         g = float(c[0]) - 1.0
-        dg = 2.0 * float(np.sum(c[1:] ** 2 / (lam - w[1:])))
-        return _DualEval(mu2, lam, g, g, dg, w, v)
+        coef = c[1:] / (lam - w[1:])
+        dg = 2.0 * float(c[1:] @ coef)
+        return _DualEval(mu2, lam, g, g, dg, w, v, top, float(np.linalg.norm(coef)))
     vc = v[:, :k]
     d = np.linalg.eigvalsh(_sym(vc.T @ r @ vc))
-    return _DualEval(mu2, lam, float(d[0]) - 1.0, float(d[-1]) - 1.0, None, w, v)
+    return _DualEval(mu2, lam, float(d[0]) - 1.0, float(d[-1]) - 1.0, None, w, v, top, np.inf)
+
+
+class _Start(NamedTuple):
+    """Where a solve begins: the dual variable mu2 of its first evaluation,
+    and optionally a subspace (columns of ``w``, not necessarily orthonormal)
+    expected to hold the lowest eigenvectors of Q + mu2 R.  Without ``w``
+    the first evaluation is a full one."""
+
+    mu2: float
+    w: np.ndarray | None
+
+
+_COLD = _Start(0.0, None)
 
 
 def _maximize_dual(
     problem: QecqpProblem,
     tol: float,
     trace: list[tuple[float, float]] | None,
+    start: _Start = _COLD,
 ) -> _DualEval:
     """Maximize the concave dual by safeguarded Newton steps on the
-    supergradient; returns the full-size evaluation at the maximizer, which
-    is always the latest one and the only one holding eigenpairs.
+    supergradient; returns the evaluation at the maximizer with its
+    eigenpairs: the latest full-size evaluation, the only one that keeps
+    them, or a Ritz point of the projected search (see _ritz_point).
 
-    The first evaluation is at mu2 = 0.  If its supergradient interval
-    straddles zero it is the maximizer.  Otherwise the root lies on the side
-    its sign points to, and _search finds it from there, the bracket's far
-    end ||Q||_2 + 1 away at first.  Convergence is declared when the
-    supergradient interval straddles zero within a small band (a kink, or an
-    exact root), or the bracket is narrower than ``tol`` with a
-    supergradient small enough that a near-feasible null vector exists.
+    Without a start subspace the first evaluation is a full one at
+    start.mu2.  If its supergradient interval straddles zero it is the
+    maximizer.  Otherwise the root lies on the side its sign points to, and
+    _search finds it from there, the bracket's far end ||Q + mu2 R||_2 + 1
+    away at first.  Convergence is declared by _Limits.done (an interval
+    that straddles zero within a small band, or a smooth point whose null
+    vector is as good as the root's), or when the bracket is narrower than
+    ``tol`` with a supergradient small enough that a near-feasible null
+    vector exists.
 
     For k >= _PROJECT_MIN_DIM the search runs on a subspace first and checks
-    each projected maximizer with one full-size evaluation (see the module
-    docstring), so most of its steps cost small eigendecompositions only.
+    each projected maximizer with one full-size evaluation or its Ritz point
+    (see the module docstring), so most of its steps cost small
+    eigendecompositions only.  A start subspace replaces the first full
+    evaluation: the projected search starts from it at start.mu2.
     ``trace``, if given, collects one (mu2, f(mu2)) row per full-size
     evaluation, in order; the subspace evaluations are not recorded.
     """
@@ -224,7 +272,7 @@ def _maximize_dual(
         raise InputError(f"tolerance must be positive, got {tol}")
     q, r = problem.q, problem.r
     r_scale = max(1.0, problem.r_norm)
-    lim = _Limits(tol, 1e-13 * r_scale, 1e-8 * r_scale)
+    lim = _Limits(tol, 1e-13 * r_scale, 1e-8 * r_scale, problem.dim * _EPS)
 
     def ev(mu2: float) -> _DualEval:
         e = _dual_eval(q, r, mu2)
@@ -232,21 +280,31 @@ def _maximize_dual(
             trace.append((mu2, -mu2 + e.lam))
         return e
 
-    e = ev(0.0)
-    if lim.straddles(e):
-        return e
-    width = max(-float(e.w[0]), float(e.w[-1])) + 1.0
-    w = _start_subspace(problem, e) if problem.dim >= _PROJECT_MIN_DIM else None
-    e = e._replace(w=None, v=None)  # only the latest evaluation's eigenpairs stay alive
-    if w is not None:
-        try:
-            e = _projected_search(problem, ev, e, w, width, lim)
-        except SolverError:
-            pass
-        if e.v is not None:
+    e = None
+    if problem.dim >= _WARM_MIN_DIM and start.w is not None:
+        width = 1.0 + float(np.abs(q.diagonal() + start.mu2 * r.diagonal()).max())
+        e = _projected_search(problem, ev, start.mu2, None, start.w, width, lim)
+        if e is not None and e.v is not None:
             return e
+    if e is None:
+        e = ev(start.mu2)
+        if lim.done(e):
+            return e
+        width = max(-e.lam, e.top) + 1.0
+        w = _start_subspace(problem, e) if problem.dim >= _PROJECT_MIN_DIM else None
+        e = e._replace(w=None, v=None)  # only the latest evaluation's eigenpairs stay alive
+        if w is not None:
+            e = _projected_search(problem, ev, e.mu2, e, w, width, lim)
+            if e.v is not None:
+                return e
     # The full search, from the latest full-size evaluation.
     return _search(ev, e, width, lim)
+
+
+_EPS = float(np.finfo(float).eps)
+# A smooth point counts as the maximizer when its null point v_0 is within
+# _NEWTON_STOP * tol of the one at the root (see _Limits.done).
+_NEWTON_STOP = 1e-2
 
 
 class _Limits(NamedTuple):
@@ -255,20 +313,45 @@ class _Limits(NamedTuple):
     tol: float  # bracket width, relative to 1 + |mu2|
     g_tol: float  # an interval within g_tol of 0 straddles it: a kink or an exact root
     g_accept: float  # a supergradient small enough for a near-feasible null vector
+    g_floor: float  # rounding noise of g, relative to ||Q + mu2 R||_2
 
     def straddles(self, e: _DualEval) -> bool:
-        return e.g_lo <= self.g_tol and e.g_hi >= -self.g_tol
+        """The supergradient interval reaches zero within the larger of
+        g_tol and the rounding noise g_floor * ||Q + mu2 R||_2."""
+        band = max(self.g_tol, self.g_floor * max(abs(e.lam), abs(e.top)))
+        return e.g_lo <= band and e.g_hi >= -band
 
     def accepts(self, e: _DualEval) -> bool:
         return max(abs(e.g_lo), abs(e.g_hi)) <= self.g_accept
 
+    def done(self, e: _DualEval) -> bool:
+        """e straddles zero, or it is smooth and its null point v_0 is as
+        good as the root's: the feasibility error g, the duality gap
+        |mu2 g| of v_0, the Newton step |g / g'| to the root and the move
+        |g / g'| * ||dv_0/dmu2|| of v_0 along it are all within
+        _NEWTON_STOP * tol."""
+        if self.straddles(e):
+            return True
+        if not e.dg:
+            return False
+        g, step = abs(e.g_lo), abs(e.g_lo / e.dg)
+        return max(g * max(1.0, abs(e.mu2)), step * max(1.0, e.dv)) <= _NEWTON_STOP * self.tol
 
-# Below this size a full search costs less than the projected one: a k x k
+
+# Below these sizes a full search costs less than the projected one: a k x k
 # eigendecomposition then takes about as long as the Python work of a
-# projected search (measured crossover k ~ 40-50 with one BLAS thread).
+# projected search.  Measured with one BLAS thread, the crossover is
+# k ~ 40-50 for a cold start, which spends a full evaluation on its first
+# subspace, and k ~ 24 from a carried subspace.
 _PROJECT_MIN_DIM = 48
+_WARM_MIN_DIM = 24
 # Eigenvectors each full-size evaluation adds to the subspace.
 _SUBSPACE_DIM = 4
+# Lowest eigenvectors or Ritz vectors a solve hands on as the next start.
+_CARRY_DIM = 16
+# A Ritz point is accepted, and certified, with its residual and the
+# positive semidefiniteness shift both at _RITZ_GATE * tol * h_scale.
+_RITZ_GATE = 1e-2
 # Rounds of the projected search before the full search takes over.
 _MAX_ROUNDS = 8
 _MAX_FAR_EVALS = 80
@@ -276,23 +359,32 @@ _MAX_EVALS = 400
 
 
 def _projected_search(
-    problem: QecqpProblem, ev, e: _DualEval, new: np.ndarray, width: float, lim: _Limits
-) -> _DualEval:
+    problem: QecqpProblem,
+    ev,
+    mu2: float,
+    e: _DualEval | None,
+    new: np.ndarray,
+    width: float,
+    lim: _Limits,
+) -> _DualEval | None:
     """Dual maximizer searched on a subspace W and checked on the full problem.
 
     W starts as the span of ``new``, built from the full-size evaluation
-    ``e``.  Each round maximizes the dual of (W^T Q W, W^T R W) with
-    _search, which costs only m x m eigendecompositions, and makes one
-    full-size evaluation ``ev`` at that maximizer.  The first evaluation
-    that straddles zero is returned, with its eigenpairs.  Otherwise W grows
-    by that evaluation's lowest eigenvectors and the derivative of its
-    lowest one, and the next round starts from its mu2.  When that
-    evaluation is already within g_accept, when W cannot grow or would fill
-    the space, or when the rounds run out, the latest full evaluation is
-    returned without eigenpairs, for the full search to finish from.
+    ``e`` at mu2, or carried over from elsewhere when ``e`` is None.  Each
+    round maximizes the dual of (W^T Q W, W^T R W) with _search, which
+    costs only m x m eigendecompositions, and checks the projected
+    maximizer.  When it ends the search (_Limits.done) and its Ritz point
+    passes the Ritz gate, that point is returned (_ritz_point); otherwise
+    one full-size evaluation ``ev`` at the maximizer is made, and returned
+    with its eigenpairs if it ends the search.  Otherwise W grows by that
+    evaluation's lowest eigenvectors and the derivative of its lowest one,
+    and the next round starts from its mu2.  When W cannot grow or would
+    fill the space, when the projected dual has no maximizer, or when the
+    rounds run out, the latest full evaluation is returned without
+    eigenpairs, for the full search to finish from; None if there was none.
 
-    W always holds the lowest eigenvector v_0 of the latest full evaluation
-    and its derivative dv_0/dmu2, so the projected dual has the same value,
+    After a full evaluation W holds its lowest eigenvector v_0 and the
+    derivative dv_0/dmu2, so the projected dual has the same value,
     supergradient and curvature there: where v_0 is simple that evaluation
     is the start of the round's search, and no projected evaluation is spent
     on it.
@@ -302,21 +394,58 @@ def _projected_search(
     qw = rw = w
     for _ in range(_MAX_ROUNDS):
         new = _orthonormal_complement(w, new)
-        e = e._replace(w=None, v=None)  # only the latest evaluation's eigenpairs stay alive
+        if e is not None:
+            e = e._replace(w=None, v=None)  # only the latest evaluation's eigenpairs stay alive
         if not new.shape[1] or w.shape[1] + new.shape[1] >= problem.dim:
             break
         w = np.column_stack([w, new])
         qw = np.column_stack([qw, q @ new])
         rw = np.column_stack([rw, r @ new])
         qs, rs = _sym(w.T @ qw), _sym(w.T @ rw)
-        start = e if e.dg is not None else _dual_eval(qs, rs, e.mu2)
-        e = ev(_search(lambda mu2: _dual_eval(qs, rs, mu2), start, width, lim).mu2)
-        if lim.straddles(e):
+        if e is None:
+            # A carried subspace: the projected dual has a maximizer only
+            # if the spectrum of W^T R W straddles 1.
+            d = np.linalg.eigvalsh(rs)
+            if not d[0] < 1.0 < d[-1]:
+                break
+            start = _dual_eval(qs, rs, mu2)
+        else:
+            start = e if e.dg is not None else _dual_eval(qs, rs, e.mu2)
+        try:
+            p = _search(lambda m: _dual_eval(qs, rs, m), start, width, lim)
+        except SolverError:
+            break
+        if lim.done(p):
+            ritz = _ritz_point(problem, w, qw, rw, p, lim)
+            if ritz is not None:
+                return ritz
+        e = ev(p.mu2)
+        if lim.done(e):
             return e
-        if lim.accepts(e):
-            break  # close enough for the full search to finish in a step or two
         new = _lowest_with_derivative(problem, e)
-    return e._replace(w=None, v=None)
+    return None if e is None else e._replace(w=None, v=None)
+
+
+def _ritz_point(
+    problem: QecqpProblem, w: np.ndarray, qw: np.ndarray, rw: np.ndarray, p: _DualEval, lim: _Limits
+) -> _DualEval | None:
+    """The projected evaluation p at its maximizer, lifted to the full
+    problem: Ritz values (theta) and Ritz vectors (W z), and as ``top`` a
+    lower bound on lambda_max(Q + mu2 R), the larger of the largest Ritz
+    value and the largest diagonal entry.  None unless every Ritz vector of
+    the smallest Ritz value is an eigenvector of Q + mu2 R within the Ritz
+    gate, ||(Q + mu2 R) y - theta y|| <= _RITZ_GATE * tol * h_scale with
+    h_scale = 1 + top - theta_0, the rigorous lower bound of the one
+    _certify uses.  Since theta_0 >= lambda_min(Q + mu2 R), whether it is
+    the minimum is left to the positive semidefiniteness certificate."""
+    d = problem.q.diagonal() + p.mu2 * problem.r.diagonal()
+    top = max(float(p.w[-1]), float(d.max()))
+    h_scale = 1.0 + max(0.0, top - p.lam)
+    z = p.v[:, : _cluster_size(p.w)]
+    res = (qw + p.mu2 * rw) @ z - (w @ z) * p.w[: z.shape[1]]
+    if float(np.linalg.norm(res, axis=0).max()) > _RITZ_GATE * lim.tol * h_scale:
+        return None
+    return p._replace(v=w @ p.v, top=top)
 
 
 def _lowest_with_derivative(problem: QecqpProblem, e: _DualEval) -> np.ndarray:
@@ -391,7 +520,7 @@ def _search(ev, e: _DualEval, width: float, lim: _Limits) -> _DualEval:
     prev_step = last_step = np.inf
     far = 0
     for _ in range(_MAX_EVALS):
-        if lim.straddles(e):
+        if lim.done(e):
             return e
         if e.g_lo > 0.0:
             lo = (e.mu2, -e.mu2 + e.lam, e.g_lo)
@@ -496,27 +625,69 @@ def solve(
     """Globally solve the problem and certify optimality.
 
     The feasible null point is read off the eigenpairs of the last
-    full-size dual evaluation, shifted to those of H, so the solve performs
-    no k x k eigendecomposition beyond the full-size dual evaluations of the
+    full-size dual evaluation, shifted to those of H, or off the Ritz pairs
+    of a Ritz point (see the module docstring), so the solve performs no
+    k x k eigendecomposition beyond the full-size dual evaluations of the
     search, one per row of ``trace``.  Positive semidefiniteness of H is
     certified by a Cholesky factorization of H + delta I with
     delta = 1e3 * tol * (1 + ||H||_2); every other residual is an explicit
     product with Q and R.  Raises SolverError if any certificate fails
     (thresholds scale with ``tol``; at the default they are delta = 1e-7
     relative for positive semidefiniteness, 1e-6 relative for stationarity
-    and the duality gap, 1e-8 for the unit norm, and 1e-6 for x^T R x - 1).
+    and the duality gap, 1e-8 for the unit norm, and 1e-6 for x^T R x - 1;
+    a Ritz point is held to 1e-12 relative for positive semidefiniteness
+    and stationarity, and is replaced by a full evaluation if it fails).
     """
-    e = _maximize_dual(problem, tol, trace)
+    return _solve(problem, tol, trace, _COLD)[0]
+
+
+def _solve(
+    problem: QecqpProblem,
+    tol: float,
+    trace: list[tuple[float, float]] | None,
+    start: _Start,
+) -> tuple[QecqpSolution, _Start]:
+    """solve() from ``start``, also returning the start for a next problem
+    that differs from this one by a small deflation: the final mu2 with the
+    lowest _CARRY_DIM eigenvectors (or Ritz vectors) of Q + mu2 R there, or
+    without them when the solve ended at its own start point (within tol
+    relative to 1 + |mu2|), where one full evaluation is likely to settle
+    the next problem too.
+
+    The solution may come from a Ritz point of the projected search.  It is
+    certified with the residual and positive semidefiniteness gates
+    tightened to _RITZ_GATE * tol * h_scale, so lambda_min(H) >= -delta
+    also proves that no eigenvector outside the subspace lies below the Ritz
+    value by more than delta; h_scale is a lower bound on 1 + ||H||_2,
+    which makes every gate at least as tight as on the full-evaluation path.
+    If any certificate fails there, the solve starts over with a full
+    evaluation at that mu2.
+    """
+    e = _maximize_dual(problem, tol, trace, start)
+    ritz = e.v.shape[1] < problem.dim
     x = _fix_sign(_null_point_from_eigh(e.w - e.lam, e.v, problem.r, tol_null=1e-8))
+    moved = abs(e.mu2 - start.mu2) > tol * (1.0 + abs(start.mu2))
+    carry = e.v[:, :_CARRY_DIM].copy() if moved else None
     e = e._replace(v=None)  # frees the eigenvectors before the certificate's k x k work
-    return _certify(problem, e, x, tol)
+    try:
+        sol = _certify(problem, e, x, tol, tight=ritz)
+    except SolverError:
+        if not ritz:
+            raise
+        return _solve(problem, tol, trace, _Start(e.mu2, None))
+    return sol, _Start(e.mu2, carry)
 
 
-def _certify(problem: QecqpProblem, e: _DualEval, x: np.ndarray, tol: float) -> QecqpSolution:
+def _certify(
+    problem: QecqpProblem, e: _DualEval, x: np.ndarray, tol: float, tight: bool = False
+) -> QecqpSolution:
     """Check every optimality certificate of x for the dual point of the
-    evaluation e."""
-    h_scale = 1.0 + max(0.0, float(e.w[-1] - e.lam), float(e.lam - e.w[0]))
-    delta = 1e3 * tol * h_scale
+    evaluation e; ``tight`` scales the stationarity and positive
+    semidefiniteness gates down to _RITZ_GATE * tol * h_scale."""
+    h_scale = 1.0 + max(0.0, e.top - e.lam)
+    delta, stat_tol = (_RITZ_GATE, _RITZ_GATE) if tight else (1e3, 1e4)
+    delta *= tol * h_scale
+    stat_tol *= tol * h_scale
     try:
         np.linalg.cholesky(_h_matrix(problem, delta - e.lam, e.mu2))
         psd = True
@@ -535,7 +706,7 @@ def _certify(problem: QecqpProblem, e: _DualEval, x: np.ndarray, tol: float) -> 
 
     checks = [
         (psd, f"H not positive semidefinite: Cholesky of H + {delta:.3e} I failed"),
-        (stationarity <= 1e4 * tol * h_scale, f"stationarity residual {stationarity:.3e} too large"),
+        (stationarity <= stat_tol, f"stationarity residual {stationarity:.3e} too large"),
         (unit_error <= 1e2 * tol, f"unit-norm residual {unit_error:.3e} too large"),
         (feas_error <= 1e4 * tol, f"feasibility residual {feas_error:.3e} too large"),
         (gap <= 1e4 * tol * (1.0 + abs(objective)), f"duality gap {gap:.3e} too large"),

@@ -6,9 +6,11 @@ updated with it.
 
 from __future__ import annotations
 
+import inspect
 import types
 
 import graphfb
+from graphfb import fourier, qecqp
 
 PUBLIC_NAMES = {
     # errors
@@ -41,3 +43,16 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(getattr(graphfb, name), types.ModuleType)
     }
     assert exported == PUBLIC_NAMES
+
+
+def test_solver_entry_points_are_pinned():
+    # The basis construction hands warm starts between solves through a
+    # private entry point; the public signatures stay as they are.
+    assert str(inspect.signature(qecqp.solve)) == (
+        "(problem: 'QecqpProblem', tol: 'float' = 1e-10, "
+        "trace: 'list[tuple[float, float]] | None' = None) -> 'QecqpSolution'"
+    )
+    params = inspect.signature(fourier.compute_basis).parameters
+    positional = [name for name, p in params.items() if p.kind is p.POSITIONAL_OR_KEYWORD]
+    assert positional == ["l_matrix", "pattern"]
+    assert {name for name, p in params.items() if p.kind is p.KEYWORD_ONLY} == {"tol", "trace_hook"}

@@ -389,6 +389,32 @@ def test_verify_load_rejects_basis_with_a_column_dropped(tmp_path, capsys):
     assert "basis_u.csv" in capsys.readouterr().err
 
 
+def test_verify_load_rejects_tampered_energies(tmp_path):
+    pyr = _saved_cli_pyramid(tmp_path)
+    path = pyr / "level0" / "energies.csv"
+    rows = path.read_text(encoding="utf-8").splitlines()
+    rows[0] = "123.0"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "b"
+    assert run("verify", "--load", pyr, "--out", out) == 3
+    level0 = report(out)["levels"][0]
+    assert level0["energies"] > 1e-10 and level0["pair_tags_ok"] is True
+    assert level0["checks_ok"] is False
+
+
+def test_verify_load_rejects_tampered_pair_tags(tmp_path):
+    pyr = _saved_cli_pyramid(tmp_path)
+    path = pyr / "level0" / "pair_tags.csv"
+    tags = path.read_text(encoding="utf-8").strip().split(",")
+    tags[0] = "77"
+    path.write_text(",".join(tags) + "\n", encoding="utf-8")
+    out = tmp_path / "b"
+    assert run("verify", "--load", pyr, "--out", out) == 3
+    level0 = report(out)["levels"][0]
+    assert level0["pair_tags_ok"] is False and level0["energies"] <= 1e-10
+    assert level0["checks_ok"] is False
+
+
 @pytest.mark.parametrize("edit", ["unknown", "missing"])
 def test_verify_load_bad_manifest_config(tmp_path, capsys, edit):
     pyr = _saved_cli_pyramid(tmp_path)

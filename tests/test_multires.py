@@ -13,6 +13,7 @@ Kron oracles:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import struct
@@ -447,6 +448,42 @@ def test_verify_pyramid_green():
         assert entry["folding"] <= 1e-6
         assert entry["orthonormality"] <= 1e-8
         assert entry["operator"] <= 1e-8
+
+
+def _with_basis(p: multires.Pyramid, **changes) -> multires.Pyramid:
+    level = p.levels[0]
+    basis = dataclasses.replace(level.basis, **changes)
+    return dataclasses.replace(p, levels=(dataclasses.replace(level, basis=basis),) + tuple(p.levels[1:]))
+
+
+@pytest.mark.parametrize("tamper", ["swap", "unpair", "tag_fixed", "bad_value"])
+def test_verify_pyramid_checks_pair_tags_against_phi(tamper):
+    p = multires.build_pyramid(random_connected_graph(31, seed=6), 1)  # odd n: a fixed column
+    tags = p.levels[0].basis.pair_tags.copy()
+    fixed = np.nonzero(tags < 0)[0]
+    paired = np.nonzero(tags >= 0)[0]
+    assert len(fixed) and multires.verify_pyramid(p)["levels"][0]["pair_tags_ok"] is True
+    if tamper == "swap":  # two columns of different pairs trade tags
+        j = paired[np.nonzero(tags[paired] != tags[paired[0]])[0][0]]
+        tags[[paired[0], j]] = tags[[j, paired[0]]]
+    elif tamper == "unpair":  # a column that Phi moves marked as fixed
+        tags[paired[0]] = -1
+    elif tamper == "tag_fixed":  # a fixed column given its own pair tag
+        tags[fixed[0]] = tags.max() + 1
+    else:
+        tags[fixed[0]] = -2
+    entry = multires.verify_pyramid(_with_basis(p, pair_tags=tags))["levels"][0]
+    assert entry["pair_tags_ok"] is False and entry["checks_ok"] is False
+
+
+def test_verify_pyramid_checks_energies():
+    p = multires.build_pyramid(random_connected_graph(30, seed=6), 1)
+    energies = p.levels[0].basis.energies
+    assert multires.verify_pyramid(p)["levels"][0]["energies"] <= 1e-12
+    tampered = energies.copy()
+    tampered[-1] *= 1.0 + 1e-9
+    entry = multires.verify_pyramid(_with_basis(p, energies=tampered))["levels"][0]
+    assert entry["energies"] > 1e-10 and entry["checks_ok"] is False
 
 
 # -- Coefficient trees ---------------------------------------------------------------

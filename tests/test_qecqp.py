@@ -386,16 +386,16 @@ def basis_subproblems(l_matrix: np.ndarray, steps: int) -> list[qecqp.QecqpProbl
     """The first ``steps`` problems compute_basis solves for L and its
     greedy max-cut split."""
     problems: list[qecqp.QecqpProblem] = []
-    solve = qecqp.solve
+    solve = qecqp._solve
 
-    def record(problem, tol=1e-10, trace=None):
+    def record(problem, tol, trace, start):
         problems.append(problem)
         if len(problems) == steps:
             raise _Enough
-        return solve(problem, tol=tol, trace=trace)
+        return solve(problem, tol, trace, start)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qecqp, "solve", record)
+        mp.setattr(qecqp, "_solve", record)
         try:
             gf.compute_basis(l_matrix, sampling.greedy_max_cut(l_matrix))
         except _Enough:
@@ -506,7 +506,9 @@ def test_start_subspace_adds_eigenvector_on_other_side():
     np.testing.assert_allclose(np.abs(w), np.eye(k)[:, [0, 1, 2, 3, 5]], atol=1e-15)
     sol, trace, sizes = solve_counted(p)
     assert projected_evaluations(p, sizes) > 0
-    assert len(trace) == 2
+    # W holds e_0 and e_5, so the Ritz point at the kink is exact and is
+    # certified without a second full evaluation.
+    assert len(trace) == 1
     assert sol.mu2 == pytest.approx(2.5, abs=1e-8)
     assert sol.objective == pytest.approx(2.5, abs=1e-8)
 
@@ -536,6 +538,158 @@ def test_projected_search_certifies_at_clustered_minimum(monkeypatch):
     assert sol.objective == pytest.approx(full.objective, rel=1e-9)
     assert sol.stationarity <= 1e-6 * max(1.0, float(np.linalg.norm(p.q, 2)))
     assert sol.feas_error <= 1e-6
+
+
+# -- Warm starts and Ritz points ----------------------------------------------
+
+
+def solve_warm(problem: qecqp.QecqpProblem, start: qecqp._Start):
+    """_solve from ``start``, returning the solution, the trace and every
+    _certify call as (tight, passed)."""
+    trace: list[tuple[float, float]] = []
+    calls: list[tuple[bool, bool]] = []
+    certify = qecqp._certify
+
+    def recording(problem, e, x, tol, tight=False):
+        try:
+            sol = certify(problem, e, x, tol, tight)
+        except SolverError:
+            calls.append((tight, False))
+            raise
+        calls.append((tight, True))
+        return sol
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qecqp, "_certify", recording)
+        sol, _ = qecqp._solve(problem, 1e-10, trace, start)
+    return sol, trace, calls
+
+
+@pytest.mark.parametrize("useless", ["random", "highest"])
+def test_warm_start_from_useless_subspace_still_certifies(useless):
+    # A random subspace, or the 16 highest eigenvectors of Q + mu2* R at
+    # the cold maximizer (orthogonal to the answer there): the solve must
+    # find and certify the same optimum as the cold solve.
+    p = rgg_subproblem(96, 1, 0)
+    cold = qecqp.solve(p)
+    if useless == "random":
+        w = np.random.default_rng(5).standard_normal((p.dim, qecqp._CARRY_DIM))
+    else:
+        w = np.linalg.eigh(p.q + cold.mu2 * p.r)[1][:, -qecqp._CARRY_DIM :]
+    for mu2 in (0.0, cold.mu2):
+        sol, trace, _ = solve_warm(p, qecqp._Start(mu2, w))
+        assert abs(sol.mu2 - cold.mu2) <= 1e-7
+        assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
+        assert len(trace) >= 1
+
+
+@pytest.mark.parametrize("offset", [10.0, 1e-8])
+def test_ritz_point_failing_its_certificate_falls_back_to_full_evaluation(offset):
+    # Q and R are block diagonal, the second block a copy of the first
+    # shifted up by ``offset``, and W spans the second block: its Ritz pairs
+    # are exact eigenpairs at every mu2 and pass the residual gate, but
+    # theta is lambda_min + offset.  The Cholesky certificate must reject
+    # the Ritz point, also when the offset (1e-8) is below the shift of the
+    # full-evaluation gate (1e3 tol h_scale ~ 1e-6), and the solve must
+    # recover the cold optimum from a full evaluation.
+    b = 25
+    z = np.random.default_rng(3).standard_normal((b, b))
+    q1 = z @ z.T / b
+    q = np.block([[q1, np.zeros((b, b))], [np.zeros((b, b)), q1 + offset * np.eye(b)]])
+    r = np.diag(np.tile(np.where(np.arange(b) < 10, 2.0, 0.0), 2))
+    p = qecqp.QecqpProblem(q, r)
+    assert p.dim >= qecqp._WARM_MIN_DIM
+    cold = qecqp.solve(p)
+    sol, trace, calls = solve_warm(p, qecqp._Start(0.0, np.eye(2 * b)[:, b:]))
+    assert calls[0] == (True, False)
+    assert calls[-1][1] is True
+    assert len(trace) >= 1
+    assert abs(sol.mu2 - cold.mu2) <= 1e-7
+    assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
+    assert np.linalg.norm(sol.x[b:]) <= 1e-6  # the answer lies in the lower block
+
+
+def test_ritz_point_h_scale_is_a_lower_bound():
+    # Every Ritz point the basis construction certifies uses an h_scale no
+    # larger than 1 + lambda_max(H) of the same H = Q + mu2 R - theta I.
+    l_matrix = gf.laplacian(gf.generate("random_geometric", 96, seed=1))
+    accepted: list[tuple[qecqp.QecqpProblem, qecqp._DualEval]] = []
+    certify = qecqp._certify
+
+    def recording(problem, e, x, tol, tight=False):
+        sol = certify(problem, e, x, tol, tight)
+        if tight:
+            accepted.append((problem, e))
+        return sol
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qecqp, "_certify", recording)
+        gf.compute_basis(l_matrix, sampling.greedy_max_cut(l_matrix))
+    assert accepted
+    for problem, e in accepted:
+        top = float(np.linalg.eigvalsh(problem.q + e.mu2 * problem.r)[-1])
+        assert 1.0 + max(0.0, e.top - e.lam) <= 1.0 + (top - e.lam)
+
+
+def test_carried_subspace_follows_the_deflation():
+    # A solve that ends at a full evaluation hands on exact eigenvectors
+    # v_j of A = Q + mu2 R.  The next problem is A compressed to the
+    # complement of span{x, Jx}, and x = v_0 at a smooth maximum, so after
+    # compute_basis reflects and cuts them, their residuals
+    # A' w_j - lambda_j w_j in the next problem are all multiples of one
+    # vector (the compression of A Jx): the residual matrix has rank 1.
+    l_matrix = gf.laplacian(gf.generate("random_geometric", 96, seed=1))
+    calls: list[tuple] = []
+    solve = qecqp._solve
+
+    def recording(problem, tol, trace, start):
+        sol, nxt = solve(problem, tol, trace, start)
+        calls.append((problem, start, nxt))
+        return sol, nxt
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qecqp, "_solve", recording)
+        gf.compute_basis(l_matrix, sampling.greedy_max_cut(l_matrix))
+    checked = 0
+    for (p0, _, carry), (p1, start, _) in zip(calls, calls[1:]):
+        if carry.w is None or carry.w.shape[1] < qecqp._CARRY_DIM:
+            continue
+        a0 = p0.q + carry.mu2 * p0.r
+        lam = np.einsum("ij,ij->j", carry.w, a0 @ carry.w)
+        if np.abs(a0 @ carry.w - carry.w * lam).max() > 1e-10:
+            continue  # Ritz vectors, not eigenvectors
+        res = (p1.q + carry.mu2 * p1.r) @ start.w - start.w * lam
+        sv = np.linalg.svd(res, compute_uv=False)
+        assert sv[1] <= 1e-9 * sv[0]
+        checked += 1
+    assert checked >= 3
+
+
+def test_basis_uses_few_full_decompositions_per_large_pair():
+    # The carried subspace replaces the evaluation at mu2 = 0: pairs with
+    # k >= 48 take at most 2.5 full k x k eigendecompositions on average.
+    l_matrix = gf.laplacian(gf.generate("random_geometric", 96, seed=1))
+    dims: list[int] = []
+    full: list[int] = []
+    solve, eigh = qecqp._solve, qecqp._eigh
+
+    def recording_solve(problem, tol, trace, start):
+        dims.append(problem.dim)
+        full.append(0)
+        return solve(problem, tol, trace, start)
+
+    def counting_eigh(m):
+        if m.shape[0] == dims[-1]:
+            full[-1] += 1
+        return eigh(m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qecqp, "_solve", recording_solve)
+        mp.setattr(qecqp, "_eigh", counting_eigh)
+        gf.compute_basis(l_matrix, sampling.greedy_max_cut(l_matrix))
+    large = [c for k, c in zip(dims, full) if k >= 48]
+    assert len(large) >= 20
+    assert sum(large) <= 2.5 * len(large)
 
 
 # -- Sampling oracle ----------------------------------------------------------
