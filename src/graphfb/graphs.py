@@ -228,6 +228,16 @@ def laplacian(g: Graph) -> np.ndarray:
     return np.diag(w.sum(axis=1)) - w
 
 
+def _finite_square(l_matrix: object) -> np.ndarray:
+    """``l_matrix`` as a float array; InputError unless square and finite."""
+    l_matrix = np.asarray(l_matrix, dtype=float)
+    if l_matrix.ndim != 2 or l_matrix.shape[0] != l_matrix.shape[1]:
+        raise InputError(f"Laplacian must be square, got shape {l_matrix.shape}")
+    if not np.isfinite(l_matrix).all():
+        raise InputError("Laplacian has a non-finite entry (nan or inf)")
+    return l_matrix
+
+
 def as_signal(f: object, n: int) -> np.ndarray:
     """Validate and return f as a finite float vector of length n."""
     arr = np.asarray(f, dtype=float)
@@ -254,11 +264,10 @@ def check_laplacian(l_matrix: np.ndarray, *, tol: float = 1e-10) -> dict[str, fl
 
     Checks symmetry, zero row sums, non-positive off-diagonal entries, and
     positive semidefiniteness, each against ``tol`` scaled by max|L|.
-    Raises NumericalError on the first violation.
+    Raises NumericalError on the first violation, and InputError for a
+    matrix that is not square or holds a nan or inf.
     """
-    l_matrix = np.asarray(l_matrix, dtype=float)
-    if l_matrix.ndim != 2 or l_matrix.shape[0] != l_matrix.shape[1]:
-        raise InputError(f"Laplacian must be square, got shape {l_matrix.shape}")
+    l_matrix = _finite_square(l_matrix)
     scale = max(1.0, float(np.abs(l_matrix).max(initial=0.0)))
     sym = float(np.abs(l_matrix - l_matrix.T).max(initial=0.0))
     if sym > tol * scale:

@@ -3,7 +3,10 @@
 Each pyramid level filters and splits a signal on its graph, then coarsens
 the graph to the low channel's vertices by Kron reduction (the Schur
 complement of the Laplacian onto the kept set), optionally sparsified by
-effective-resistance sampling so deeper levels stay tractable.  Analysis
+effective-resistance sampling so deeper levels stay tractable.  The
+resistances come from one inverse M = (L + 11^T/n)^-1, with no SVD: on a
+connected graph M = L^+ + 11^T/n, and the shift cancels exactly in
+R_ij = M_ii + M_jj - 2 M_ij.  Analysis
 cascades the low channel through the levels; synthesis inverts the cascade
 exactly when no coefficient is modified.
 
@@ -26,7 +29,16 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .filterbank import _DESIGNS, FilterLevel, FilterQuartet, analyze, build_level, synthesize, verify_pr
 from .fourier import FourierBasis, SignedPermutation
-from .graphs import Graph, _components, as_signal, check_laplacian, format_graph, laplacian, parse_graph
+from .graphs import (
+    Graph,
+    _components,
+    _finite_square,
+    as_signal,
+    check_laplacian,
+    format_graph,
+    laplacian,
+    parse_graph,
+)
 from .sampling import SamplingPattern
 
 __all__ = [
@@ -57,15 +69,16 @@ def kron_reduce(l_matrix: np.ndarray, keep: tuple[int, ...] | list[int]) -> np.n
     """
     l_matrix = _finite_square(l_matrix)
     n = l_matrix.shape[0]
-    keep_idx = sorted(int(i) for i in keep)
-    kept = set(keep_idx)
-    if len(kept) != len(keep_idx):
+    keep_idx = np.sort(_vertex_indices(keep))
+    if (keep_idx[1:] == keep_idx[:-1]).any():
         raise InputError("kept vertex set has duplicates")
-    if any(i < 0 or i >= n for i in keep_idx):
+    if keep_idx.size and (keep_idx[0] < 0 or keep_idx[-1] >= n):
         raise InputError("kept vertex index out of range")
-    if not keep_idx or len(keep_idx) >= n:
+    if not 0 < keep_idx.size < n:
         raise InputError("kept set must be a non-empty proper subset of the vertices")
-    elim = [i for i in range(n) if i not in kept]
+    eliminated = np.ones(n, dtype=bool)
+    eliminated[keep_idx] = False
+    elim = np.flatnonzero(eliminated)
     lkk = l_matrix[np.ix_(keep_idx, keep_idx)]
     lke = l_matrix[np.ix_(keep_idx, elim)]
     lee = l_matrix[np.ix_(elim, elim)]
@@ -76,13 +89,22 @@ def kron_reduce(l_matrix: np.ndarray, keep: tuple[int, ...] | list[int]) -> np.n
     return 0.5 * (reduced + reduced.T)
 
 
-def _finite_square(l_matrix: np.ndarray) -> np.ndarray:
-    l_matrix = np.asarray(l_matrix, dtype=float)
-    if l_matrix.ndim != 2 or l_matrix.shape[0] != l_matrix.shape[1]:
-        raise InputError(f"Laplacian must be square, got shape {l_matrix.shape}")
-    if not np.isfinite(l_matrix).all():
-        raise InputError("Laplacian has a non-finite entry (nan or inf)")
-    return l_matrix
+def _vertex_indices(keep) -> np.ndarray:
+    """``keep`` as a 1-d integer array; InputError for any other entry.
+
+    A bool is not taken as an index (``[True, 2]`` would silently mean
+    vertices 1 and 2) and neither is a float, integral or not.
+    """
+    idx = np.asarray(keep)
+    if idx.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if (
+        idx.ndim != 1
+        or idx.dtype.kind not in "iu"
+        or (not isinstance(keep, np.ndarray) and any(isinstance(i, (bool, np.bool_)) for i in keep))
+    ):
+        raise InputError(f"kept vertex indices must be a 1-d sequence of integers, got {keep!r}")
+    return idx.astype(np.int64, copy=False)
 
 
 def graph_from_laplacian(l_matrix: np.ndarray) -> Graph:
@@ -108,9 +130,13 @@ def graph_from_laplacian(l_matrix: np.ndarray) -> Graph:
 
 
 def _effective_resistances(g: Graph) -> np.ndarray:
-    lp = np.linalg.pinv(laplacian(g))
-    d = np.diag(lp)
-    return d[g.lo] + d[g.hi] - 2.0 * lp[g.lo, g.hi]
+    """Effective resistance of every edge of g, as ``sparsify`` describes."""
+    try:
+        m = np.linalg.inv(laplacian(g) + 1.0 / g.n)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"shifted Laplacian is singular: {exc}") from exc
+    d = np.diag(m)
+    return d[g.lo] + d[g.hi] - 2.0 * m[g.lo, g.hi]
 
 
 def sparsify(g: Graph, eps: float, seed=0) -> Graph:
@@ -124,7 +150,15 @@ def sparsify(g: Graph, eps: float, seed=0) -> Graph:
     disconnects the graph, the highest-probability crossing edges are added
     back at original weight.  The result lists its edges sorted by (i, j)
     and is built from the selected edge indices as arrays.  Deterministic
-    for a fixed ``seed``.
+    for a fixed ``seed``; a seed ``np.random.default_rng`` refuses raises
+    InputError.
+
+    The effective resistance of edge (i, j) is R_ij = M_ii + M_jj - 2 M_ij
+    with M the inverse of L + 11^T/n.  The graph is connected, so that
+    matrix is positive definite and its inverse is L^+ + 11^T/n; the
+    11^T/n terms cancel in R_ij, which is thus the pseudo-inverse formula
+    computed from one LU-based inverse instead of an SVD.  A failed
+    inverse raises NumericalError.
     """
     if not (0.0 < eps < 1.0):
         raise InputError(f"eps must lie in (0, 1), got {eps}")
@@ -135,7 +169,10 @@ def sparsify(g: Graph, eps: float, seed=0) -> Graph:
     q = math.ceil(9.0 * n * math.log(n) / eps**2)
     p = g.w * _effective_resistances(g)
     p = p / p.sum()
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"invalid sparsify seed {seed!r}: {exc}") from exc
     counts = rng.multinomial(q, p)
     drawn = np.flatnonzero(counts)
     idx, w = _reconnect(g, drawn, counts[drawn] * g.w[drawn] / (q * p[drawn]), p)
@@ -184,6 +221,8 @@ class PyramidConfig:
             raise InputError(f"tol must be positive, got {self.tol}")
         if self.design not in _DESIGNS:
             raise InputError(f"design must be one of {_DESIGNS}, got {self.design!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise InputError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .graphs import Graph
+from .graphs import Graph, _finite_square
 
 __all__ = [
     "SamplingPattern",
@@ -93,12 +93,13 @@ def greedy_max_cut(l_matrix: np.ndarray) -> SamplingPattern:
 
     Seeds the low set with the lowest-index maximum-degree vertex and grows
     it while the best candidate keeps the cut from shrinking (ties continue).
-    The high set is guaranteed non-empty.
+    The high set is guaranteed non-empty.  A matrix that is not square,
+    holds a nan or inf, or has fewer than two rows raises InputError.
     """
-    l_matrix = np.asarray(l_matrix, dtype=float)
+    l_matrix = _finite_square(l_matrix)
     n = l_matrix.shape[0]
-    if l_matrix.ndim != 2 or l_matrix.shape != (n, n) or n < 2:
-        raise InputError(f"need a square Laplacian with n >= 2, got shape {l_matrix.shape}")
+    if n < 2:
+        raise InputError(f"need a Laplacian with n >= 2, got shape {l_matrix.shape}")
     deg = np.diag(l_matrix)
     v0 = int(np.argmax(deg))
     in_low = np.zeros(n, dtype=bool)

@@ -345,6 +345,17 @@ def test_verify_fresh_build_green(tmp_path):
     assert all(e["checks_ok"] for e in rep["levels"])
 
 
+def test_verify_sparsified_level_green(tmp_path):
+    # Level 1 is K20 with 190 edges, above sparsify's gate at eps 0.9, so
+    # the effective-resistance path runs from the command line.
+    out = tmp_path / "o"
+    assert run("verify", "--graph", "complete", "--n", 40, "--depth", 2, "--eps", 0.9, "--save",
+               "--out", out) == 0
+    assert report(out)["ok"] is True
+    level1, _ = gf.read_graph_file(str(out / "pyramid" / "level1" / "graph.txt"))
+    assert level1.n == 20 and len(level1.w) < 190
+
+
 def test_verify_save_corrupt_load(tmp_path):
     out1 = tmp_path / "a"
     assert run("verify", "--graph", "random_geometric", "--n", 20, "--depth", 2,

@@ -88,6 +88,15 @@ def test_check_laplacian_rejects_nonzero_rowsum():
         gf.check_laplacian(bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_check_laplacian_rejects_non_finite(bad):
+    # A nan diagonal entry used to escape as numpy's LinAlgError from eigvalsh.
+    l_matrix = gf.laplacian(gf.generate("ring", 8)).copy()
+    l_matrix[0, 0] = bad
+    with pytest.raises(InputError, match="non-finite"):
+        gf.check_laplacian(l_matrix)
+
+
 # -- Graph construction contracts ------------------------------------------
 
 

@@ -83,14 +83,33 @@ def test_kron_raises_algebraic_connectivity():
 
 def test_kron_rejects_bad_keep():
     l_matrix = gf.laplacian(gf.generate("ring", 5))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="non-empty proper subset"):
         multires.kron_reduce(l_matrix, [])
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="non-empty proper subset"):
         multires.kron_reduce(l_matrix, list(range(5)))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="out of range"):
         multires.kron_reduce(l_matrix, [0, 9])
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="out of range"):
+        multires.kron_reduce(l_matrix, [-1, 2])
+    with pytest.raises(InputError, match="duplicates"):
         multires.kron_reduce(l_matrix, [0, 0, 1])
+
+
+@pytest.mark.parametrize(
+    "keep", [[0.5, 2, 4], [0.0, 2.0], [True, 2], [2, np.True_], np.array([True, False, True]), [[0, 1]], ["0"]]
+)
+def test_kron_rejects_non_integer_keep(keep):
+    # [0.5, 2, 4] used to reduce onto vertices 0, 2, 4 and [True, 2] onto 1, 2.
+    l_matrix = gf.laplacian(gf.generate("ring", 5))
+    with pytest.raises(InputError, match="sequence of integers"):
+        multires.kron_reduce(l_matrix, keep)
+
+
+@pytest.mark.parametrize("keep", [(0, 2, 4), [4, 2, 0], np.array([4, 0, 2]), np.array([0, 2, 4], dtype=np.uint8)])
+def test_kron_accepts_integer_keep_in_any_order(keep):
+    l_matrix = gf.laplacian(gf.generate("ring", 6))
+    expected = multires.kron_reduce(l_matrix, [0, 2, 4])
+    assert np.array_equal(multires.kron_reduce(l_matrix, keep), expected)
 
 
 def test_graph_from_laplacian_round_trip():
@@ -196,6 +215,32 @@ def test_sparsify_preserves_total_weight_roughly():
     assert 0.5 * w0 <= w1 <= 1.5 * w0
 
 
+# Effective-resistance oracles: on a tree each edge is the only path
+# between its ends, so R_e = 1/w_e; on K_n, L^+ = (I - 11^T/n)/n gives
+# R_e = 2/n; on the unit ring C_n an edge is one resistor in parallel with
+# n - 1 in series, R_e = (n - 1)/n.
+
+
+def test_effective_resistances_of_a_weighted_tree():
+    w = np.array([0.5, 2.0, 3.0, 0.25, 7.0, 1.5])
+    g = gf.Graph(7, ((0, 1, w[0]), (0, 2, w[1]), (1, 3, w[2]), (1, 4, w[3]), (2, 5, w[4]), (5, 6, w[5])))
+    np.testing.assert_allclose(multires._effective_resistances(g), 1.0 / w, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n", [3, 10, 40])
+def test_effective_resistances_of_complete_and_ring(n):
+    r = multires._effective_resistances(gf.generate("complete", n))
+    np.testing.assert_allclose(r, np.full(n * (n - 1) // 2, 2.0 / n), rtol=1e-12, atol=0)
+    r = multires._effective_resistances(gf.generate("ring", n))
+    np.testing.assert_allclose(r, np.full(n, (n - 1) / n), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("seed", [-1, [0, -1], 1.5, "x"])
+def test_sparsify_rejects_bad_seed(seed):
+    with pytest.raises(InputError, match="seed"):
+        multires.sparsify(gf.generate("complete", 40), eps=0.9, seed=seed)
+
+
 def test_sparsify_rejects_bad_eps():
     g = gf.generate("ring", 10)
     with pytest.raises(InputError):
@@ -234,7 +279,18 @@ def test_reconnect_picks_most_probable_crossing():
 #
 # The per-edge loops graph_from_laplacian, sparsify and _reconnect ran before
 # graphs held their edges as arrays.  The array code must give the same edge
-# tuples, weights bit for bit.
+# tuples, weights bit for bit.  The sparsify loop reads its resistances entry
+# by entry from the same shifted inverse (L + 11^T/n)^-1 as the library; with
+# the pseudo-inverse L^+ instead it is the independent oracle for that
+# shortcut, which must agree to 1e-12 relative and draw the same edges.
+
+
+def _shifted_inverse(g: gf.Graph) -> np.ndarray:
+    return np.linalg.inv(gf.laplacian(g) + 1.0 / g.n)
+
+
+def _pseudo_inverse(g: gf.Graph) -> np.ndarray:
+    return np.linalg.pinv(gf.laplacian(g))
 
 
 def _reference_graph_from_laplacian(l_matrix: np.ndarray) -> tuple:
@@ -276,15 +332,19 @@ def _reference_reconnect(new_w: dict, g: gf.Graph, p: np.ndarray) -> None:
         comp -= 1
 
 
-def _reference_sparsify(g: gf.Graph, eps: float, seed) -> tuple:
+def _reference_resistances(g: gf.Graph, inverse=_shifted_inverse) -> np.ndarray:
+    m = inverse(g)
+    d = np.diag(m)
+    return np.array([d[i] + d[j] - 2.0 * m[i, j] for i, j, _ in g.edges])
+
+
+def _reference_sparsify(g: gf.Graph, eps: float, seed, inverse=_shifted_inverse) -> tuple:
     n, m = g.n, len(g.edges)
     if n < 2 or m <= 2.0 * n * math.log(n) / eps**2:
         return g.edges
     q = math.ceil(9.0 * n * math.log(n) / eps**2)
-    lp = np.linalg.pinv(gf.laplacian(g))
-    d = np.diag(lp)
     w = np.array([e[2] for e in g.edges])
-    p = w * np.array([d[i] + d[j] - 2.0 * lp[i, j] for i, j, _ in g.edges])
+    p = w * _reference_resistances(g, inverse)
     p = p / p.sum()
     counts = np.random.default_rng(seed).multinomial(q, p)
     new_w = {}
@@ -340,6 +400,36 @@ def test_sparsify_matches_loop_reference_on_k40():
         s = multires.sparsify(g, 0.9, seed=seed)
         assert len(s.edges) < len(g.edges)
         assert _same_bits(s.edges, _reference_sparsify(g, 0.9, seed))
+
+
+def _assert_matches_pseudo_inverse(h: gf.Graph, eps: float, seed) -> bool:
+    """Resistances within 1e-12 relative of the pseudo-inverse ones, the
+    same sparsified edge set, weights within 1e-12 relative; returns
+    whether sparsify fired."""
+    np.testing.assert_allclose(
+        multires._effective_resistances(h), _reference_resistances(h, _pseudo_inverse), rtol=1e-12, atol=0
+    )
+    s = multires.sparsify(h, eps, seed=seed)
+    want = _reference_sparsify(h, eps, seed, inverse=_pseudo_inverse)
+    assert [e[:2] for e in s.edges] == [e[:2] for e in want]
+    np.testing.assert_allclose([e[2] for e in s.edges], [e[2] for e in want], rtol=1e-12, atol=0)
+    return s is not h
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sparsify_matches_pseudo_inverse_on_random_geometric(seed):
+    h = multires.graph_from_laplacian(gf.laplacian(gf.generate("random_geometric", 300, seed=seed)))
+    fired = [_assert_matches_pseudo_inverse(h, eps, [0, step]) for eps, step in ((0.3, 1), (0.9, 2))]
+    assert fired == [False, True]
+
+
+def test_sparsify_matches_pseudo_inverse_on_k40():
+    for seed in range(3):
+        assert _assert_matches_pseudo_inverse(gf.generate("complete", 40), 0.9, seed)
+
+
+def test_sparsify_matches_pseudo_inverse_at_n1024(coarsening_step_1024):
+    assert _assert_matches_pseudo_inverse(multires.graph_from_laplacian(coarsening_step_1024), 0.3, [0, 1])
 
 
 @pytest.mark.parametrize(
@@ -619,11 +709,20 @@ def test_corrupted_basis_fails_verification(tmp_path):
 @pytest.mark.parametrize(
     "kwargs",
     [{"eps": 5.0}, {"eps": 0.0}, {"eps": 1.0}, {"eps": float("nan")}, {"tol": 0.0}, {"tol": -1e-10},
-     {"design": "nosuch"}],
+     {"design": "nosuch"}, {"seed": -1}, {"seed": True}, {"seed": 1.0}, {"seed": "0"}, {"seed": None}],
 )
 def test_pyramid_config_rejects_invalid_values(kwargs):
     with pytest.raises(InputError):
         multires.PyramidConfig(**kwargs)
+
+
+def test_pyramid_config_accepts_numpy_seed_and_sparsify_fires():
+    # seed=-1 used to reach sparsify, where default_rng raised numpy's own
+    # ValueError; level 1 here is K20 at eps 0.9, above the sparsify gate.
+    p = multires.build_pyramid(gf.generate("complete", 40), 2, multires.PyramidConfig(eps=0.9, seed=np.int64(5)))
+    assert p.depth == 2 and multires.verify_pyramid(p)["ok"]
+    with pytest.raises(InputError, match="seed"):
+        multires.PyramidConfig(eps=0.9, seed=-1)
 
 
 def _saved_pyramid(tmp_path):

@@ -39,6 +39,26 @@ def test_path2_partition(path2):
     assert pat.keep_high == (1,)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_greedy_max_cut_rejects_non_finite(bad):
+    # With L[0, 0] = nan the ring-8 cut used to come back as keep_high=(7,).
+    l_matrix = gf.laplacian(gf.generate("ring", 8)).copy()
+    l_matrix[0, 0] = bad
+    with pytest.raises(InputError, match="non-finite"):
+        sampling.greedy_max_cut(l_matrix)
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3), (2, 2, 2)])
+def test_greedy_max_cut_rejects_non_square(shape):
+    with pytest.raises(InputError, match="must be square"):
+        sampling.greedy_max_cut(np.ones(shape))
+
+
+def test_greedy_max_cut_rejects_single_vertex():
+    with pytest.raises(InputError, match="n >= 2"):
+        sampling.greedy_max_cut(np.zeros((1, 1)))
+
+
 def test_sign_vector_matches_partition():
     g = gf.generate("random_geometric", 15, seed=1)
     pat = sampling.greedy_max_cut(gf.laplacian(g))
