@@ -187,13 +187,24 @@ def build_level(
     return FilterLevel(graph=graph, pattern=pattern, basis=basis, quartet=quartet(h, basis.phi))
 
 
+def _apply(op: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """One level's product ``op @ x``, written to ``out`` when given.
+
+    ``analyze``, ``synthesize`` and the pyramid cascades all make their
+    products here, so a cascade gives bit for bit what the chain of
+    per-level calls gives.  ``x`` may overlap ``out``: numpy then reads
+    from a copy of ``x``.
+    """
+    return np.matmul(op, x, out=out)
+
+
 def analyze(level: FilterLevel, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split a signal into sampled low and high channel coefficients.
 
     One product with ``level.analysis``, split after the low channel.
     Raises InputError on a wrong length or a non-finite entry.
     """
-    c = level.analysis @ as_signal(f, level.n)
+    c = _apply(level.analysis, as_signal(f, level.n))
     m = len(level.pattern.keep_low)
     return c[:m], c[m:]
 
@@ -207,7 +218,7 @@ def synthesize(level: FilterLevel, f_low: np.ndarray, f_high: np.ndarray) -> np.
     """
     f_low = as_signal(f_low, len(level.pattern.keep_low))
     f_high = as_signal(f_high, len(level.pattern.keep_high))
-    return level.synthesis @ np.concatenate([f_low, f_high])
+    return _apply(level.synthesis, np.concatenate([f_low, f_high]))
 
 
 def verify_pr(level: FilterLevel) -> dict[str, float]:

@@ -271,7 +271,7 @@ def compute_basis(
         for j, vec in enumerate((b @ vecs).T, start=2 * step):
             u_mat[idx, j] = qecqp._fix_sign(vec)
 
-    energies = np.einsum("ij,jk,ik->i", u_mat.T, l_matrix, u_mat.T)
+    energies = np.einsum("ij,ij->j", u_mat, l_matrix @ u_mat)
     order = np.argsort(energies, kind="stable")
     u_mat = u_mat[:, order]
     energies = energies[order]

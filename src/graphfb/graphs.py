@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -65,17 +66,21 @@ def _components(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
             label = up
 
 
-def _checked_edges(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
+def _checked_edges(
+    n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, given_bool: np.ndarray
+) -> tuple[np.ndarray, ...]:
     """Validate an edge list given as columns; return it as (lo, hi, w).
 
-    Every edge is checked for integer vertex indices, a self-loop, an index
-    out of range, a non-positive or non-finite weight and, last, a repeat of
-    an earlier edge.  The error names the first offending edge in input
-    order and the first check it fails.  Connectivity is left to the caller.
+    Every edge is checked for integer vertex indices (``given_bool`` marks
+    the edges whose i or j was a bool, which is not taken as an index), a
+    self-loop, an index out of range, a non-positive or non-finite weight
+    and, last, a repeat of an earlier edge.  The error names the first
+    offending edge in input order and the first check it fails.
+    Connectivity is left to the caller.
     """
     w = np.array(w, dtype=np.float64)
     checks = (
-        (~(_integral(i) & _integral(j)), "integer"),
+        (~(_integral(i) & _integral(j)) | given_bool, "integer"),
         (i == j, "loop"),
         ((i < 0) | (i >= n) | (j < 0) | (j >= n), "range"),
         (~(np.isfinite(w) & (w > 0)), "weight"),
@@ -98,6 +103,8 @@ def _checked_edges(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> tuple
     if failed is None:
         return lo, hi, w
     k = stop
+    if failed == "integer" and given_bool[k]:
+        raise InputError(f"edge {k} has a bool as a vertex index; indices must be integers")
     if failed == "integer":
         raise InputError(f"edge ({float(i[k])}, {float(j[k])}) has a non-integer vertex index")
     ik, jk = int(i[k]), int(j[k])
@@ -116,8 +123,40 @@ def _integral(col: np.ndarray) -> np.ndarray:
     return np.isfinite(col) & (np.floor(col) == col)
 
 
-def _edge_columns(n: int, edges: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columns i, j, w of a sequence of (i, j, w) triples.
+_BOOLS = (bool, np.bool_)
+
+
+def _bool_entries(raw: object, col: np.ndarray) -> np.ndarray:
+    """Mask of the entries of an index column that were given as bools.
+
+    ``col`` is ``raw`` as an array.  Besides a bool array this finds the
+    bools that numpy folded into an int or float column, as in ``[True, 2]``;
+    a column without any pays one pass over the entries' types.
+    """
+    if col.dtype.kind == "b":
+        return np.ones(len(col), dtype=bool)
+    if isinstance(raw, np.ndarray) or col.dtype.kind not in "iuf" or set(map(type, raw)).isdisjoint(_BOOLS):
+        return np.zeros(len(col), dtype=bool)
+    return np.fromiter((type(v) in _BOOLS for v in raw), dtype=bool, count=len(col))
+
+
+def _vertex_indices(keep) -> np.ndarray:
+    """``keep`` as a 1-d integer array; InputError for any other entry.
+
+    A bool is not taken as an index (``[True, 2]`` would silently mean
+    vertices 1 and 2) and neither is a float, integral or not.
+    """
+    idx = np.asarray(keep)
+    if idx.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if idx.ndim != 1 or idx.dtype.kind not in "iu" or _bool_entries(keep, idx).any():
+        raise InputError(f"kept vertex indices must be a 1-d sequence of integers, got {keep!r}")
+    return idx.astype(np.int64, copy=False)
+
+
+def _edge_columns(n: int, edges: Sequence) -> tuple[np.ndarray, ...]:
+    """Columns i, j, w of a sequence of (i, j, w) triples, and the mask of
+    the triples whose i or j is a bool.
 
     A row that is not a triple of numbers is reported after the rows before
     it have passed ``_checked_edges``, so the first offending edge still wins.
@@ -134,7 +173,8 @@ def _edge_columns(n: int, edges: Sequence) -> tuple[np.ndarray, np.ndarray, np.n
             raise InputError("edges must be (i, j, w) triples of numbers")
         _checked_edges(n, *_edge_columns(n, edges[:k]))
         raise InputError(f"edge must be (i, j, w), got {edges[k]!r}")
-    return rows[:, 0], rows[:, 1], rows[:, 2]
+    i, j = list(map(itemgetter(0), edges)), list(map(itemgetter(1), edges))
+    return rows[:, 0], rows[:, 1], rows[:, 2], _bool_entries(i, rows[:, 0]) | _bool_entries(j, rows[:, 1])
 
 
 def _is_triple(e: object) -> bool:
@@ -179,16 +219,20 @@ class Graph:
     ) -> Graph:
         """Graph with the edges (i[k], j[k], w[k]); the same checks as the constructor."""
         _check_vertex_count(n)
+        i_raw, j_raw = i, j
         i, j, w = np.asarray(i), np.asarray(j), np.asarray(w)
         if not (i.ndim == j.ndim == w.ndim == 1 and len(i) == len(j) == len(w)):
             shapes = f"{i.shape}, {j.shape}, {w.shape}"
             raise InputError(f"edge columns must be 1-d and of equal length, got shapes {shapes}")
+        given_bool = _bool_entries(i_raw, i) | _bool_entries(j_raw, j)
         g = cls.__new__(cls)
-        g._validate(n, i, j, w, coords)
+        g._validate(n, i, j, w, given_bool, coords)
         return g
 
-    def _validate(self, n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, coords: np.ndarray | None) -> None:
-        lo, hi, w = _checked_edges(n, i, j, w)
+    def _validate(
+        self, n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, given_bool: np.ndarray, coords: np.ndarray | None
+    ) -> None:
+        lo, hi, w = _checked_edges(n, i, j, w, given_bool)
         if _components(n, lo, hi).any():
             raise InputError("graph is disconnected")
         if coords is not None:
@@ -238,12 +282,24 @@ def _finite_square(l_matrix: object) -> np.ndarray:
     return l_matrix
 
 
+def _vector(f: object, n: int) -> np.ndarray:
+    """f as a float vector of length n; InputError for any other shape."""
+    arr = np.asarray(f, dtype=float)
+    if arr.shape != (n,):
+        raise InputError(f"signal must be a length-{n} vector, got shape {arr.shape}")
+    return arr
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    # count_nonzero is one C loop; .all() goes through the ufunc reduction
+    # machinery, which on a short signal costs more than the check itself.
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
 def as_signal(f: object, n: int) -> np.ndarray:
     """Validate and return f as a finite float vector of length n."""
-    arr = np.asarray(f, dtype=float)
-    if arr.ndim != 1 or arr.shape[0] != n:
-        raise InputError(f"signal must be a length-{n} vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    arr = _vector(f, n)
+    if not _all_finite(arr):
         raise InputError("signal has a non-finite entry (nan or inf)")
     return arr
 

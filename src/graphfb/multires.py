@@ -10,8 +10,18 @@ R_ij = M_ii + M_jj - 2 M_ij.  Analysis
 cascades the low channel through the levels; synthesis inverts the cascade
 exactly when no coefficient is modified.
 
+Both cascades check their input once per call and then work on one flat
+buffer laid out [lows | high_{L-1} | ... | high_0]: level k maps the
+buffer's first n_k entries, its input, to its own two channels in place,
+so no level re-checks, re-concatenates or re-slices.  Analysis writes
+forward from the signal; synthesis starts from a checked copy of the tree
+and runs the levels deepest first.  Every level makes the same product as
+``analyze`` and ``synthesize``, so a cascade equals the chain of per-level
+calls bit for bit.
+
 Coefficient trees hold the final low channel plus one high channel per
-level.  Thresholding follows the zero-the-large rule by default: highpass
+level.  Thresholding and top-k selection act on all the highs at once, in
+one copied buffer.  Thresholding follows the zero-the-large rule by default: highpass
 entries with magnitude strictly greater than the threshold are set to zero,
 which removes the channel that carries the unwanted component under the
 designs used here.  A flag selects the conventional zero-the-small rule.
@@ -19,6 +29,7 @@ designs used here.  A flag selects the conventional zero-the-small rule.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, fields
@@ -27,12 +38,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .filterbank import _DESIGNS, FilterLevel, FilterQuartet, analyze, build_level, synthesize, verify_pr
+from .filterbank import _DESIGNS, FilterLevel, FilterQuartet, _apply, build_level, verify_pr
 from .fourier import FourierBasis, SignedPermutation
 from .graphs import (
     Graph,
+    _all_finite,
     _components,
     _finite_square,
+    _vector,
+    _vertex_indices,
     as_signal,
     check_laplacian,
     format_graph,
@@ -87,24 +101,6 @@ def kron_reduce(l_matrix: np.ndarray, keep: tuple[int, ...] | list[int]) -> np.n
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eliminated block is singular: {exc}") from exc
     return 0.5 * (reduced + reduced.T)
-
-
-def _vertex_indices(keep) -> np.ndarray:
-    """``keep`` as a 1-d integer array; InputError for any other entry.
-
-    A bool is not taken as an index (``[True, 2]`` would silently mean
-    vertices 1 and 2) and neither is a float, integral or not.
-    """
-    idx = np.asarray(keep)
-    if idx.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    if (
-        idx.ndim != 1
-        or idx.dtype.kind not in "iu"
-        or (not isinstance(keep, np.ndarray) and any(isinstance(i, (bool, np.bool_)) for i in keep))
-    ):
-        raise InputError(f"kept vertex indices must be a 1-d sequence of integers, got {keep!r}")
-    return idx.astype(np.int64, copy=False)
 
 
 def graph_from_laplacian(l_matrix: np.ndarray) -> Graph:
@@ -275,62 +271,87 @@ def build_pyramid(g: Graph, depth: int, config: PyramidConfig = PyramidConfig())
 
 
 def pyramid_analyze(p: Pyramid, f: np.ndarray) -> CoefficientTree:
-    """Cascade the analysis: total coefficient count equals the signal length."""
-    f = as_signal(f, p.levels[0].n)
+    """Cascade the analysis: total coefficient count equals the signal length.
+
+    ``f`` is checked once.  Each level then writes its product over the
+    front of one buffer, which ends as [lows | high_{L-1} | ... | high_0];
+    the tree's channels are slices of that buffer.
+    """
+    x = as_signal(f, p.levels[0].n)
+    buf = np.empty(len(x))
     highs = []
     for level in p.levels:
-        f, f_high = analyze(level, f)
-        highs.append(f_high)
-    return CoefficientTree(lows=f, highs=tuple(highs))
+        m = len(level.pattern.keep_low)
+        _apply(level.analysis, x, buf[: level.n])
+        x = buf[:m]
+        highs.append(buf[m : level.n])
+    return CoefficientTree(lows=x, highs=tuple(highs))
 
 
 def pyramid_synthesize(p: Pyramid, tree: CoefficientTree) -> np.ndarray:
-    """Invert the analysis cascade from a (possibly modified) tree."""
+    """Invert the analysis cascade from a (possibly modified) tree.
+
+    The tree's depth, the length of each channel and, once over all of
+    them, their finiteness are checked while they are copied into one
+    working buffer laid out as [lows | high_{L-1} | ... | high_0].  Each
+    level, deepest first, replaces the front of the buffer holding its two
+    channels by their synthesis.  The tree is not modified.
+    """
     if len(tree.highs) != p.depth:
         raise InputError(f"tree has {len(tree.highs)} high channels, pyramid has depth {p.depth}")
-    f = as_signal(tree.lows, len(p.levels[-1].pattern.keep_low))
+    channels = [_vector(tree.lows, len(p.levels[-1].pattern.keep_low))]
     for level, f_high in zip(reversed(p.levels), reversed(tree.highs)):
-        f = synthesize(level, f, f_high)
-    return f
+        channels.append(_vector(f_high, len(level.pattern.keep_high)))
+    buf = np.concatenate(channels)
+    if not _all_finite(buf):
+        raise InputError("signal has a non-finite entry (nan or inf)")
+    for level in reversed(p.levels):
+        head = buf[: level.n]
+        _apply(level.synthesis, head, head)
+    return buf
+
+
+def _flat(tree: CoefficientTree) -> np.ndarray:
+    """A float copy of the tree's channels end to end, [lows | high_0 | ... | high_{L-1}]."""
+    return np.concatenate([tree.lows, *tree.highs], dtype=float)
+
+
+def _tree_like(tree: CoefficientTree, flat: np.ndarray) -> CoefficientTree:
+    """A tree shaped like ``tree`` whose channels are slices of ``flat`` (``_flat``'s layout)."""
+    bounds = list(itertools.accumulate((len(h) for h in tree.highs), initial=len(tree.lows)))
+    return CoefficientTree(lows=flat[: bounds[0]], highs=tuple(flat[a:b] for a, b in zip(bounds, bounds[1:])))
 
 
 def threshold_highpass(tree: CoefficientTree, r: float, *, zero_large: bool = True) -> CoefficientTree:
     """Zero highpass entries by magnitude against the threshold r.
 
     With ``zero_large`` (default) entries with |value| strictly greater than
-    r are zeroed; otherwise entries with |value| <= r are zeroed.
+    r are zeroed; otherwise entries with |value| <= r are zeroed.  One
+    comparison covers the highs of every level.
     """
     if not (r >= 0.0):
         raise InputError(f"threshold must be non-negative, got {r}")
-    if zero_large:
-        highs = tuple(np.where(np.abs(h) > r, 0.0, h) for h in tree.highs)
-    else:
-        highs = tuple(np.where(np.abs(h) <= r, 0.0, h) for h in tree.highs)
-    return CoefficientTree(lows=tree.lows.copy(), highs=highs)
+    flat = _flat(tree)
+    highs = flat[len(tree.lows) :]
+    mag = np.abs(highs)
+    np.copyto(highs, 0.0, where=mag > r if zero_large else mag <= r)
+    return _tree_like(tree, flat)
 
 
 def keep_top_k(tree: CoefficientTree, k: int) -> CoefficientTree:
     """Keep the lows plus the k - len(lows) largest-magnitude highpass entries.
 
     ``k`` counts total kept coefficients and must satisfy
-    len(lows) <= k <= tree.total.  Ties break deterministically by position.
+    len(lows) <= k <= tree.total.  Ties break deterministically by position,
+    the highs read shallowest level first.
     """
     n_low = len(tree.lows)
     if not (n_low <= k <= tree.total):
         raise InputError(f"k must lie in [{n_low}, {tree.total}], got {k}")
-    budget = k - n_low
-    flat = np.concatenate(tree.highs) if tree.highs else np.zeros(0)
-    keep = np.zeros(len(flat), dtype=bool)
-    if budget > 0:
-        order = np.argsort(-np.abs(flat), kind="stable")
-        keep[order[:budget]] = True
-    highs = []
-    pos = 0
-    for h in tree.highs:
-        mask = keep[pos : pos + len(h)]
-        highs.append(np.where(mask, h, 0.0))
-        pos += len(h)
-    return CoefficientTree(lows=tree.lows.copy(), highs=tuple(highs))
+    flat = _flat(tree)
+    highs = flat[n_low:]
+    highs[np.argsort(-np.abs(highs), kind="stable")[k - n_low :]] = 0.0
+    return _tree_like(tree, flat)
 
 
 _MANIFEST_NAME = "manifest.json"

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .graphs import Graph, _finite_square
+from .graphs import Graph, _finite_square, _vertex_indices
 
 __all__ = [
     "SamplingPattern",
@@ -70,9 +70,14 @@ class SamplingPattern:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SamplingPattern":
+        """Pattern from ``{"n": n, "keep_low": [...]}``.
+
+        ``keep_low`` must hold integers: a bool or a float, integral or
+        not, raises InputError rather than being truncated to an index.
+        """
         try:
             n = int(doc["n"])
-            low = tuple(sorted(int(i) for i in doc["keep_low"]))
+            low = tuple(sorted(_vertex_indices(doc["keep_low"]).tolist()))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed sampling pattern document: {exc}") from None
         if any(i < 0 or i >= n for i in low):

@@ -439,6 +439,17 @@ def test_verify_load_bad_manifest_config(tmp_path, capsys, edit):
     assert "manifest config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", [0.5, 0.0, True])
+def test_verify_load_rejects_non_integer_keep_low(tmp_path, capsys, entry):
+    # int() used to truncate 0.5 to vertex 0 and read True as vertex 1.
+    pyr = _saved_cli_pyramid(tmp_path)
+    manifest = json.loads((pyr / "manifest.json").read_text(encoding="utf-8"))
+    manifest["levels"][0]["keep_low"][0] = entry
+    (pyr / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert run("verify", "--load", pyr, "--out", tmp_path / "b") == 2
+    assert "sequence of integers" in capsys.readouterr().err
+
+
 def test_roundtrip_rejects_non_finite_signal(tmp_path, capsys):
     path = write_path4(tmp_path / "g.txt", signal=True)
     path.write_text(path.read_text(encoding="utf-8").replace("2.0", "nan"), encoding="utf-8")

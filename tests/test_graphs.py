@@ -223,6 +223,43 @@ def test_graph_rejects_non_integer_vertex_index(edges):
         gf.Graph.from_arrays(3, [e[0] for e in edges], [e[1] for e in edges], [e[2] for e in edges])
 
 
+@pytest.mark.parametrize(
+    "edges, k",
+    [
+        (((True, 2, 1.0), (0, 1, 1.0)), 0),
+        (((0, 1, 1.0), (1, np.True_, 1.0)), 1),
+        (((0, 1, 1.0), (1, 2, 1.0), (False, 2, 1.0)), 2),
+    ],
+)
+def test_graph_rejects_bool_vertex_index(edges, k):
+    # A bool used to pass as an integer: (True, 2) was read as the edge (1, 2).
+    with pytest.raises(InputError, match=f"edge {k} has a bool as a vertex index"):
+        gf.Graph(3, edges)
+    with pytest.raises(InputError, match=f"edge {k} has a bool as a vertex index"):
+        gf.Graph.from_arrays(3, [e[0] for e in edges], [e[1] for e in edges], [e[2] for e in edges])
+
+
+def test_graph_from_arrays_rejects_bool_column():
+    with pytest.raises(InputError, match="edge 0 has a bool as a vertex index"):
+        gf.Graph.from_arrays(3, np.array([True, False]), np.array([2, 1]), np.ones(2))
+    with pytest.raises(InputError, match="edge 0 has a bool as a vertex index"):
+        gf.Graph.from_arrays(3, np.array([0, 1]), np.array([True, True]), np.ones(2))
+
+
+def test_graph_bool_index_reported_in_input_order():
+    # A bad weight on an earlier edge is still the first offence.
+    with pytest.raises(InputError, match="non-positive or non-finite weight"):
+        gf.Graph(3, ((0, 1, -1.0), (True, 2, 1.0)))
+    with pytest.raises(InputError, match="self-loop"):
+        gf.Graph.from_arrays(3, [1, True], [1, 2], [1.0, 1.0])
+
+
+def test_graph_accepts_integer_and_integral_float_indices():
+    g = gf.Graph(3, ((0, 1, 1.0), (np.int64(1), 2.0, 1.0)))
+    h = gf.Graph.from_arrays(3, np.array([0, 1], dtype=np.uint8), [1.0, 2.0], [1.0, 1.0])
+    assert g.edges == h.edges == ((0, 1, 1.0), (1, 2, 1.0))
+
+
 def test_graph_from_arrays_rejects_mismatched_columns():
     with pytest.raises(InputError, match="equal length"):
         gf.Graph.from_arrays(3, [0, 1], [1, 2], [1.0])

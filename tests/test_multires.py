@@ -507,26 +507,6 @@ def test_pyramid_config_controls_design():
     assert np.linalg.norm(back - f) / np.linalg.norm(f) <= 1e-7
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_pyramid_transforms_reject_non_finite(bad):
-    g = random_connected_graph(20, seed=3)
-    p = multires.build_pyramid(g, 2)
-    f = np.ones(g.n)
-    f[5] = bad
-    with pytest.raises(InputError, match="non-finite"):
-        multires.pyramid_analyze(p, f)
-    tree = multires.pyramid_analyze(p, np.ones(g.n))
-    lows = tree.lows.copy()
-    lows[0] = bad
-    with pytest.raises(InputError, match="non-finite"):
-        multires.pyramid_synthesize(p, multires.CoefficientTree(lows=lows, highs=tree.highs))
-    for k in range(p.depth):
-        highs = [h.copy() for h in tree.highs]
-        highs[k][-1] = bad
-        with pytest.raises(InputError, match="non-finite"):
-            multires.pyramid_synthesize(p, multires.CoefficientTree(lows=tree.lows, highs=tuple(highs)))
-
-
 def test_verify_pyramid_green():
     g = random_connected_graph(30, seed=6)
     p = multires.build_pyramid(g, 2)
@@ -645,6 +625,214 @@ def test_keep_top_k_rejects_out_of_range():
         multires.keep_top_k(tree, 1)  # below len(lows)
     with pytest.raises(InputError):
         multires.keep_top_k(tree, tree.total + 1)
+
+
+# -- Flat cascade against the per-level chain ----------------------------------------
+#
+# The cascades run every level's product on one buffer; the oracles below are
+# the chains of public per-level calls and the per-level threshold and top-k
+# rules, which the cascades must match bit for bit.
+
+_CASCADE_GRAPHS = {
+    "rgg24": lambda: random_connected_graph(24, seed=1),
+    "rgg64": lambda: random_connected_graph(64, seed=2),
+    "rgg192": lambda: random_connected_graph(192, seed=3),
+    "ring48": lambda: gf.generate("ring", 48),
+    "grid64": lambda: gf.generate("grid", 64),
+}
+
+
+@pytest.fixture(scope="module")
+def cascade_pyramids() -> dict[str, multires.Pyramid]:
+    """One depth-3 pyramid per graph; a depth-d pyramid is its first d levels."""
+    return {name: multires.build_pyramid(make(), 3) for name, make in _CASCADE_GRAPHS.items()}
+
+
+def _first_levels(p: multires.Pyramid, depth: int) -> multires.Pyramid:
+    return dataclasses.replace(p, levels=p.levels[:depth], requested_depth=depth)
+
+
+def _chain_analyze(p, f):
+    highs = []
+    for level in p.levels:
+        f, high = gf.analyze(level, f)
+        highs.append(high)
+    return f, highs
+
+
+def _chain_synthesize(p, lows, highs):
+    for level, high in zip(reversed(p.levels), reversed(highs)):
+        lows = gf.synthesize(level, lows, high)
+    return lows
+
+
+def _reference_threshold(tree, r, zero_large):
+    if zero_large:
+        return [np.where(np.abs(h) > r, 0.0, h) for h in tree.highs]
+    return [np.where(np.abs(h) <= r, 0.0, h) for h in tree.highs]
+
+
+def _reference_top_k(tree, k):
+    flat = np.concatenate(tree.highs)
+    keep = np.zeros(len(flat), dtype=bool)
+    keep[np.argsort(-np.abs(flat), kind="stable")[: k - len(tree.lows)]] = True
+    bounds = np.cumsum([0] + [len(h) for h in tree.highs])
+    return [np.where(keep[a:b], h, 0.0) for h, a, b in zip(tree.highs, bounds, bounds[1:])]
+
+
+def _signals(n: int, seed: int):
+    rng = np.random.default_rng(seed)
+    for scale in (1e-3, 1.0, 1e5):
+        yield scale * rng.standard_normal(n)
+    yield rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 5, n)  # mixed magnitudes
+    yield np.zeros(n)
+
+
+def _trees(p, tree):
+    """The tree itself, locality-style user trees, thresholded and top-k trees."""
+    yield tree
+    for i in range(1, p.depth + 1):
+        highs = tuple(np.zeros_like(h) if lvl < i else h for lvl, h in enumerate(tree.highs))
+        yield multires.CoefficientTree(lows=tree.lows, highs=highs)
+    r = float(np.median(np.abs(np.concatenate(tree.highs))))
+    yield multires.threshold_highpass(tree, r)
+    yield multires.threshold_highpass(tree, r, zero_large=False)
+    yield multires.keep_top_k(tree, (len(tree.lows) + tree.total) // 2)
+    yield multires.CoefficientTree(lows=list(tree.lows), highs=tuple(h.tolist() for h in tree.highs))
+
+
+def _same_tree(tree, lows, highs) -> bool:
+    return np.array_equal(tree.lows, lows) and len(tree.highs) == len(highs) and all(
+        a.dtype == np.float64 and np.array_equal(a, b) for a, b in zip(tree.highs, highs)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(_CASCADE_GRAPHS))
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_cascade_is_bitwise_the_per_level_chain(cascade_pyramids, name, depth):
+    p = _first_levels(cascade_pyramids[name], depth)
+    for f in _signals(p.levels[0].n, seed=depth):
+        tree = multires.pyramid_analyze(p, f)
+        lows, highs = _chain_analyze(p, f)
+        assert _same_tree(tree, lows, highs)
+        for t in _trees(p, tree):
+            want = _chain_synthesize(p, t.lows, t.highs)
+            got = multires.pyramid_synthesize(p, t)
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["rgg64", "grid64"])
+def test_threshold_and_top_k_match_per_level_rules(cascade_pyramids, name):
+    p = cascade_pyramids[name]
+    for f in _signals(p.levels[0].n, seed=5):
+        tree = multires.pyramid_analyze(p, f)
+        mags = np.abs(np.concatenate(tree.highs))
+        for r in (0.0, float(np.median(mags)), float(mags.max()), np.inf):
+            for zero_large in (True, False):
+                out = multires.threshold_highpass(tree, r, zero_large=zero_large)
+                assert _same_tree(out, tree.lows, _reference_threshold(tree, r, zero_large))
+        for k in range(len(tree.lows), tree.total + 1, 7):
+            assert _same_tree(multires.keep_top_k(tree, k), tree.lows, _reference_top_k(tree, k))
+
+
+def test_top_k_ties_break_shallowest_level_first():
+    tree = multires.CoefficientTree(lows=np.array([9.0]), highs=(np.array([1.0, -2.0]), np.array([2.0, 1.0])))
+    out = multires.keep_top_k(tree, 2)  # one of the two |2| entries: level 0 comes first
+    np.testing.assert_array_equal(out.highs[0], [0.0, -2.0])
+    np.testing.assert_array_equal(out.highs[1], [0.0, 0.0])
+    # Long runs of equal magnitudes, where an unstable sort would reorder.
+    rng = np.random.default_rng(0)
+    highs = tuple(rng.choice([-1.0, 1.0, 0.5], size) for size in (64, 32, 16))
+    tree = multires.CoefficientTree(lows=np.zeros(16), highs=highs)
+    for k in range(16, tree.total + 1):
+        assert _same_tree(multires.keep_top_k(tree, k), tree.lows, _reference_top_k(tree, k))
+
+
+def _channels(tree):
+    return (tree.lows, *tree.highs)
+
+
+def _shares(a, bs) -> bool:
+    return any(np.shares_memory(a, b) for b in bs if isinstance(b, np.ndarray))
+
+
+def test_returned_trees_share_no_memory_with_their_input(cascade_pyramids):
+    p = cascade_pyramids["rgg64"]
+    f = np.random.default_rng(7).standard_normal(p.levels[0].n)
+    tree = multires.pyramid_analyze(p, f)
+    assert not any(_shares(c, [f]) for c in _channels(tree))
+    for out in (
+        multires.threshold_highpass(tree, 0.1),
+        multires.threshold_highpass(tree, 0.1, zero_large=False),
+        multires.keep_top_k(tree, tree.total),
+        multires.keep_top_k(tree, len(tree.lows)),
+    ):
+        assert not any(_shares(c, _channels(tree)) for c in _channels(out))
+    for t in _trees(p, tree):
+        before = [np.array(c, copy=True) for c in _channels(t)]
+        y = multires.pyramid_synthesize(p, t)
+        assert not _shares(y, _channels(t))
+        assert all(np.array_equal(a, b) for a, b in zip(before, _channels(t)))  # input left as it was
+    np.testing.assert_array_equal(multires.pyramid_analyze(p, f).lows, tree.lows)
+
+
+def _with_channel(tree, k, value):
+    """tree with channel k (0 = lows, 1 + j = highs[j]) replaced by value."""
+    channels = list(_channels(tree))
+    channels[k] = value
+    return multires.CoefficientTree(lows=channels[0], highs=tuple(channels[1:]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pyramid_transforms_reject_non_finite(cascade_pyramids, bad):
+    # A nan or inf anywhere in f, in the lows or in any single high.
+    p = cascade_pyramids["rgg24"]
+    n = p.levels[0].n
+    for pos in (0, n // 2, n - 1):
+        f = np.ones(n)
+        f[pos] = bad
+        with pytest.raises(InputError, match="non-finite"):
+            multires.pyramid_analyze(p, f)
+    tree = multires.pyramid_analyze(p, np.ones(n))
+    for k, channel in enumerate(_channels(tree)):
+        for pos in (0, len(channel) - 1):
+            changed = channel.copy()
+            changed[pos] = bad
+            with pytest.raises(InputError, match="non-finite"):
+                multires.pyramid_synthesize(p, _with_channel(tree, k, changed))
+
+
+def test_cascades_reject_wrong_lengths_in_every_channel(cascade_pyramids):
+    p = cascade_pyramids["rgg24"]
+    n = p.levels[0].n
+    for f in (np.ones(n - 1), np.ones(n + 1), np.ones((n, 1)), np.ones((1, n)), 1.0):
+        with pytest.raises(InputError, match=f"length-{n} vector"):
+            multires.pyramid_analyze(p, f)
+    tree = multires.pyramid_analyze(p, np.ones(n))
+    for k, channel in enumerate(_channels(tree)):
+        size = len(channel)
+        for wrong in (channel[:-1], np.append(channel, 0.0), channel[:, None]):
+            with pytest.raises(InputError, match=f"length-{size} vector"):
+                multires.pyramid_synthesize(p, _with_channel(tree, k, wrong))
+    with pytest.raises(InputError, match="high channels"):
+        multires.pyramid_synthesize(p, multires.CoefficientTree(lows=tree.lows, highs=tree.highs[:-1]))
+
+
+def test_analyze_overflow_reaches_synthesis():
+    # A finite signal whose 2-norm overflows makes the first level's product
+    # overflow.  The per-level chain rejects that product when it enters
+    # the second level; the cascade checks f once and returns a tree with
+    # non-finite coefficients, which pyramid_synthesize then rejects.
+    p = multires.build_pyramid(gf.generate("ring", 16), 2)
+    f = np.full(16, 1.5e308)  # its low channel alone would be 2.1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        low, _ = gf.analyze(p.levels[0], f)
+        with pytest.raises(InputError, match="non-finite"):
+            gf.analyze(p.levels[1], low)
+        tree = multires.pyramid_analyze(p, f)
+    assert not np.isfinite(np.concatenate(_channels(tree))).all()
+    with pytest.raises(InputError, match="non-finite"):
+        multires.pyramid_synthesize(p, tree)
 
 
 # -- Persistence ------------------------------------------------------------------

@@ -140,6 +140,20 @@ def test_pattern_dict_round_trip():
     assert again.keep_high == pat.keep_high
 
 
+@pytest.mark.parametrize("keep_low", [[0.5, 2], [True, 2], [0, np.True_], [0.0, 2.0], [[0, 2]], ["0"], None])
+def test_pattern_from_dict_rejects_non_integer_indices(keep_low):
+    # int() used to truncate [0.5, 2] to (0, 2) and read [True, 2] as (1, 2).
+    with pytest.raises(InputError, match="sequence of integers"):
+        sampling.SamplingPattern.from_dict({"n": 4, "keep_low": keep_low})
+
+
+@pytest.mark.parametrize("keep_low", [[2, 0], (0, 2), np.array([2, 0]), np.array([0, 2], dtype=np.uint8)])
+def test_pattern_from_dict_accepts_integer_indices(keep_low):
+    pat = sampling.SamplingPattern.from_dict({"n": 4, "keep_low": keep_low})
+    assert pat.keep_low == (0, 2) and pat.keep_high == (1, 3)
+    assert all(type(i) is int for i in pat.keep_low + pat.keep_high)
+
+
 # -- Down/upsampling ----------------------------------------------------------
 #
 # Downsampling a channel keeps the entries its index tuple names; upsampling
