@@ -24,7 +24,6 @@ from .fourier import (
 from .graphs import (
     Graph,
     check_laplacian,
-    dirichlet_energy,
     format_graph,
     generate,
     laplacian,

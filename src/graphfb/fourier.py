@@ -85,11 +85,6 @@ class SignedPermutation:
     def n(self) -> int:
         return len(self.perm)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Matrix-vector product Phi v."""
-        v = as_signal(v, self.n)
-        return self.signs * v[self.perm]
-
     def apply_abs(self, v: np.ndarray) -> np.ndarray:
         """Product |Phi| v, the unsigned permutation."""
         v = as_signal(v, self.n)

@@ -26,7 +26,6 @@ from .errors import InputError, NumericalError
 __all__ = [
     "Graph",
     "laplacian",
-    "dirichlet_energy",
     "check_laplacian",
     "generate",
     "parse_graph",
@@ -152,6 +151,17 @@ def _vertex_indices(keep) -> np.ndarray:
     if idx.ndim != 1 or idx.dtype.kind not in "iu" or _bool_entries(keep, idx).any():
         raise InputError(f"kept vertex indices must be a 1-d sequence of integers, got {keep!r}")
     return idx.astype(np.int64, copy=False)
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int; InputError for anything else.
+
+    As with ``_vertex_indices``, a bool or a float, integral or not, is not
+    taken as an integer, and neither is a string.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _edge_columns(n: int, edges: Sequence) -> tuple[np.ndarray, ...]:
@@ -302,17 +312,6 @@ def as_signal(f: object, n: int) -> np.ndarray:
     if not _all_finite(arr):
         raise InputError("signal has a non-finite entry (nan or inf)")
     return arr
-
-
-def dirichlet_energy(l_matrix: np.ndarray, f: np.ndarray) -> float:
-    """Quadratic form f^T L f.
-
-    Equals sum_{i<j} w_ij (f_i - f_j)^2, i.e. half the double sum over all
-    ordered vertex pairs.  Non-negative up to rounding for any valid Laplacian.
-    """
-    l_matrix = np.asarray(l_matrix, dtype=float)
-    f = as_signal(f, l_matrix.shape[0])
-    return float(f @ l_matrix @ f)
 
 
 def check_laplacian(l_matrix: np.ndarray, *, tol: float = 1e-10) -> dict[str, float]:

@@ -45,6 +45,7 @@ from .graphs import (
     _all_finite,
     _components,
     _finite_square,
+    _integer,
     _vector,
     _vertex_indices,
     as_signal,
@@ -217,7 +218,7 @@ class PyramidConfig:
             raise InputError(f"tol must be positive, got {self.tol}")
         if self.design not in _DESIGNS:
             raise InputError(f"design must be one of {_DESIGNS}, got {self.design!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if _integer(self.seed, "seed") < 0:
             raise InputError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
@@ -400,8 +401,10 @@ def load_pyramid(path: str | Path) -> Pyramid:
     """Rebuild a saved pyramid.  Invariants are not re-verified on load.
 
     A missing or malformed file, an array whose shape does not fit its
-    level's vertex count, or a manifest whose ``config`` does not name
-    exactly the PyramidConfig fields, raises InputError.
+    level's vertex count, a manifest whose ``config`` does not name exactly
+    the PyramidConfig fields, or a level size ``n`` or ``requested_depth``
+    that is not an integer (a float, integral or not, a bool or a string),
+    raises InputError.
     """
     try:
         return _read_pyramid(Path(path))
@@ -426,7 +429,7 @@ def _read_pyramid(root: Path) -> Pyramid:
     for idx, meta in enumerate(manifest["levels"]):
         d = root / f"level{idx}"
         graph, _ = parse_graph((d / "graph.txt").read_text(encoding="utf-8"))
-        if graph.n != int(meta["n"]):
+        if graph.n != _integer(meta["n"], f"level {idx}: manifest n"):
             raise InputError(f"level {idx}: graph size disagrees with manifest")
         pattern = SamplingPattern.from_dict({"n": graph.n, "keep_low": meta["keep_low"]})
         u = np.loadtxt(d / "basis_u.csv", delimiter=",", ndmin=2)
@@ -453,7 +456,8 @@ def _read_pyramid(root: Path) -> Pyramid:
             quartet=FilterQuartet(filt[:, 0], filt[:, 1], filt[:, 2], filt[:, 3]),
         )
         levels.append(level)
-    return Pyramid(levels=tuple(levels), config=config, requested_depth=int(manifest["requested_depth"]))
+    depth = _integer(manifest["requested_depth"], "requested_depth")
+    return Pyramid(levels=tuple(levels), config=config, requested_depth=depth)
 
 
 def verify_pyramid(p: Pyramid) -> dict:

@@ -19,11 +19,12 @@ so the duality gap is zero and global optimality is certified by
 
     H >= 0,  H x ~ 0,  x^T x = 1,  x^T R x = 1,  x^T Q x = -mu1 - mu2.
 
-The maximizer is a root of the supergradient.  A cold search starts at
-mu2 = 0, where the evaluation is the eigendecomposition of Q itself: if its
-supergradient interval straddles zero the maximum is found, otherwise its
-sign tells which side of 0 holds the root and its extreme eigenvalues give
-||Q||_2 as the first width of a one-sided bracket.  Where the smallest
+The maximizer is a root of the supergradient.  The full search starts with
+one full evaluation at its start point, mu2 = 0 for ``solve``, where the
+evaluation is the eigendecomposition of Q itself: if its supergradient
+interval straddles zero the maximum is found, otherwise its sign tells
+which side holds the root and its extreme eigenvalues give ||Q + mu2 R||_2
+as the first width of a one-sided bracket.  Where the smallest
 eigenvalue is simple the supergradient g is differentiable and its
 derivative
 
@@ -43,39 +44,39 @@ rounding noise k eps ||Q + mu2 R||_2 of g; when a smooth point is so close
 to the root that its null point v_0 is within 1e-2 tol of the root's; or
 when the bracket is narrower than the tolerance.
 
-For k x k problems with k >= _PROJECT_MIN_DIM that search runs on a small
-subspace W first (Rayleigh-Ritz): the dual of (W^T Q W, W^T R W) is
-maximized with the same routine, at the cost of m x m eigendecompositions
-only.  W starts from the lowest eigenvectors of Q, the derivative
-dv_0/dmu2 of the lowest one, and the lowest eigenvector whose v^T R v lies
-on the other side of 1, so that the projected dual has a maximizer.  At
-that maximizer, the Ritz vectors of the smallest Ritz value theta are
-checked against the full problem, ||(Q + mu2 R) y - theta y|| <=
-1e-2 tol h_scale: if they pass, the Ritz point is the answer and no
-full-size evaluation is made.  Otherwise the full problem is evaluated
-once there.  An evaluation that stops the search is the answer; otherwise
-W grows by that evaluation's lowest eigenvectors and dv_0/dmu2, and the
-next round starts from its mu2, where the Ritz residual of the next round
-shrinks like the square of the step.  A subspace that cannot grow, or a
-projected search that fails, hands over to the full search, started from
-the latest full evaluation.  Every stopping rule is therefore one of the
-full search or the Ritz gate.
-
-A solve may also start warm, from a mu2 and a subspace handed on by the
-solve of a nearby problem (the basis construction hands each pair's mu2
-and lowest 16 eigenvectors or Ritz vectors to the next, for k >=
-_WARM_MIN_DIM): the projected search then starts on that subspace at that
-mu2, and no full evaluation precedes it.
+A solve takes one of two routes.  A cold solve, one started without a
+subspace, is the full search above from one full evaluation at its start
+point; the public ``solve`` is always cold.  A warm solve starts from a mu2
+and a subspace handed on by the solve of a nearby problem (the basis
+construction hands each pair's mu2 and lowest 16 eigenvectors or Ritz
+vectors to the next).  Below k = _WARM_MIN_DIM it too runs the full
+search; from that size on it searches a small subspace W first
+(Rayleigh-Ritz): W starts as the carried subspace, and the dual of
+(W^T Q W, W^T R W) is maximized with the same routine at that mu2, at the
+cost of m x m eigendecompositions only, provided the spectrum of W^T R W
+straddles 1 so that the projected dual has a maximizer.  At that maximizer,
+the Ritz vectors of the smallest Ritz value theta are checked against the
+full problem, ||(Q + mu2 R) y - theta y|| <= 1e-2 tol h_scale: if they
+pass, the Ritz point is the answer and no full-size evaluation is made.
+Otherwise the full problem is evaluated once there.  An evaluation that
+stops the search is the answer; otherwise W grows by that evaluation's
+lowest eigenvectors and dv_0/dmu2, and the next round starts from its mu2,
+where the Ritz residual of the next round shrinks like the square of the
+step.  A subspace that does not straddle or cannot grow, or a projected
+search that fails, hands over to the full search, started from the latest
+full evaluation, or from one at the start mu2 if none was made.  Every
+stopping rule is therefore one of the full search or the Ritz gate.
 
 H = Q + mu1 I + mu2 R is a shift of Q + mu2 R by a multiple of I, so the
 last full evaluation's eigenpairs (w - lambda_min, V) are those of H, and
 the feasible null point is read off them, or off the Ritz pairs at a Ritz
-point.  A solve costs one k x k symmetric eigendecomposition per full-size
-dual evaluation: the one at the cold start, one per round of the projected
-search that ends without a Ritz point, and those of the full search if it
-runs; a warm solve that ends at a Ritz point costs none.  Its other
-eigendecompositions are small: m x m ones of the projected duals, and one
-of R projected onto the null space of H, whose dimension is usually 1.
+point.  A cold solve costs one k x k symmetric eigendecomposition per
+evaluation of the full search.  A warm solve costs one per round of the
+projected search that ends without a Ritz point, plus those of the full
+search if it runs; one that ends at a Ritz point in its first round costs
+none.  The other eigendecompositions are small: m x m ones of the
+projected duals, and one of R projected onto the null space of H, whose
+dimension is usually 1.
 Reused eigenvalues cannot certify H >= 0 (the smallest is 0 by
 construction), so that certificate is a Cholesky factorization of the
 explicitly formed H + delta I: if it succeeds, lambda_min(H) >= -delta up
@@ -250,21 +251,17 @@ def _maximize_dual(
     eigenpairs: the latest full-size evaluation, the only one that keeps
     them, or a Ritz point of the projected search (see _ritz_point).
 
-    Without a start subspace the first evaluation is a full one at
-    start.mu2.  If its supergradient interval straddles zero it is the
-    maximizer.  Otherwise the root lies on the side its sign points to, and
-    _search finds it from there, the bracket's far end ||Q + mu2 R||_2 + 1
-    away at first.  Convergence is declared by _Limits.done (an interval
-    that straddles zero within a small band, or a smooth point whose null
-    vector is as good as the root's), or when the bracket is narrower than
-    ``tol`` with a supergradient small enough that a near-feasible null
-    vector exists.
+    A start with a subspace, for k >= _WARM_MIN_DIM, runs _projected_search
+    from that subspace at start.mu2 first; it ends at a maximizer or hands
+    its latest full evaluation to _search.  Any other start, and a
+    projected search that made no full evaluation, takes one full
+    evaluation at start.mu2 and runs _search from there, the bracket's far
+    end ||Q + mu2 R||_2 + 1 away at first.  Convergence is declared by
+    _Limits.done (an interval that straddles zero within a small band, or a
+    smooth point whose null vector is as good as the root's), or when the
+    bracket is narrower than ``tol`` with a supergradient small enough that
+    a near-feasible null vector exists.
 
-    For k >= _PROJECT_MIN_DIM the search runs on a subspace first and checks
-    each projected maximizer with one full-size evaluation or its Ritz point
-    (see the module docstring), so most of its steps cost small
-    eigendecompositions only.  A start subspace replaces the first full
-    evaluation: the projected search starts from it at start.mu2.
     ``trace``, if given, collects one (mu2, f(mu2)) row per full-size
     evaluation, in order; the subspace evaluations are not recorded.
     """
@@ -280,25 +277,13 @@ def _maximize_dual(
             trace.append((mu2, -mu2 + e.lam))
         return e
 
-    e = None
-    if problem.dim >= _WARM_MIN_DIM and start.w is not None:
+    if start.w is not None and problem.dim >= _WARM_MIN_DIM:
         width = 1.0 + float(np.abs(q.diagonal() + start.mu2 * r.diagonal()).max())
-        e = _projected_search(problem, ev, start.mu2, None, start.w, width, lim)
-        if e is not None and e.v is not None:
-            return e
-    if e is None:
-        e = ev(start.mu2)
-        if lim.done(e):
-            return e
-        width = max(-e.lam, e.top) + 1.0
-        w = _start_subspace(problem, e) if problem.dim >= _PROJECT_MIN_DIM else None
-        e = e._replace(w=None, v=None)  # only the latest evaluation's eigenpairs stay alive
-        if w is not None:
-            e = _projected_search(problem, ev, e.mu2, e, w, width, lim)
-            if e.v is not None:
-                return e
-    # The full search, from the latest full-size evaluation.
-    return _search(ev, e, width, lim)
+        e = _projected_search(problem, ev, start.mu2, start.w, width, lim)
+        if e is not None:
+            return e if e.v is not None else _search(ev, e, width, lim)
+    e = ev(start.mu2)
+    return _search(ev, e, max(-e.lam, e.top) + 1.0, lim)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -338,12 +323,9 @@ class _Limits(NamedTuple):
         return max(g * max(1.0, abs(e.mu2)), step * max(1.0, e.dv)) <= _NEWTON_STOP * self.tol
 
 
-# Below these sizes a full search costs less than the projected one: a k x k
-# eigendecomposition then takes about as long as the Python work of a
-# projected search.  Measured with one BLAS thread, the crossover is
-# k ~ 40-50 for a cold start, which spends a full evaluation on its first
-# subspace, and k ~ 24 from a carried subspace.
-_PROJECT_MIN_DIM = 48
+# Below this size a full search costs less than the projected one from a
+# carried subspace: a k x k eigendecomposition then takes about as long as
+# the Python work of a projected search (measured with one BLAS thread).
 _WARM_MIN_DIM = 24
 # Eigenvectors each full-size evaluation adds to the subspace.
 _SUBSPACE_DIM = 4
@@ -362,26 +344,26 @@ def _projected_search(
     problem: QecqpProblem,
     ev,
     mu2: float,
-    e: _DualEval | None,
     new: np.ndarray,
     width: float,
     lim: _Limits,
 ) -> _DualEval | None:
     """Dual maximizer searched on a subspace W and checked on the full problem.
 
-    W starts as the span of ``new``, built from the full-size evaluation
-    ``e`` at mu2, or carried over from elsewhere when ``e`` is None.  Each
-    round maximizes the dual of (W^T Q W, W^T R W) with _search, which
-    costs only m x m eigendecompositions, and checks the projected
-    maximizer.  When it ends the search (_Limits.done) and its Ritz point
-    passes the Ritz gate, that point is returned (_ritz_point); otherwise
-    one full-size evaluation ``ev`` at the maximizer is made, and returned
-    with its eigenpairs if it ends the search.  Otherwise W grows by that
-    evaluation's lowest eigenvectors and the derivative of its lowest one,
-    and the next round starts from its mu2.  When W cannot grow or would
-    fill the space, when the projected dual has no maximizer, or when the
-    rounds run out, the latest full evaluation is returned without
-    eigenpairs, for the full search to finish from; None if there was none.
+    W starts as the span of ``new``, carried over from a nearby problem, and
+    the first round starts at mu2.  Each round maximizes the dual of
+    (W^T Q W, W^T R W) with _search, which costs only m x m
+    eigendecompositions, and checks the projected maximizer.  When it ends
+    the search (_Limits.done) and its Ritz point passes the Ritz gate, that
+    point is returned (_ritz_point); otherwise one full-size evaluation
+    ``ev`` at the maximizer is made, and returned with its eigenpairs if it
+    ends the search.  Otherwise W grows by that evaluation's lowest
+    eigenvectors and the derivative of its lowest one, and the next round
+    starts from its mu2.  When the spectrum of the carried W^T R W does not
+    straddle 1, when W cannot grow or would fill the space, when the
+    projected dual has no maximizer, or when the rounds run out, the latest
+    full evaluation is returned without eigenpairs, for the full search to
+    finish from; None if there was none.
 
     After a full evaluation W holds its lowest eigenvector v_0 and the
     derivative dv_0/dmu2, so the projected dual has the same value,
@@ -392,10 +374,9 @@ def _projected_search(
     q, r = problem.q, problem.r
     w = np.zeros((problem.dim, 0))
     qw = rw = w
+    e = None
     for _ in range(_MAX_ROUNDS):
         new = _orthonormal_complement(w, new)
-        if e is not None:
-            e = e._replace(w=None, v=None)  # only the latest evaluation's eigenpairs stay alive
         if not new.shape[1] or w.shape[1] + new.shape[1] >= problem.dim:
             break
         w = np.column_stack([w, new])
@@ -403,7 +384,7 @@ def _projected_search(
         rw = np.column_stack([rw, r @ new])
         qs, rs = _sym(w.T @ qw), _sym(w.T @ rw)
         if e is None:
-            # A carried subspace: the projected dual has a maximizer only
+            # The carried subspace: the projected dual has a maximizer only
             # if the spectrum of W^T R W straddles 1.
             d = np.linalg.eigvalsh(rs)
             if not d[0] < 1.0 < d[-1]:
@@ -423,7 +404,8 @@ def _projected_search(
         if lim.done(e):
             return e
         new = _lowest_with_derivative(problem, e)
-    return None if e is None else e._replace(w=None, v=None)
+        e = e._replace(w=None, v=None)  # only the latest evaluation's eigenpairs stay alive
+    return e
 
 
 def _ritz_point(
@@ -460,26 +442,6 @@ def _lowest_with_derivative(problem: QecqpProblem, e: _DualEval) -> np.ndarray:
     d = e.v[:, 1:] @ coef
     low = e.v[:, :_SUBSPACE_DIM]
     return np.column_stack([low, d]) if d.any() else low.copy()
-
-
-def _start_subspace(problem: QecqpProblem, e: _DualEval) -> np.ndarray | None:
-    """First subspace of the projected search, from the evaluation e at
-    mu2 = 0: _lowest_with_derivative, plus the lowest eigenvector whose
-    v^T R v lies on the other side of 1 from v_0^T R v_0 when no column
-    already does.  A unit vector on each side makes the spectrum of
-    W^T R W straddle 1, without which the projected dual has no maximizer.
-    None when no eigenvector lies on the other side."""
-    side = np.sign(e.g_lo)
-    cols = _lowest_with_derivative(problem, e)
-    lo, hi = 0, _SUBSPACE_DIM
-    while lo < problem.dim:
-        x = cols if lo == 0 else e.v[:, lo:hi]
-        c = np.einsum("ij,ij->j", x, problem.r @ x) / np.einsum("ij,ij->j", x, x) - 1.0
-        if (side * c < 0.0).any():
-            j = lo + int(np.argmax(side * c < 0.0))
-            return cols if lo == 0 else np.column_stack([cols, e.v[:, j]])
-        lo, hi = hi, 2 * hi
-    return None
 
 
 def _orthonormal_complement(w: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -624,19 +586,17 @@ def solve(
 ) -> QecqpSolution:
     """Globally solve the problem and certify optimality.
 
-    The feasible null point is read off the eigenpairs of the last
-    full-size dual evaluation, shifted to those of H, or off the Ritz pairs
-    of a Ritz point (see the module docstring), so the solve performs no
-    k x k eigendecomposition beyond the full-size dual evaluations of the
-    search, one per row of ``trace``.  Positive semidefiniteness of H is
+    The solve is cold: the full search of the module docstring from mu2 = 0,
+    with one k x k eigendecomposition per full-size dual evaluation, one per
+    row of ``trace``.  The feasible null point is read off the eigenpairs
+    of the last one, shifted to those of H, so no further k x k
+    eigendecomposition is made.  Positive semidefiniteness of H is
     certified by a Cholesky factorization of H + delta I with
     delta = 1e3 * tol * (1 + ||H||_2); every other residual is an explicit
     product with Q and R.  Raises SolverError if any certificate fails
     (thresholds scale with ``tol``; at the default they are delta = 1e-7
     relative for positive semidefiniteness, 1e-6 relative for stationarity
-    and the duality gap, 1e-8 for the unit norm, and 1e-6 for x^T R x - 1;
-    a Ritz point is held to 1e-12 relative for positive semidefiniteness
-    and stationarity, and is replaced by a full evaluation if it fails).
+    and the duality gap, 1e-8 for the unit norm, and 1e-6 for x^T R x - 1).
     """
     return _solve(problem, tol, trace, _COLD)[0]
 
@@ -654,14 +614,15 @@ def _solve(
     relative to 1 + |mu2|), where one full evaluation is likely to settle
     the next problem too.
 
-    The solution may come from a Ritz point of the projected search.  It is
-    certified with the residual and positive semidefiniteness gates
-    tightened to _RITZ_GATE * tol * h_scale, so lambda_min(H) >= -delta
-    also proves that no eigenvector outside the subspace lies below the Ritz
-    value by more than delta; h_scale is a lower bound on 1 + ||H||_2,
-    which makes every gate at least as tight as on the full-evaluation path.
-    If any certificate fails there, the solve starts over with a full
-    evaluation at that mu2.
+    A start without a subspace is a cold solve, certified as solve() is.  A
+    start with one is warm, and its solution may come from a Ritz point of
+    the projected search.  That point is certified with the residual and
+    positive semidefiniteness gates tightened to _RITZ_GATE * tol * h_scale,
+    so lambda_min(H) >= -delta also proves that no eigenvector outside the
+    subspace lies below the Ritz value by more than delta; h_scale is a
+    lower bound on 1 + ||H||_2, which makes every gate at least as tight as
+    on the full-evaluation path.  If any certificate fails there, the solve
+    starts over cold at that mu2.
     """
     e = _maximize_dual(problem, tol, trace, start)
     ritz = e.v.shape[1] < problem.dim

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .graphs import Graph, _finite_square, _vertex_indices
+from .graphs import Graph, _finite_square, _integer, _vertex_indices
 
 __all__ = [
     "SamplingPattern",
@@ -72,11 +72,12 @@ class SamplingPattern:
     def from_dict(cls, doc: dict) -> "SamplingPattern":
         """Pattern from ``{"n": n, "keep_low": [...]}``.
 
-        ``keep_low`` must hold integers: a bool or a float, integral or
-        not, raises InputError rather than being truncated to an index.
+        ``n`` must be an integer and ``keep_low`` must hold integers: a
+        bool, a string or a float, integral or not, raises InputError
+        rather than being truncated.
         """
         try:
-            n = int(doc["n"])
+            n = _integer(doc["n"], "pattern size n")
             low = tuple(sorted(_vertex_indices(doc["keep_low"]).tolist()))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed sampling pattern document: {exc}") from None
@@ -87,10 +88,6 @@ class SamplingPattern:
         sign = np.full(n, -1.0)
         sign[list(low)] = 1.0
         return cls(low, high, sign)
-
-    @classmethod
-    def from_low_set(cls, n: int, low: tuple[int, ...] | list[int]) -> "SamplingPattern":
-        return cls.from_dict({"n": n, "keep_low": list(low)})
 
 
 def greedy_max_cut(l_matrix: np.ndarray) -> SamplingPattern:

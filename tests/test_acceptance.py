@@ -56,7 +56,7 @@ def test_criterion_2_bipartite_folding_matches_spectrum():
     t0 = time.time()
     g = gf.generate("ring", 300)
     lap = gf.laplacian(g)
-    pattern = SamplingPattern.from_low_set(300, tuple(range(0, 300, 2)))
+    pattern = SamplingPattern.from_dict({"n": 300, "keep_low": list(range(0, 300, 2))})
     basis = compute_basis(lap, pattern)
     eigs = np.linalg.eigvalsh(lap)
     diff = float(np.abs(np.sort(basis.energies) - eigs).max())

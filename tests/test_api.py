@@ -16,7 +16,7 @@ PUBLIC_NAMES = {
     # errors
     "EigensolverError", "InputError", "NumericalError", "SolverError",
     # graphs
-    "Graph", "check_laplacian", "dirichlet_energy", "format_graph", "generate",
+    "Graph", "check_laplacian", "format_graph", "generate",
     "laplacian", "parse_graph", "read_graph_file", "write_graph_file",
     # sampling
     "SamplingPattern", "cut_value", "greedy_max_cut",

@@ -450,6 +450,16 @@ def test_verify_load_rejects_non_integer_keep_low(tmp_path, capsys, entry):
     assert "sequence of integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("n", 12.5), ("n", True), ("requested_depth", 2.9), ("requested_depth", "2")])
+def test_verify_load_rejects_non_integer_size_or_depth(tmp_path, capsys, key, value):
+    pyr = _saved_cli_pyramid(tmp_path)
+    manifest = json.loads((pyr / "manifest.json").read_text(encoding="utf-8"))
+    (manifest["levels"][0] if key == "n" else manifest)[key] = value
+    (pyr / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert run("verify", "--load", pyr, "--out", tmp_path / "b") == 2
+    assert f"{key} must be an integer" in capsys.readouterr().err
+
+
 def test_roundtrip_rejects_non_finite_signal(tmp_path, capsys):
     path = write_path4(tmp_path / "g.txt", signal=True)
     path.write_text(path.read_text(encoding="utf-8").replace("2.0", "nan"), encoding="utf-8")

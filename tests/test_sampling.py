@@ -127,14 +127,14 @@ def test_pattern_validation_rejects_empty_side():
 
 
 def test_pattern_from_low_set():
-    pat = sampling.SamplingPattern.from_low_set(4, [0, 2])
+    pat = sampling.SamplingPattern.from_dict({"n": 4, "keep_low": [0, 2]})
     assert pat.keep_low == (0, 2)
     assert pat.keep_high == (1, 3)
     np.testing.assert_allclose(pat.sign, [1.0, -1.0, 1.0, -1.0])
 
 
 def test_pattern_dict_round_trip():
-    pat = sampling.SamplingPattern.from_low_set(5, [1, 3])
+    pat = sampling.SamplingPattern.from_dict({"n": 5, "keep_low": [1, 3]})
     again = sampling.SamplingPattern.from_dict(pat.to_dict())
     assert again.keep_low == pat.keep_low
     assert again.keep_high == pat.keep_high
@@ -145,6 +145,13 @@ def test_pattern_from_dict_rejects_non_integer_indices(keep_low):
     # int() used to truncate [0.5, 2] to (0, 2) and read [True, 2] as (1, 2).
     with pytest.raises(InputError, match="sequence of integers"):
         sampling.SamplingPattern.from_dict({"n": 4, "keep_low": keep_low})
+
+
+@pytest.mark.parametrize("n", [4.7, 4.0, True, "4"])
+def test_pattern_from_dict_rejects_non_integer_size(n):
+    # int() used to truncate 4.7 to 4 and read "4" as 4.
+    with pytest.raises(InputError, match="must be an integer"):
+        sampling.SamplingPattern.from_dict({"n": n, "keep_low": [0, 2]})
 
 
 @pytest.mark.parametrize("keep_low", [[2, 0], (0, 2), np.array([2, 0]), np.array([0, 2], dtype=np.uint8)])
@@ -162,14 +169,14 @@ def test_pattern_from_dict_accepts_integer_indices(keep_low):
 
 
 def test_downsample_picks_channel_entries():
-    pat = sampling.SamplingPattern.from_low_set(4, [0, 2])
+    pat = sampling.SamplingPattern.from_dict({"n": 4, "keep_low": [0, 2]})
     f = np.array([10.0, 20.0, 30.0, 40.0])
     np.testing.assert_allclose(f[list(pat.keep_low)], [10.0, 30.0])
     np.testing.assert_allclose(f[list(pat.keep_high)], [20.0, 40.0])
 
 
 def test_upsample_then_downsample_is_identity():
-    pat = sampling.SamplingPattern.from_low_set(5, [1, 2])
+    pat = sampling.SamplingPattern.from_dict({"n": 5, "keep_low": [1, 2]})
     f_low = np.array([1.5, -2.5])
     up = np.zeros(pat.n)
     up[list(pat.keep_low)] = f_low
@@ -178,7 +185,7 @@ def test_upsample_then_downsample_is_identity():
 
 
 def test_down_then_up_masks_other_channel():
-    pat = sampling.SamplingPattern.from_low_set(4, [0, 3])
+    pat = sampling.SamplingPattern.from_dict({"n": 4, "keep_low": [0, 3]})
     f = np.arange(4.0)
     masked = (1.0 + pat.sign) / 2.0 * f
     np.testing.assert_allclose(masked, [0.0, 0.0, 0.0, 3.0])
@@ -186,7 +193,7 @@ def test_down_then_up_masks_other_channel():
 
 def test_channel_sum_reconstructs():
     # The two channel projections partition the identity.
-    pat = sampling.SamplingPattern.from_low_set(6, [0, 2, 4])
+    pat = sampling.SamplingPattern.from_dict({"n": 6, "keep_low": [0, 2, 4]})
     f = np.random.default_rng(0).standard_normal(6)
     low = (1.0 + pat.sign) / 2.0 * f
     high = (1.0 - pat.sign) / 2.0 * f
