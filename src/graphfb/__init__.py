@@ -47,7 +47,7 @@ from .multires import (
     threshold_highpass,
     verify_pyramid,
 )
-from .qecqp import QecqpProblem, QecqpSolution, oracle_min, solve
+from .qecqp import QecqpProblem, QecqpSolution, solve
 from .sampling import SamplingPattern, cut_value, greedy_max_cut
 
 __version__ = "0.1.0"

@@ -166,13 +166,13 @@ def build_level(
     *,
     design: str = "hstar",
     hstar: float | Callable[[int, int], float] = 2.0,
-    h_des: np.ndarray | None = None,
     tol: float = 1e-10,
 ) -> FilterLevel:
     """Partition a graph, build its basis, and attach a filter quartet.
 
-    ``design`` is ``"hstar"`` (uses ``hstar``) or ``"minimax"`` (uses
-    ``h_des``, defaulting to the ideal half-band response).
+    ``design`` is ``"hstar"`` (uses ``hstar``) or ``"minimax"`` (the
+    closest feasible response to the ideal half-band one; call
+    ``design_minimax`` directly for another desired response).
     """
     lap = laplacian(graph)
     pattern = greedy_max_cut(lap)
@@ -180,8 +180,7 @@ def build_level(
     if design == "hstar":
         h = design_from_hstar(basis.phi, hstar)
     elif design == "minimax":
-        des = ideal_half_band(graph.n) if h_des is None else h_des
-        h, _ = design_minimax(basis.phi, des)
+        h, _ = design_minimax(basis.phi, ideal_half_band(graph.n))
     else:
         raise InputError(f"design must be 'hstar' or 'minimax', got {design!r}")
     return FilterLevel(graph=graph, pattern=pattern, basis=basis, quartet=quartet(h, basis.phi))

@@ -20,9 +20,12 @@ x_hi, onto the first column of its block, which is dropped, and Q follows by
 a rank-2 update per block.  The complement is MIXED (J has both signs on it)
 while both blocks are non-empty.  Once one block is empty, J acts as +-I on
 the rest, and the smoothness eigenvectors of the remaining block complete
-the basis with Ju = +-u.  Columns are finally sorted by increasing
-smoothness (stable, so pair discovery order breaks ties) and Phi is read off
-by rounding U^T J U.
+the basis with Ju = +-u.  Phi is recorded as each column is written: the
+two columns of a pair are each other's partner with sign +1, and a
+completion column is its own partner with sign +1 on the low block and -1
+on the high block.  Columns are finally sorted by increasing smoothness
+(stable, so pair discovery order breaks ties), Phi is carried through the
+same sort, and U^T J U must match it within 1e-6.
 """
 
 from __future__ import annotations
@@ -90,11 +93,6 @@ class SignedPermutation:
         v = as_signal(v, self.n)
         return v[self.perm]
 
-    def as_matrix(self) -> np.ndarray:
-        m = np.zeros((self.n, self.n))
-        m[np.arange(self.n), self.perm] = self.signs
-        return m
-
 
 @dataclass(frozen=True, eq=False)
 class FourierBasis:
@@ -154,24 +152,6 @@ def complement_basis(u_built: np.ndarray | None, n: int) -> np.ndarray:
     return left[:, m:]
 
 
-def _round_signed_permutation(t: np.ndarray, tol: float = 1e-6) -> SignedPermutation:
-    n = t.shape[0]
-    perm = np.full(n, -1, dtype=int)
-    signs = np.zeros(n, dtype=int)
-    for i in range(n):
-        hits = np.nonzero(np.abs(t[i]) >= 0.5)[0]
-        if len(hits) != 1:
-            raise NumericalError(f"row {i} of U^T J U does not round to a signed permutation")
-        j = int(hits[0])
-        perm[i] = j
-        signs[i] = 1 if t[i, j] > 0 else -1
-    phi = SignedPermutation(perm, signs)
-    residual = float(np.abs(t - phi.as_matrix()).max())
-    if residual > tol:
-        raise NumericalError(f"U^T J U deviates from a signed permutation by {residual:.3e}")
-    return phi
-
-
 def _split_off(b: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reflect the block basis b so that b x / |x| becomes its first column.
 
@@ -225,6 +205,9 @@ def compute_basis(
 
     u_mat = np.zeros((n, n))
     tags = np.full(n, -1, dtype=int)
+    # Phi as built: column j's partner and the sign of J u_j = sign * u_partner.
+    partner = np.arange(n)
+    sign = np.ones(n, dtype=int)
     step = 0
     start = qecqp._COLD
     while b_lo.shape[1] and b_hi.shape[1]:
@@ -241,6 +224,7 @@ def compute_basis(
         u_mat[:, 2 * step] = u
         u_mat[:, 2 * step + 1] = s * u
         tags[2 * step : 2 * step + 2] = step
+        partner[2 * step : 2 * step + 2] = 2 * step + 1, 2 * step
 
         # Q <- H Q H for H = I - 2 V V^T, a rank-2 update per block, then
         # drop the first coordinate of each block.
@@ -260,7 +244,8 @@ def compute_basis(
 
     # One block is used up: J acts as +-I on what is left, and the
     # smoothness eigenvectors of the other block complete the basis.
-    b, idx = (b_lo, low) if b_lo.shape[1] else (b_hi, high)
+    b, idx, j_sign = (b_lo, low, 1) if b_lo.shape[1] else (b_hi, high, -1)
+    sign[2 * step :] = j_sign
     if b.shape[1]:
         _, vecs = np.linalg.eigh(0.5 * (q + q.T))
         for j, vec in enumerate((b @ vecs).T, start=2 * step):
@@ -271,5 +256,12 @@ def compute_basis(
     u_mat = u_mat[:, order]
     energies = energies[order]
     pair_tags = tags[order]
-    phi = _round_signed_permutation(u_mat.T @ (s[:, None] * u_mat))
+    rank = np.empty(n, dtype=int)
+    rank[order] = np.arange(n)
+    phi = SignedPermutation(rank[partner[order]], sign[order])
+    t = u_mat.T @ (s[:, None] * u_mat)
+    t[np.arange(n), phi.perm] -= phi.signs
+    residual = float(np.abs(t).max())
+    if not residual <= 1e-6:
+        raise NumericalError(f"U^T J U deviates from the built Phi by {residual:.3e}")
     return FourierBasis(u=u_mat, energies=energies, phi=phi, pattern=pattern, pair_tags=pair_tags)

@@ -255,6 +255,7 @@ def build_pyramid(g: Graph, depth: int, config: PyramidConfig = PyramidConfig())
     Stops early (with fewer levels than requested) when a coarsened graph
     has fewer than two vertices; the achieved depth is ``pyramid.depth``.
     """
+    depth = _integer(depth, "depth")
     if depth < 1:
         raise InputError(f"depth must be at least 1, got {depth}")
     if g.n < 2:
@@ -464,12 +465,14 @@ def verify_pyramid(p: Pyramid) -> dict:
     """Re-check every level's invariants; returns a report document.
 
     Per level: Laplacian validity of the graph, basis orthonormality,
-    folding J U = U Phi, the involution property of Phi, the stored
-    energies against diag(U^T L U) (relative to max(1, max |energy|)), the
-    pair tags against Phi (each tag >= 0 on exactly two columns that Phi
-    swaps, every -1 column fixed by Phi), and the three reconstruction
-    residuals.  The report's ``ok`` field is True when every check passes
-    its threshold.
+    folding max |J U - U Phi|, the involution residual max |Phi^2 - I|, the
+    stored energies against diag(U^T L U) (relative to max(1, max
+    |energy|)), the pair tags against Phi (each tag >= 0 on exactly two
+    columns that Phi swaps, every -1 column fixed by Phi), and the three
+    reconstruction residuals.  Phi is never formed as a matrix: U Phi is
+    the column gather U[:, perm] * signs, and Phi^2 has the entry
+    signs[i] * signs[perm[i]] at (i, perm[perm[i]]).  The report's ``ok``
+    field is True when every check passes its threshold.
     """
     report = {"levels": [], "ok": True}
     for idx, level in enumerate(p.levels):
@@ -484,9 +487,10 @@ def verify_pyramid(p: Pyramid) -> dict:
         u = level.basis.u
         s = level.pattern.sign
         entry["orthonormality"] = float(np.abs(u.T @ u - np.eye(level.n)).max())
-        entry["folding"] = float(np.abs(s[:, None] * u - u @ level.basis.phi.as_matrix()).max())
-        phi_m = level.basis.phi.as_matrix()
-        entry["involution"] = float(np.abs(phi_m @ phi_m - np.eye(level.n)).max())
+        perm, signs = level.basis.phi.perm, level.basis.phi.signs
+        entry["folding"] = float(np.abs(s[:, None] * u - u[:, perm] * signs).max())
+        involutive = perm[perm] == np.arange(level.n)
+        entry["involution"] = float(np.abs(np.where(involutive, signs * signs[perm], 0) - 1).max())
         energies = np.einsum("ij,ij->j", u, lap @ u)
         entry["energies"] = float(
             np.abs(level.basis.energies - energies).max() / max(1.0, float(np.abs(energies).max()))

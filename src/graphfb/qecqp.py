@@ -105,7 +105,6 @@ __all__ = [
     "QecqpProblem",
     "QecqpSolution",
     "solve",
-    "oracle_min",
 ]
 
 _SYM_TOL = 1e-12
@@ -686,41 +685,3 @@ def _certify(
         feas_error=feas_error,
         gap=gap,
     )
-
-
-def oracle_min(problem: QecqpProblem, samples: int = 100_000, seed: int = 0) -> float:
-    """Monte Carlo upper bound on the optimum, independent of the solver.
-
-    Requires R to have eigenvalues exactly in {0, 2}.  Each standard normal
-    draw is split into its components in the two eigenspaces and each
-    component is rescaled to squared norm 1/2; the result satisfies both
-    constraints exactly, so the sample minimum of x^T Q x bounds the true
-    minimum from above.
-    """
-    if samples < 1:
-        raise InputError(f"need at least one sample, got {samples}")
-    ev, vec = _eigh(problem.r)
-    scale = max(1.0, float(np.abs(ev).max()))
-    at0 = np.abs(ev) <= 1e-8 * scale
-    at2 = np.abs(ev - 2.0) <= 1e-8 * scale
-    if not (at0.any() and at2.any() and (at0 | at2).all()):
-        raise InputError("oracle requires R eigenvalues to be exactly {0, 2}")
-    p0 = vec[:, at0]
-    p2 = vec[:, at2]
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((samples, problem.dim))
-    c0 = z @ p0
-    c2 = z @ p2
-    n0 = np.linalg.norm(c0, axis=1)
-    n2 = np.linalg.norm(c2, axis=1)
-    bad = (n0 < 1e-12) | (n2 < 1e-12)
-    while bad.any():
-        z = rng.standard_normal((int(bad.sum()), problem.dim))
-        c0[bad] = z @ p0
-        c2[bad] = z @ p2
-        n0[bad] = np.linalg.norm(c0[bad], axis=1)
-        n2[bad] = np.linalg.norm(c2[bad], axis=1)
-        bad = (n0 < 1e-12) | (n2 < 1e-12)
-    x = (c0 / (np.sqrt(2.0) * n0[:, None])) @ p0.T + (c2 / (np.sqrt(2.0) * n2[:, None])) @ p2.T
-    vals = np.einsum("ij,jk,ik->i", x, problem.q, x)
-    return float(vals.min())

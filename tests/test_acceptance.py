@@ -16,7 +16,7 @@ from graphfb import multires, qecqp
 from graphfb.filterbank import build_level, verify_pr
 from graphfb.fourier import compute_basis
 from graphfb.sampling import SamplingPattern, cut_value, greedy_max_cut
-from conftest import random_problem
+from conftest import oracle_min, random_problem
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -77,7 +77,7 @@ def test_criterion_3_global_optimality_with_certificates():
         dim = int(rng.integers(2, 9))
         problem = random_problem(dim, seed=int(rng.integers(0, 2**31)))
         sol = qecqp.solve(problem)
-        oracle = qecqp.oracle_min(problem, samples=100_000, seed=i)
+        oracle = oracle_min(problem, samples=100_000, seed=i)
         worst_excess = max(worst_excess, sol.objective - oracle)
         h = problem.q + sol.mu1 * np.eye(dim) + sol.mu2 * problem.r
         h_scale = 1.0 + float(np.linalg.norm(h, 2))

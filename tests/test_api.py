@@ -21,7 +21,7 @@ PUBLIC_NAMES = {
     # sampling
     "SamplingPattern", "cut_value", "greedy_max_cut",
     # qecqp
-    "QecqpProblem", "QecqpSolution", "oracle_min", "solve",
+    "QecqpProblem", "QecqpSolution", "solve",
     # fourier
     "FourierBasis", "SignedPermutation", "SubspaceClass", "classify_subspace",
     "complement_basis", "compute_basis",

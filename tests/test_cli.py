@@ -426,6 +426,21 @@ def test_verify_load_rejects_tampered_pair_tags(tmp_path):
     assert level0["checks_ok"] is False
 
 
+def test_verify_load_rejects_flipped_pair_signs(tmp_path):
+    # Negating both signs of a pair keeps phi.csv a valid signed involution,
+    # so it loads; only the folding check can tell it is not the basis's Phi.
+    pyr = _saved_cli_pyramid(tmp_path)
+    path = pyr / "level0" / "phi.csv"
+    rows = np.loadtxt(path, delimiter=",", dtype=int, ndmin=2)
+    rows[[0, rows[0, 1]], 2] *= -1
+    np.savetxt(path, rows, fmt="%d", delimiter=",")
+    out = tmp_path / "b"
+    assert run("verify", "--load", pyr, "--out", out) == 3
+    level0 = report(out)["levels"][0]
+    assert level0["folding"] > 1e-6 and level0["involution"] == 0.0
+    assert level0["checks_ok"] is False
+
+
 @pytest.mark.parametrize("edit", ["unknown", "missing"])
 def test_verify_load_bad_manifest_config(tmp_path, capsys, edit):
     pyr = _saved_cli_pyramid(tmp_path)

@@ -28,6 +28,7 @@ import pytest
 import graphfb as gf
 from graphfb import fourier, qecqp, sampling
 from graphfb.errors import InputError, NumericalError
+from conftest import oracle_min, phi_matrix
 
 PATH4_U = 0.5 * np.array(
     [
@@ -144,7 +145,7 @@ def test_basis_invariants_random(seed):
     n = g.n
     assert np.abs(b.u.T @ b.u - np.eye(n)).max() <= 1e-8
     j = np.diag(pat.sign)
-    assert np.abs(j @ b.u - b.u @ b.phi.as_matrix()).max() <= 1e-6
+    assert np.abs(j @ b.u - b.u @ phi_matrix(b.phi)).max() <= 1e-6
     assert (np.diff(b.energies) >= -1e-10).all()
     assert sum(b.energies) == pytest.approx(np.trace(l_matrix), rel=1e-10)
     # column energies really are Dirichlet energies
@@ -176,15 +177,56 @@ def test_basis_on_degenerate_spectra_matches_reference_energies(kind, n):
     _, e_ref, _ = _reference_basis(l_matrix, pat)
     assert np.abs(b.energies - e_ref).max() <= 1e-9
     assert np.abs(b.u.T @ b.u - np.eye(n)).max() <= 1e-12
-    assert np.abs(pat.sign[:, None] * b.u - b.u @ b.phi.as_matrix()).max() <= 1e-12
+    assert np.abs(pat.sign[:, None] * b.u - b.u @ phi_matrix(b.phi)).max() <= 1e-12
 
 
 def test_phi_is_symmetric_involution():
     g = gf.generate("random_geometric", 18, seed=5)
     b = build(g)
-    m = b.phi.as_matrix()
+    m = phi_matrix(b.phi)
     np.testing.assert_allclose(m, m.T, atol=0)
     np.testing.assert_allclose(m @ m, np.eye(g.n), atol=0)
+
+
+@pytest.mark.parametrize("kind,n,low", [
+    ("ring", 9, (0, 2, 4)),  # the high block is left over: Ju = -u
+    ("ring", 9, (0, 1, 2, 4, 6, 7)),  # the low block is left over: Ju = +u
+    ("complete", 10, None),
+    ("grid", 36, None),
+    ("path", 9, None),
+])
+def test_recorded_phi_is_the_rounded_folding(kind, n, low):
+    # Phi is recorded as the columns are written; rounding U^T J U, which
+    # the construction once did itself, must give the same signed permutation.
+    l_matrix = gf.laplacian(gf.generate(kind, n))
+    if low is None:
+        pat = sampling.greedy_max_cut(l_matrix)
+    else:
+        pat = sampling.SamplingPattern.from_dict({"n": n, "keep_low": list(low)})
+    b = fourier.compute_basis(l_matrix, pat)
+    t = b.u.T @ (pat.sign[:, None] * b.u)
+    np.testing.assert_array_equal(np.round(t), phi_matrix(b.phi))
+    fixed = b.pair_tags < 0
+    if low is not None:
+        expect = 1 if len(low) > n - len(low) else -1
+        assert fixed.sum() == abs(n - 2 * len(low)) and (b.phi.signs[fixed] == expect).all()
+
+
+def test_basis_rejects_a_column_off_its_recorded_phi(monkeypatch):
+    # A built column that drifts from the pair (u, Ju) the construction
+    # records must fail the Phi gate rather than pass into the basis.
+    split_off = fourier._split_off
+    calls = []
+
+    def drifting(b, x):
+        col, rest, v = split_off(b, x)
+        calls.append(None)
+        return (1.5 * col if len(calls) == 1 else col), rest, v
+
+    monkeypatch.setattr(fourier, "_split_off", drifting)
+    l_matrix = gf.laplacian(gf.generate("random_geometric", 16, seed=3))
+    with pytest.raises(NumericalError, match="built Phi"):
+        fourier.compute_basis(l_matrix, sampling.greedy_max_cut(l_matrix))
 
 
 def test_pair_energies_straddle_uniquely():
@@ -317,7 +359,7 @@ def test_first_column_energy_is_feasible_minimum():
         pat = sampling.greedy_max_cut(l_matrix)
         b = fourier.compute_basis(l_matrix, pat)
         r = np.diag(pat.sign) + np.eye(n)
-        oracle = qecqp.oracle_min(qecqp.QecqpProblem(l_matrix, r), samples=20000, seed=seed)
+        oracle = oracle_min(qecqp.QecqpProblem(l_matrix, r), samples=20000, seed=seed)
         first_pair = np.nonzero(np.asarray(b.pair_tags) == 0)[0]
         assert b.energies[first_pair].min() <= oracle + 1e-5
 

@@ -262,6 +262,20 @@ def test_graph_accepts_integer_and_integral_float_indices():
     assert g.edges == h.edges == ((0, 1, 1.0), (1, 2, 1.0))
 
 
+@pytest.mark.parametrize("n", [True, np.True_, 3.0, "3", 0])
+def test_graph_rejects_non_integer_vertex_count(n):
+    # Graph(True, []) used to build a graph whose n was the bool True.
+    with pytest.raises(InputError, match="vertex count must be a positive integer"):
+        gf.Graph(n, [])
+    with pytest.raises(InputError, match="vertex count must be a positive integer"):
+        gf.Graph.from_arrays(n, [], [], [])
+
+
+def test_graph_accepts_numpy_integer_vertex_count():
+    assert gf.Graph(np.int64(1), []).n == 1
+    assert gf.Graph.from_arrays(np.uint8(2), [0], [1], [1.0]).n == 2
+
+
 def test_graph_from_arrays_rejects_mismatched_columns():
     with pytest.raises(InputError, match="equal length"):
         gf.Graph.from_arrays(3, [0, 1], [1, 2], [1.0])

@@ -22,9 +22,9 @@ import numpy as np
 import pytest
 
 import graphfb as gf
-from graphfb import multires, sampling
+from graphfb import fourier, multires, sampling
 from graphfb.errors import InputError, NumericalError
-from conftest import random_connected_graph
+from conftest import phi_matrix, random_connected_graph
 
 
 # -- Kron reduction ------------------------------------------------------------
@@ -478,6 +478,14 @@ def test_pyramid_rejects_nonpositive_depth():
         multires.build_pyramid(g, 0)
 
 
+@pytest.mark.parametrize("depth", [True, 2.5, 2.0])
+def test_pyramid_rejects_non_integer_depth(depth):
+    # 2.5 used to build three levels, and both it and True were saved as a
+    # requested_depth that load_pyramid rejects.
+    with pytest.raises(InputError, match="depth must be an integer"):
+        multires.build_pyramid(gf.generate("ring", 8), depth)
+
+
 def test_pyramid_round_trip_depth3():
     g = random_connected_graph(50, seed=9)
     p = multires.build_pyramid(g, 3)
@@ -554,6 +562,59 @@ def test_verify_pyramid_checks_energies():
     tampered[-1] *= 1.0 + 1e-9
     entry = multires.verify_pyramid(_with_basis(p, energies=tampered))["levels"][0]
     assert entry["energies"] > 1e-10 and entry["checks_ok"] is False
+
+
+def _flip_first_pair(phi_csv) -> None:
+    """Negate the signs of the pair holding column 0 in a saved phi.csv.
+
+    The result is still a symmetric signed involution, so it loads."""
+    rows = np.loadtxt(phi_csv, delimiter=",", dtype=int, ndmin=2)
+    pair = [0, rows[0, 1]]
+    assert pair[1] != 0
+    rows[pair, 2] *= -1
+    np.savetxt(phi_csv, rows, fmt="%d", delimiter=",")
+
+
+def test_verify_pyramid_rejects_a_wrong_signed_pairing(tmp_path):
+    p = multires.build_pyramid(gf.generate("ring", 12), 2)
+    multires.save_pyramid(p, tmp_path)
+    _flip_first_pair(tmp_path / "level0" / "phi.csv")
+    q = multires.load_pyramid(tmp_path)
+    assert (q.levels[0].basis.phi.signs != p.levels[0].basis.phi.signs).sum() == 2
+    rep = multires.verify_pyramid(q)
+    entry = rep["levels"][0]
+    assert entry["folding"] > 1e-6 and entry["involution"] == 0.0
+    assert entry["checks_ok"] is False and rep["ok"] is False
+    assert rep["levels"][1]["checks_ok"] is True
+
+
+def _unchecked_phi(perm, signs) -> fourier.SignedPermutation:
+    # Skips SignedPermutation's validation to reach the verify-side checks.
+    phi = object.__new__(fourier.SignedPermutation)
+    object.__setattr__(phi, "perm", np.asarray(perm))
+    object.__setattr__(phi, "signs", np.asarray(signs))
+    return phi
+
+
+@pytest.mark.parametrize("tamper", ["none", "sign", "cycle", "signs_disagree"])
+def test_verify_pyramid_phi_checks_match_dense_phi(tamper):
+    # The folding and involution residuals come from indexing; the dense
+    # products max |J U - U Phi| and max |Phi^2 - I| are the oracle.
+    p = multires.build_pyramid(random_connected_graph(15, seed=3), 1)
+    phi = p.levels[0].basis.phi
+    perm, signs = phi.perm.copy(), phi.signs.copy()
+    if tamper == "sign":  # a fixed column negated
+        signs[np.nonzero(perm == np.arange(len(perm)))[0][0]] *= -1
+    elif tamper == "cycle":  # three columns rotated: no longer an involution
+        perm[:3] = perm[[1, 2, 0]]
+    elif tamper == "signs_disagree":  # one column of a pair negated
+        signs[np.nonzero(perm != np.arange(len(perm)))[0][0]] *= -1
+    tampered = _unchecked_phi(perm, signs)
+    entry = multires.verify_pyramid(_with_basis(p, phi=tampered))["levels"][0]
+    u, s, m = p.levels[0].basis.u, p.levels[0].pattern.sign, phi_matrix(tampered)
+    assert entry["folding"] == np.abs(s[:, None] * u - u @ m).max()
+    assert entry["involution"] == np.abs(m @ m - np.eye(len(perm))).max()
+    assert entry["checks_ok"] is (tamper == "none")
 
 
 # -- Coefficient trees ---------------------------------------------------------------

@@ -19,7 +19,7 @@ import pytest
 import graphfb as gf
 from graphfb import multires, qecqp, sampling
 from graphfb.errors import InputError, SolverError
-from conftest import random_problem
+from conftest import oracle_min, random_problem
 
 Q_PATH = np.array([[1.0, -1.0], [-1.0, 1.0]])
 R_20 = np.diag([2.0, 0.0])
@@ -312,7 +312,7 @@ def test_solve_objective_is_global_min_vs_oracle():
     for seed in range(6):
         p = random_problem(4, seed=40 + seed)
         sol = qecqp.solve(p)
-        oracle = qecqp.oracle_min(p, samples=20000, seed=seed)
+        oracle = oracle_min(p, samples=20000, seed=seed)
         assert sol.objective <= oracle + 1e-5
 
 
@@ -472,7 +472,7 @@ def test_projected_search_matches_full_search(seed):
     assert projected_evaluations(p, full_sizes) == 0
     assert abs(warm.mu2 - full.mu2) <= 1e-7
     assert warm.objective == pytest.approx(full.objective, rel=1e-9)
-    assert qecqp.oracle_min(p, samples=20000, seed=seed) >= warm.objective - 1e-9
+    assert oracle_min(p, samples=20000, seed=seed) >= warm.objective - 1e-9
 
 
 @pytest.mark.parametrize("step", [0, 9, 18])
@@ -672,24 +672,24 @@ def test_oracle_exactly_feasible_samples():
     # Every oracle sample satisfies both constraints by construction, so for
     # Q = I the oracle value is exactly 1 on the unit sphere.
     p = qecqp.QecqpProblem(np.eye(3), np.diag([2.0, 2.0, 0.0]))
-    assert qecqp.oracle_min(p, samples=500, seed=1) == pytest.approx(1.0, abs=1e-12)
+    assert oracle_min(p, samples=500, seed=1) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_oracle_constant_objective_on_feasible_set():
     # Q = diag(0,4), R = diag(2,0): feasibility forces x1^2 = 1/2 = x2^2,
     # so x^T Q x = 2 on the whole feasible set.
     p = qecqp.QecqpProblem(np.diag([0.0, 4.0]), R_20)
-    assert qecqp.oracle_min(p, samples=200, seed=0) == pytest.approx(2.0, abs=1e-12)
+    assert oracle_min(p, samples=200, seed=0) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_oracle_upper_bounds_solver():
     p = random_problem(6, seed=13)
     sol = qecqp.solve(p)
-    assert qecqp.oracle_min(p, samples=5000, seed=2) >= sol.objective - 1e-9
+    assert oracle_min(p, samples=5000, seed=2) >= sol.objective - 1e-9
 
 
 def test_oracle_deterministic():
     p = random_problem(4, seed=19)
-    a = qecqp.oracle_min(p, samples=1000, seed=7)
-    b = qecqp.oracle_min(p, samples=1000, seed=7)
+    a = oracle_min(p, samples=1000, seed=7)
+    b = oracle_min(p, samples=1000, seed=7)
     assert a == b
