@@ -38,7 +38,7 @@ Edge = tuple[int, int, float]
 
 
 def _check_vertex_count(n: object) -> None:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+    if _integer(n, "vertex count") < 1:
         raise InputError(f"vertex count must be a positive integer, got {n!r}")
 
 

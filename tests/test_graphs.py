@@ -262,12 +262,15 @@ def test_graph_accepts_integer_and_integral_float_indices():
     assert g.edges == h.edges == ((0, 1, 1.0), (1, 2, 1.0))
 
 
-@pytest.mark.parametrize("n", [True, np.True_, 3.0, "3", 0])
-def test_graph_rejects_non_integer_vertex_count(n):
+@pytest.mark.parametrize(
+    "n, message",
+    [(True, "an integer"), (np.True_, "an integer"), (3.0, "an integer"), ("3", "an integer"), (0, "a positive integer")],
+)
+def test_graph_rejects_non_integer_vertex_count(n, message):
     # Graph(True, []) used to build a graph whose n was the bool True.
-    with pytest.raises(InputError, match="vertex count must be a positive integer"):
+    with pytest.raises(InputError, match=f"vertex count must be {message}"):
         gf.Graph(n, [])
-    with pytest.raises(InputError, match="vertex count must be a positive integer"):
+    with pytest.raises(InputError, match=f"vertex count must be {message}"):
         gf.Graph.from_arrays(n, [], [], [])
 
 
