@@ -233,14 +233,9 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for r in range(len(columns[0])):
-            cells = [
-                str(int(col[r])) if name == "index" else f"{float(col[r]):.17g}"
-                for name, col in zip(header, columns)
-            ]
-            fh.write(",".join(cells) + "\n")
+    """The leading ``index`` column as integers, the others at full precision."""
+    fmt = ["%d"] + ["%.17g"] * (len(columns) - 1)
+    np.savetxt(path, np.column_stack(columns), fmt=fmt, delimiter=",", header=",".join(header), comments="")
 
 
 def _rms(x: np.ndarray) -> float:

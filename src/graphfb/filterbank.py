@@ -29,13 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError
 from .fourier import FourierBasis, SignedPermutation, compute_basis
-from .graphs import Graph, as_signal, laplacian
+from .graphs import Graph, _real, as_signal, laplacian
 from .sampling import SamplingPattern, greedy_max_cut
 
 __all__ = [
@@ -59,13 +59,6 @@ class FilterQuartet(NamedTuple):
     g1: np.ndarray
 
 
-def _pairs(phi: SignedPermutation):
-    for i in range(phi.n):
-        j = int(phi.perm[i])
-        if i < j:
-            yield i, j
-
-
 def ideal_half_band(n: int) -> np.ndarray:
     """Gain 2 on the lower-energy half of the spectrum indices, 0 above."""
     h = np.zeros(n)
@@ -73,20 +66,19 @@ def ideal_half_band(n: int) -> np.ndarray:
     return h
 
 
-def design_from_hstar(phi: SignedPermutation, hstar: float | Callable[[int, int], float]) -> np.ndarray:
-    """Lowpass gain h with h(i) = h*(i, j) and h(j) = 2 - h(i) on each pair.
+def design_from_hstar(phi: SignedPermutation, hstar: float) -> np.ndarray:
+    """Lowpass gain h with h(i) = h* and h(j) = 2 - h* on each pair (i, j), i < j.
 
-    ``hstar`` is a constant or a function of the pair (i, j), i < j, with
-    values in [0, 2].  Entries fixed by Phi get gain 1.
+    ``hstar`` is a real number in [0, 2]; for a different response on each
+    pair use ``design_minimax``.  Entries fixed by Phi get gain 1.
     """
-    fn = hstar if callable(hstar) else (lambda i, j: float(hstar))
+    val = _real(hstar, "h*")
+    if not (0.0 <= val <= 2.0):
+        raise InputError(f"h* value {val} is outside [0, 2]")
+    head = np.arange(phi.n) < phi.perm  # i of each pair (i, perm[i]), i < perm[i]
     h = np.ones(phi.n)
-    for i, j in _pairs(phi):
-        val = float(fn(i, j))
-        if not (0.0 <= val <= 2.0):
-            raise InputError(f"h* value {val} for pair ({i}, {j}) is outside [0, 2]")
-        h[i] = val
-        h[j] = 2.0 - val
+    h[head] = val
+    h[phi.perm[head]] = 2.0 - val
     return h
 
 
@@ -100,15 +92,14 @@ def design_minimax(phi: SignedPermutation, h_des: np.ndarray) -> tuple[np.ndarra
     is reported in the second return value (0.0 when nothing clamped).
     """
     h_des = as_signal(h_des, phi.n)
+    head = np.arange(phi.n) < phi.perm
+    tail = phi.perm[head]
+    t = 0.5 * (h_des[head] + 2.0 - h_des[tail])
+    tc = np.clip(t, 0.0, 2.0)
     h = np.ones(phi.n)
-    clamped = 0.0
-    for i, j in _pairs(phi):
-        t = 0.5 * (h_des[i] + 2.0 - h_des[j])
-        tc = min(2.0, max(0.0, t))
-        clamped = max(clamped, abs(t - tc))
-        h[i] = tc
-        h[j] = 2.0 - tc
-    return h, clamped
+    h[head] = tc
+    h[tail] = 2.0 - tc
+    return h, float(np.abs(t - tc).max(initial=0.0))
 
 
 def quartet(h: np.ndarray, phi: SignedPermutation) -> FilterQuartet:
@@ -165,7 +156,7 @@ def build_level(
     graph: Graph,
     *,
     design: str = "hstar",
-    hstar: float | Callable[[int, int], float] = 2.0,
+    hstar: float = 2.0,
     tol: float = 1e-10,
 ) -> FilterLevel:
     """Partition a graph, build its basis, and attach a filter quartet.

@@ -5,16 +5,17 @@ i < j, w > 0.  ``Graph`` stores the edges as three numpy arrays (endpoints
 ``lo`` < ``hi`` and weights ``w``), so producers hand over arrays and the
 tuple view ``edges`` is built only when read.  Every graph passes one
 vectorized validation, whichever constructor made it: integer indices in
-range, no self-loops, positive finite weights, no duplicate edges, and a
-single connected component.  The combinatorial Laplacian is L = D - W with
-D the diagonal degree matrix, and the smoothness of a signal f is the
-quadratic form f^T L f, which equals the weighted sum of squared
-differences across edges.
+range, no self-loops, positive finite weights, no duplicate edges, a
+single connected component, and a finite degree at every vertex.  The
+combinatorial Laplacian is L = D - W with D the diagonal degree matrix,
+and the smoothness of a signal f is the quadratic form f^T L f, which
+equals the weighted sum of squared differences across edges.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -164,6 +165,13 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a float; InputError for a bool, a string or any other non-real."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _edge_columns(n: int, edges: Sequence) -> tuple[np.ndarray, ...]:
     """Columns i, j, w of a sequence of (i, j, w) triples, and the mask of
     the triples whose i or j is a bool.
@@ -201,9 +209,9 @@ class Graph:
     ``hi`` (int64, lo < hi) and ``w`` (float64, w > 0).  Both constructors,
     ``Graph(n, edges, coords)`` from (i, j, w) triples and
     ``Graph.from_arrays(n, i, j, w, coords)`` from columns, run the same
-    vectorized validation (``_checked_edges``, then one connectivity pass),
-    which raises InputError for the first offending edge.  Instances are
-    immutable.
+    vectorized validation (``_checked_edges``, then one pass each for
+    connectivity and finite degrees), which raises InputError for the first
+    offending edge or vertex.  Instances are immutable.
 
     Attributes
     ----------
@@ -245,6 +253,10 @@ class Graph:
         lo, hi, w = _checked_edges(n, i, j, w, given_bool)
         if _components(n, lo, hi).any():
             raise InputError("graph is disconnected")
+        with np.errstate(over="ignore"):  # finite weights may sum past the float range
+            degree = np.bincount(lo, w, n) + np.bincount(hi, w, n)
+        if not _all_finite(degree):
+            raise InputError(f"vertex {np.argmin(np.isfinite(degree))} has a non-finite degree (sum of weights)")
         if coords is not None:
             coords = np.asarray(coords, dtype=float)
             if coords.shape != (n, 2):

@@ -34,13 +34,13 @@ __all__ = [
 class SamplingPattern:
     """Bipartition of 0..n-1 into a low set and a high set, both non-empty.
 
-    ``sign`` is the length-n vector with +1 on ``keep_low`` and -1 on
-    ``keep_high``; both index tuples are strictly increasing.
+    Both index tuples are strictly increasing.  ``sign``, derived from them,
+    is the length-n vector with +1 on ``keep_low`` and -1 on ``keep_high``.
     """
 
     keep_low: tuple[int, ...]
     keep_high: tuple[int, ...]
-    sign: np.ndarray = field(repr=False)
+    sign: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         low = tuple(int(i) for i in self.keep_low)
@@ -52,14 +52,11 @@ class SamplingPattern:
             raise InputError("keep_low and keep_high must partition 0..n-1")
         if low != tuple(sorted(low)) or high != tuple(sorted(high)):
             raise InputError("channel index lists must be strictly increasing")
-        s = np.asarray(self.sign, dtype=float)
-        expect = np.full(n, -1.0)
-        expect[list(low)] = 1.0
-        if s.shape != (n,) or not np.array_equal(s, expect):
-            raise InputError("sign vector inconsistent with the channel sets")
+        sign = np.full(n, -1.0)
+        sign[list(low)] = 1.0
         object.__setattr__(self, "keep_low", low)
         object.__setattr__(self, "keep_high", high)
-        object.__setattr__(self, "sign", expect)
+        object.__setattr__(self, "sign", sign)
 
     @property
     def n(self) -> int:
@@ -85,9 +82,7 @@ class SamplingPattern:
             raise InputError("keep_low index out of range")
         low_set = set(low)
         high = tuple(i for i in range(n) if i not in low_set)
-        sign = np.full(n, -1.0)
-        sign[list(low)] = 1.0
-        return cls(low, high, sign)
+        return cls(low, high)
 
 
 def greedy_max_cut(l_matrix: np.ndarray) -> SamplingPattern:
@@ -121,8 +116,7 @@ def greedy_max_cut(l_matrix: np.ndarray) -> SamplingPattern:
         cross += l_matrix[:, v]
     low = tuple(int(i) for i in np.nonzero(in_low)[0])
     high = tuple(int(i) for i in np.nonzero(~in_low)[0])
-    sign = np.where(in_low, 1.0, -1.0)
-    return SamplingPattern(low, high, sign)
+    return SamplingPattern(low, high)
 
 
 def cut_value(g: Graph, pattern: SamplingPattern) -> float:

@@ -437,8 +437,36 @@ def test_verify_load_rejects_flipped_pair_signs(tmp_path):
     out = tmp_path / "b"
     assert run("verify", "--load", pyr, "--out", out) == 3
     level0 = report(out)["levels"][0]
-    assert level0["folding"] > 1e-6 and level0["involution"] == 0.0
+    assert level0["folding"] > 1e-6 and "involution" not in level0
     assert level0["checks_ok"] is False
+
+
+def test_verify_load_rejects_an_empty_manifest(tmp_path, capsys):
+    # "levels": [] used to load as depth 0 and print "all checks passed".
+    pyr = _saved_cli_pyramid(tmp_path)
+    capsys.readouterr()
+    manifest = json.loads((pyr / "manifest.json").read_text(encoding="utf-8"))
+    manifest["levels"] = []
+    (pyr / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert run("verify", "--load", pyr, "--out", tmp_path / "b") == 2
+    captured = capsys.readouterr()
+    assert "got 0" in captured.err and "all checks passed" not in captured.out
+
+
+def test_verify_load_rejects_a_graph_with_overflowing_degrees(tmp_path, capsys):
+    # Two finite weights that sum past the float range at vertex 0: the
+    # graph is refused where it is read, before any check runs.
+    pyr = _saved_cli_pyramid(tmp_path)
+    path = pyr / "level0" / "graph.txt"
+    rows = path.read_text(encoding="utf-8").splitlines()
+    at_0 = [k for k, row in enumerate(rows) if row.split()[0] == "0"]
+    assert len(at_0) == 2
+    for k in at_0:
+        i, j, _ = rows[k].split()
+        rows[k] = f"{i} {j} 1e308"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    assert run("verify", "--load", pyr, "--out", tmp_path / "b") == 2
+    assert "non-finite degree" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("edit", ["unknown", "missing"])

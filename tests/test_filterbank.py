@@ -49,10 +49,18 @@ def test_hstar_constant_one_is_allpass():
     np.testing.assert_allclose(h, [1.0, 1.0])
 
 
-def test_hstar_callable_per_pair():
+@pytest.mark.parametrize("hstar", [lambda i, j: 1.0, True, "1.5", None])
+def test_hstar_rejects_a_value_that_is_not_a_number(hstar):
+    # A per-pair response goes through design_minimax instead.
+    with pytest.raises(InputError, match="real number"):
+        filterbank.design_from_hstar(swap2(), hstar)
+
+
+def test_minimax_takes_a_per_pair_response():
     phi = fourier.SignedPermutation(perm=np.array([1, 0, 3, 2]), signs=np.ones(4))
-    h = filterbank.design_from_hstar(phi, lambda i, j: 0.5 if i == 0 else 1.5)
-    np.testing.assert_allclose(h, [0.5, 1.5, 1.5, 0.5])
+    h, clamped = filterbank.design_minimax(phi, np.array([0.5, 1.5, 1.5, 0.5]))
+    np.testing.assert_array_equal(h, [0.5, 1.5, 1.5, 0.5])
+    assert clamped == 0.0
 
 
 def test_hstar_fixed_points_get_one():
@@ -142,10 +150,11 @@ def test_apply_filter_scales_basis_columns(ring4):
     # With every gain h, each operator filters a basis column into h[i] times
     # itself: analysis samples it in (keep_low, keep_high) order, synthesis
     # maps that back to the full column.
+    pat = sampling.greedy_max_cut(gf.laplacian(ring4))
     b = basis_for(ring4)
     h = np.array([1.0, 2.0, 3.0, 4.0])
-    level = filterbank.FilterLevel(ring4, b.pattern, b, filterbank.FilterQuartet(h, h, h, h))
-    order = list(b.pattern.keep_low + b.pattern.keep_high)
+    level = filterbank.FilterLevel(ring4, pat, b, filterbank.FilterQuartet(h, h, h, h))
+    order = list(pat.keep_low + pat.keep_high)
     for i in range(4):
         u_i = b.u[:, i]
         np.testing.assert_allclose(level.analysis @ u_i, h[i] * u_i[order], atol=1e-10)

@@ -213,8 +213,8 @@ def test_recorded_phi_is_the_rounded_folding(kind, n, low):
 
 
 def test_basis_rejects_a_column_off_its_recorded_phi(monkeypatch):
-    # A built column that drifts from the pair (u, Ju) the construction
-    # records must fail the Phi gate rather than pass into the basis.
+    # A built column that drifts off unit norm must fail the build's
+    # orthonormality gate rather than pass into the basis.
     split_off = fourier._split_off
     calls = []
 
@@ -225,8 +225,41 @@ def test_basis_rejects_a_column_off_its_recorded_phi(monkeypatch):
 
     monkeypatch.setattr(fourier, "_split_off", drifting)
     l_matrix = gf.laplacian(gf.generate("random_geometric", 16, seed=3))
-    with pytest.raises(NumericalError, match="built Phi"):
+    with pytest.raises(NumericalError, match="orthonormality"):
         fourier.compute_basis(l_matrix, sampling.greedy_max_cut(l_matrix))
+
+
+def test_basis_orthonormality_gate_is_1e_8(monkeypatch):
+    # Stretching one pair's low-channel part by 1e-7 leaves u and s * u
+    # 1e-7 from orthogonal: inside the 1e-6 that the build once allowed on
+    # U^T J U, outside the 1e-8 that verify_pyramid applies too.
+    split_off = fourier._split_off
+    calls = []
+
+    def stretched(b, x):
+        col, rest, v = split_off(b, x)
+        calls.append(None)
+        return ((1.0 + 1e-7) * col if len(calls) == 1 else col), rest, v
+
+    monkeypatch.setattr(fourier, "_split_off", stretched)
+    l_matrix = gf.laplacian(gf.generate("random_geometric", 16, seed=3))
+    with pytest.raises(NumericalError, match="orthonormality error 1.0"):
+        fourier.compute_basis(l_matrix, sampling.greedy_max_cut(l_matrix))
+
+
+@pytest.mark.parametrize("kind,n", [
+    ("ring", 8), ("ring", 16), ("ring", 40), ("ring", 400), ("grid", 36), ("grid", 256),
+    ("complete", 10), ("complete", 120), ("path", 9),
+    ("random_geometric", 24), ("random_geometric", 64), ("random_geometric", 192),
+])
+def test_folding_is_exact_on_every_pyramid_level(kind, n):
+    # Each pair is written as (u, s * u) and each completion column lives on
+    # one channel, so J U = U Phi holds bit for bit and needs no build gate.
+    p = gf.build_pyramid(gf.generate(kind, n, seed=1), 3)
+    assert p.depth == 3
+    for level in p.levels:
+        u, phi = level.basis.u, level.basis.phi
+        assert np.array_equal(level.pattern.sign[:, None] * u, u[:, phi.perm] * phi.signs)
 
 
 def test_pair_energies_straddle_uniquely():

@@ -129,6 +129,16 @@ def test_graph_rejects_duplicate_edge():
         gf.Graph(2, ((0, 1, 1.0), (1, 0, 2.0)))
 
 
+def test_graph_rejects_a_degree_past_the_float_range():
+    # Each weight is finite, but vertex 1's two sum to inf, which would put
+    # an inf on the Laplacian's diagonal.
+    with pytest.raises(InputError, match="vertex 1 has a non-finite degree"):
+        gf.Graph(3, ((0, 1, 1e308), (1, 2, 1e308)))
+    with pytest.raises(InputError, match="vertex 1 has a non-finite degree"):
+        gf.Graph.from_arrays(3, np.array([0, 1]), np.array([1, 2]), np.array([1e308, 1e308]))
+    assert gf.Graph(3, ((0, 1, 1e308), (1, 2, 1.0))).degrees[1] == 1e308
+
+
 def _reference_edges(n: int, edges) -> tuple:
     """The per-edge validation Graph ran before its edges became arrays:
     the normalized edge tuple, or the InputError it raised."""

@@ -583,15 +583,15 @@ def test_verify_pyramid_rejects_a_wrong_signed_pairing(tmp_path):
     assert (q.levels[0].basis.phi.signs != p.levels[0].basis.phi.signs).sum() == 2
     rep = multires.verify_pyramid(q)
     entry = rep["levels"][0]
-    assert entry["folding"] > 1e-6 and entry["involution"] == 0.0
+    assert entry["folding"] > 1e-6
     assert entry["checks_ok"] is False and rep["ok"] is False
     assert rep["levels"][1]["checks_ok"] is True
 
 
 @pytest.mark.parametrize("tamper", ["none", "sign"])
 def test_verify_pyramid_phi_checks_match_dense_phi(tamper):
-    # The folding and involution residuals come from indexing; the dense
-    # products max |J U - U Phi| and max |Phi^2 - I| are the oracle.
+    # The folding residual comes from indexing; the dense product
+    # max |J U - U Phi| is the oracle.
     p = multires.build_pyramid(random_connected_graph(15, seed=3), 1)
     phi = p.levels[0].basis.phi
     perm, signs = phi.perm, phi.signs.copy()
@@ -601,7 +601,6 @@ def test_verify_pyramid_phi_checks_match_dense_phi(tamper):
     entry = multires.verify_pyramid(_with_basis(p, phi=tampered))["levels"][0]
     u, s, m = p.levels[0].basis.u, p.levels[0].pattern.sign, phi_matrix(tampered)
     assert entry["folding"] == np.abs(s[:, None] * u - u @ m).max()
-    assert entry["involution"] == np.abs(m @ m - np.eye(len(perm))).max()
     assert entry["checks_ok"] is (tamper == "none")
 
 
@@ -666,6 +665,18 @@ def test_keep_top_k_nesting():
         nonzero = {(i, j) for i, h in enumerate(out.highs) for j in np.nonzero(h)[0]}
         assert prev_nonzero <= nonzero
         prev_nonzero = nonzero
+
+
+@pytest.mark.parametrize("k", [np.float64(4.0), 4.0, True, "4"])
+def test_keep_top_k_rejects_a_k_that_is_not_an_integer(k):
+    # A float k used to reach the slice and raise TypeError.
+    with pytest.raises(InputError, match="k must be an integer"):
+        multires.keep_top_k(tiny_tree(), k)
+
+
+def test_keep_top_k_accepts_a_numpy_integer():
+    out = multires.keep_top_k(tiny_tree(), np.int64(4))
+    np.testing.assert_array_equal(out.highs[0], [3.0, 0.0, 0.0])
 
 
 def test_keep_top_k_rejects_out_of_range():
@@ -946,11 +957,18 @@ def test_corrupted_basis_fails_verification(tmp_path):
 @pytest.mark.parametrize(
     "kwargs",
     [{"eps": 5.0}, {"eps": 0.0}, {"eps": 1.0}, {"eps": float("nan")}, {"tol": 0.0}, {"tol": -1e-10},
-     {"design": "nosuch"}, {"seed": -1}, {"seed": True}, {"seed": 1.0}, {"seed": "0"}, {"seed": None}],
+     {"design": "nosuch"}, {"seed": -1}, {"seed": True}, {"seed": 1.0}, {"seed": "0"}, {"seed": None},
+     {"tol": True}, {"hstar": True}, {"hstar": False}, {"eps": np.True_}, {"tol": "1e-10"}, {"hstar": None},
+     {"eps": [0.3]}],
 )
 def test_pyramid_config_rejects_invalid_values(kwargs):
     with pytest.raises(InputError):
         multires.PyramidConfig(**kwargs)
+
+
+def test_pyramid_config_accepts_numpy_reals():
+    c = multires.PyramidConfig(eps=np.float64(0.5), hstar=np.int64(1), tol=np.float32(1e-9))
+    assert (c.eps, c.hstar) == (0.5, 1)
 
 
 def test_pyramid_config_accepts_numpy_seed_and_sparsify_fires():
@@ -1043,6 +1061,44 @@ def test_load_rejects_non_integer_size_or_depth(tmp_path, key, value):
     (d / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(InputError, match=f"{key} must be an integer"):
         multires.load_pyramid(d)
+
+
+@pytest.mark.parametrize("value", [True, "1e-10", None])
+def test_load_rejects_a_manifest_tol_that_is_not_a_number(tmp_path, value):
+    # "tol": true used to load, and build, at tol = 1.0.
+    d = _saved_pyramid(tmp_path)
+    manifest = json.loads((d / "manifest.json").read_text())
+    manifest["config"]["tol"] = value
+    (d / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(InputError, match="tol must be a real number"):
+        multires.load_pyramid(d)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(lambda m: m.update(levels=[]), "requested_depth=2 levels, got 0"),
+     (lambda m: m.update(requested_depth=1), "requested_depth=1 levels, got 2")],
+    ids=["empty", "over-deep"],
+)
+def test_load_rejects_a_level_count_outside_1_to_requested_depth(tmp_path, edit, message):
+    # An empty manifest used to load as depth 0 and pass verify_pyramid.
+    d = _saved_pyramid(tmp_path)
+    manifest = json.loads((d / "manifest.json").read_text())
+    edit(manifest)
+    (d / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(InputError, match=message):
+        multires.load_pyramid(d)
+
+
+def test_pyramid_needs_one_to_requested_depth_levels():
+    p = multires.build_pyramid(random_connected_graph(12, seed=3), 2)
+    with pytest.raises(InputError, match="got 0"):
+        multires.Pyramid(levels=(), config=p.config, requested_depth=2)
+    with pytest.raises(InputError, match="got 2"):
+        multires.Pyramid(levels=p.levels, config=p.config, requested_depth=1)
+    with pytest.raises(InputError, match="requested_depth must be an integer"):
+        multires.Pyramid(levels=p.levels, config=p.config, requested_depth=2.0)
+    assert multires.Pyramid(levels=p.levels[:1], config=p.config, requested_depth=3).depth == 1
 
 
 def test_load_rejects_manifest_without_levels(tmp_path):

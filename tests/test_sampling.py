@@ -118,12 +118,12 @@ def test_weighted_graph_prefers_heavy_edge_cut():
 
 def test_pattern_validation_rejects_overlap():
     with pytest.raises(InputError):
-        sampling.SamplingPattern(keep_low=(0, 1), keep_high=(1, 2), sign=np.array([1.0, 1.0, -1.0]))
+        sampling.SamplingPattern(keep_low=(0, 1), keep_high=(1, 2))
 
 
 def test_pattern_validation_rejects_empty_side():
     with pytest.raises(InputError):
-        sampling.SamplingPattern(keep_low=(0, 1, 2), keep_high=(), sign=np.array([1.0, 1.0, 1.0]))
+        sampling.SamplingPattern(keep_low=(0, 1, 2), keep_high=())
 
 
 def test_pattern_from_low_set():
