@@ -66,15 +66,21 @@ def ideal_half_band(n: int) -> np.ndarray:
     return h
 
 
+def _hstar(value) -> float:
+    """``value`` as a float in [0, 2]; InputError otherwise."""
+    val = _real(value, "h*")
+    if not (0.0 <= val <= 2.0):
+        raise InputError(f"h* value {val} is outside [0, 2]")
+    return val
+
+
 def design_from_hstar(phi: SignedPermutation, hstar: float) -> np.ndarray:
     """Lowpass gain h with h(i) = h* and h(j) = 2 - h* on each pair (i, j), i < j.
 
     ``hstar`` is a real number in [0, 2]; for a different response on each
     pair use ``design_minimax``.  Entries fixed by Phi get gain 1.
     """
-    val = _real(hstar, "h*")
-    if not (0.0 <= val <= 2.0):
-        raise InputError(f"h* value {val} is outside [0, 2]")
+    val = _hstar(hstar)
     head = np.arange(phi.n) < phi.perm  # i of each pair (i, perm[i]), i < perm[i]
     h = np.ones(phi.n)
     h[head] = val
@@ -163,17 +169,20 @@ def build_level(
 
     ``design`` is ``"hstar"`` (uses ``hstar``) or ``"minimax"`` (the
     closest feasible response to the ideal half-band one; call
-    ``design_minimax`` directly for another desired response).
+    ``design_minimax`` directly for another desired response).  ``design``
+    and ``hstar`` (in [0, 2] with either design) are checked before the
+    basis is built.
     """
+    if design not in _DESIGNS:
+        raise InputError(f"design must be 'hstar' or 'minimax', got {design!r}")
+    _hstar(hstar)
     lap = laplacian(graph)
     pattern = greedy_max_cut(lap)
     basis = compute_basis(lap, pattern, tol=tol)
     if design == "hstar":
         h = design_from_hstar(basis.phi, hstar)
-    elif design == "minimax":
-        h, _ = design_minimax(basis.phi, ideal_half_band(graph.n))
     else:
-        raise InputError(f"design must be 'hstar' or 'minimax', got {design!r}")
+        h, _ = design_minimax(basis.phi, ideal_half_band(graph.n))
     return FilterLevel(graph=graph, pattern=pattern, basis=basis, quartet=quartet(h, basis.phi))
 
 

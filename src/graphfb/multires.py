@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .filterbank import _DESIGNS, FilterLevel, FilterQuartet, _apply, build_level, verify_pr
+from .filterbank import _DESIGNS, FilterLevel, FilterQuartet, _apply, _hstar, build_level, verify_pr
 from .fourier import _ORTHONORMALITY_TOL, FourierBasis, SignedPermutation, _orthonormality
 from .graphs import (
     Graph,
@@ -212,8 +212,9 @@ class PyramidConfig:
     tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        for name in ("eps", "hstar", "tol"):
+        for name in ("eps", "tol"):
             _real(getattr(self, name), name)
+        _hstar(self.hstar)
         if not (0.0 < self.eps < 1.0):
             raise InputError(f"eps must lie in (0, 1), got {self.eps}")
         if not (self.tol > 0.0):

@@ -58,30 +58,40 @@ straddles 1 so that the projected dual has a maximizer.  At that maximizer,
 the Ritz vectors of the smallest Ritz value theta are checked against the
 full problem, ||(Q + mu2 R) y - theta y|| <= 1e-2 tol h_scale: if they
 pass, the Ritz point is the answer and no full-size evaluation is made.
-Otherwise the full problem is evaluated once there.  An evaluation that
-stops the search is the answer; otherwise W grows by that evaluation's
-lowest eigenvectors and dv_0/dmu2, and the next round starts from its mu2,
-where the Ritz residual of the next round shrinks like the square of the
-step.  A subspace that does not straddle or cannot grow, or a projected
-search that fails, hands over to the full search, started from the latest
-full evaluation, or from one at the start mu2 if none was made.  Every
-stopping rule is therefore one of the full search or the Ritz gate.
+Otherwise, in each of the first three rounds, W grows by one shift-invert
+step (block inverse iteration; Parlett, The Symmetric Eigenvalue Problem;
+Knyazev, LOBPCG, SISC 2001): a single LU solve with
+Q + mu2 R - sigma I, sigma = theta - 1e-6 h_scale just below the Ritz
+value, whose right-hand sides are the Ritz residuals of the lowest three
+Ritz pairs and (R - y^T R y) y, the direction of dv_0/dmu2; the next round
+starts from the same mu2 on the larger W.  After those rounds, or when the
+LU solve fails, is not finite or adds nothing to W, the full problem is
+evaluated once there instead.  An evaluation that stops the search is the
+answer; otherwise W grows by that evaluation's lowest eigenvectors and
+dv_0/dmu2, and the next round starts from its mu2, where the Ritz residual
+of the next round shrinks like the square of the step.  A subspace that
+does not straddle or cannot grow, or a projected search that fails, hands
+over to the full search, started from the latest full evaluation, or from
+one at the start mu2 if none was made.  Every stopping rule is therefore
+one of the full search or the Ritz gate.
 
 H = Q + mu1 I + mu2 R is a shift of Q + mu2 R by a multiple of I, so the
 last full evaluation's eigenpairs (w - lambda_min, V) are those of H, and
 the feasible null point is read off them, or off the Ritz pairs at a Ritz
 point.  A cold solve costs one k x k symmetric eigendecomposition per
-evaluation of the full search.  A warm solve costs one per round of the
-projected search that ends without a Ritz point, plus those of the full
-search if it runs; one that ends at a Ritz point in its first round costs
-none.  The other eigendecompositions are small: m x m ones of the
-projected duals, and one of R projected onto the null space of H, whose
-dimension is usually 1.
+evaluation of the full search.  A warm solve costs one k x k LU
+factorization per shift-invert round, a small fraction of an
+eigendecomposition, and one eigendecomposition per later round that ends
+without a Ritz point, plus those of the full search if it runs; one that
+ends at a Ritz point makes no k x k eigendecomposition.  The other
+eigendecompositions are small: m x m ones of the projected duals, and one
+of R projected onto the null space of H, whose dimension is usually 1.
 Reused eigenvalues cannot certify H >= 0 (the smallest is 0 by
 construction), so that certificate is a Cholesky factorization of the
 explicitly formed H + delta I: if it succeeds, lambda_min(H) >= -delta up
-to O(k u ||H||) rounding; it is the only place H is formed, and it costs a
-small fraction of an eigendecomposition.  At a Ritz point theta only bounds
+to O(k u ||H||) rounding; H is formed only there and, shifted, for the
+shift-invert steps, and the Cholesky factorization costs a small fraction
+of an eigendecomposition.  At a Ritz point theta only bounds
 lambda_min(Q + mu2 R) from above, and this certificate, with delta
 tightened to 1e-2 tol h_scale, is what proves that no eigenvector outside
 W lies lower.  h_scale = 1 + ||H||_2 is exact after a full evaluation; at a
@@ -124,33 +134,35 @@ def _sym(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class QecqpProblem:
-    """Validated problem data (Q, R), with the spectral norm ``r_norm`` of R."""
+    """Validated problem data (Q, R), with the spectral norm ``r_norm`` of R.
+
+    Q and R are kept as given when they are exactly symmetric (the basis
+    construction builds them so), and replaced by their symmetric parts when
+    they are symmetric only within rounding.
+    """
 
     q: np.ndarray
     r: np.ndarray
     r_norm: float = field(init=False, repr=False)
+    _r_diagonal: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         q = np.asarray(self.q, dtype=float)
         r = np.asarray(self.r, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape != r.shape:
             raise InputError(f"Q and R must be square with equal shapes, got {q.shape} and {r.shape}")
-        if not (np.isfinite(q).all() and np.isfinite(r).all()):
+        # max |.| is NaN or inf exactly when an entry is.
+        q_max, r_max = (float(np.abs(m).max(initial=0.0)) for m in (q, r))
+        if not (np.isfinite(q_max) and np.isfinite(r_max)):
             raise InputError("Q and R must be finite")
-        qs = max(1.0, float(np.abs(q).max(initial=0.0)))
-        rs = max(1.0, float(np.abs(r).max(initial=0.0)))
-        if float(np.abs(q - q.T).max(initial=0.0)) > _SYM_TOL * qs:
-            raise InputError("Q is not symmetric")
-        if float(np.abs(r - r.T).max(initial=0.0)) > _SYM_TOL * rs:
-            raise InputError("R is not symmetric")
-        r = _sym(r)
+        rs = max(1.0, r_max)
+        q = _symmetric(q, max(1.0, q_max), "Q")
+        r = _symmetric(r, rs, "R")
         # A diagonal R (as the basis construction builds it) shows its
         # spectrum on the diagonal.
         diag = np.diagonal(r)
-        if np.count_nonzero(r) == np.count_nonzero(diag):
-            ev = np.sort(diag)
-        else:
-            ev = np.linalg.eigvalsh(r)
+        diagonal = np.count_nonzero(r) == np.count_nonzero(diag)
+        ev = np.sort(diag) if diagonal else np.linalg.eigvalsh(r)
         if ev[0] < -1e-10 * rs:
             raise InputError(f"R is not positive semidefinite (lambda_min = {ev[0]:.3e})")
         gap = _EIG_ONE_GAP * rs
@@ -158,13 +170,24 @@ class QecqpProblem:
             raise InputError("spectrum of R must straddle 1 strictly (some eigenvalue below and some above)")
         if np.abs(ev - 1.0).min() <= gap:
             raise InputError("R has an eigenvalue at 1, which the dual approach excludes")
-        object.__setattr__(self, "q", _sym(q))
+        object.__setattr__(self, "q", q)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "r_norm", max(-float(ev[0]), float(ev[-1])))
+        object.__setattr__(self, "_r_diagonal", diagonal)
 
     @property
     def dim(self) -> int:
         return self.q.shape[0]
+
+
+def _symmetric(m: np.ndarray, scale: float, name: str) -> np.ndarray:
+    """m itself if it is exactly symmetric, else its symmetric part, provided
+    it is symmetric within _SYM_TOL * scale."""
+    if np.array_equal(m, m.T):
+        return m
+    if float(np.abs(m - m.T).max()) > _SYM_TOL * scale:
+        raise InputError(f"{name} is not symmetric")
+    return _sym(m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,7 +285,8 @@ def _maximize_dual(
     a near-feasible null vector exists.
 
     ``trace``, if given, collects one (mu2, f(mu2)) row per full-size
-    evaluation, in order; the subspace evaluations are not recorded.
+    evaluation, in order; the subspace evaluations and the shift-invert
+    steps are not recorded.
     """
     if tol <= 0:
         raise InputError(f"tolerance must be positive, got {tol}")
@@ -335,6 +359,12 @@ _CARRY_DIM = 16
 _RITZ_GATE = 1e-2
 # Rounds of the projected search before the full search takes over.
 _MAX_ROUNDS = 8
+# Rounds of a projected search that grow W by a shift-invert step, before
+# the rounds that grow it by a full-size evaluation.
+_LU_ROUNDS = 3
+# The shift-invert step's shift lies this far below the smallest Ritz value,
+# relative to h_scale.
+_SHIFT = 1e-6
 _MAX_FAR_EVALS = 80
 _MAX_EVALS = 400
 
@@ -352,17 +382,20 @@ def _projected_search(
     W starts as the span of ``new``, carried over from a nearby problem, and
     the first round starts at mu2.  Each round maximizes the dual of
     (W^T Q W, W^T R W) with _search, which costs only m x m
-    eigendecompositions, and checks the projected maximizer.  When it ends
+    eigendecompositions, and checks the projected maximizer p.  When p ends
     the search (_Limits.done) and its Ritz point passes the Ritz gate, that
-    point is returned (_ritz_point); otherwise one full-size evaluation
-    ``ev`` at the maximizer is made, and returned with its eigenpairs if it
-    ends the search.  Otherwise W grows by that evaluation's lowest
-    eigenvectors and the derivative of its lowest one, and the next round
-    starts from its mu2.  When the spectrum of the carried W^T R W does not
-    straddle 1, when W cannot grow or would fill the space, when the
-    projected dual has no maximizer, or when the rounds run out, the latest
-    full evaluation is returned without eigenpairs, for the full search to
-    finish from; None if there was none.
+    point is returned (_ritz_point).  Otherwise, for the first _LU_ROUNDS
+    rounds, W grows by one shift-invert step at p (_shift_invert_step, one
+    k x k LU solve) and the next round starts from p.mu2.  After those, or
+    when the step fails or adds nothing, one full-size evaluation ``ev`` at
+    p.mu2 is made, and returned with its eigenpairs if it ends the search;
+    otherwise W grows by that evaluation's lowest eigenvectors and the
+    derivative of its lowest one, and the next round starts from its mu2.
+    When the spectrum of the carried W^T R W does not straddle 1, when W
+    cannot grow or would fill the space, when the projected dual has no
+    maximizer, or when the rounds run out, the latest full evaluation is
+    returned without eigenpairs, for the full search to finish from; None if
+    there was none.
 
     After a full evaluation W holds its lowest eigenvector v_0 and the
     derivative dv_0/dmu2, so the projected dual has the same value,
@@ -373,24 +406,23 @@ def _projected_search(
     q, r = problem.q, problem.r
     w = np.zeros((problem.dim, 0))
     qw = rw = w
-    e = None
-    for _ in range(_MAX_ROUNDS):
-        new = _orthonormal_complement(w, new)
-        if not new.shape[1] or w.shape[1] + new.shape[1] >= problem.dim:
+    new = _orthonormal_complement(w, new)
+    e = start = None
+    for rnd in range(_MAX_ROUNDS):
+        if not 0 < new.shape[1] < problem.dim - w.shape[1]:
             break
         w = np.column_stack([w, new])
         qw = np.column_stack([qw, q @ new])
         rw = np.column_stack([rw, r @ new])
         qs, rs = _sym(w.T @ qw), _sym(w.T @ rw)
-        if e is None:
-            # The carried subspace: the projected dual has a maximizer only
-            # if the spectrum of W^T R W straddles 1.
+        if rnd == 0:
+            # The projected dual has a maximizer only if the spectrum of
+            # W^T R W straddles 1.
             d = np.linalg.eigvalsh(rs)
             if not d[0] < 1.0 < d[-1]:
                 break
+        if start is None:
             start = _dual_eval(qs, rs, mu2)
-        else:
-            start = e if e.dg is not None else _dual_eval(qs, rs, e.mu2)
         try:
             p = _search(lambda m: _dual_eval(qs, rs, m), start, width, lim)
         except SolverError:
@@ -399,28 +431,42 @@ def _projected_search(
             ritz = _ritz_point(problem, w, qw, rw, p, lim)
             if ritz is not None:
                 return ritz
-        e = ev(p.mu2)
+        mu2, start = p.mu2, None
+        if rnd < _LU_ROUNDS:
+            step = _shift_invert_step(problem, w, qw, rw, p)
+            if step is not None:
+                new = _orthonormal_complement(w, step)
+                if 0 < new.shape[1] < problem.dim - w.shape[1]:
+                    continue
+        e = ev(mu2)
         if lim.done(e):
             return e
-        new = _lowest_with_derivative(problem, e)
+        new = _orthonormal_complement(w, _lowest_with_derivative(problem, e))
         e = e._replace(w=None, v=None)  # only the latest evaluation's eigenpairs stay alive
+        if e.dg is not None:
+            start = e
     return e
+
+
+def _ritz_top(problem: QecqpProblem, p: _DualEval) -> float:
+    """Lower bound on lambda_max(Q + mu2 R) at the projected evaluation p:
+    the larger of the largest Ritz value and the largest diagonal entry."""
+    d = problem.q.diagonal() + p.mu2 * problem.r.diagonal()
+    return max(float(p.w[-1]), float(d.max()))
 
 
 def _ritz_point(
     problem: QecqpProblem, w: np.ndarray, qw: np.ndarray, rw: np.ndarray, p: _DualEval, lim: _Limits
 ) -> _DualEval | None:
     """The projected evaluation p at its maximizer, lifted to the full
-    problem: Ritz values (theta) and Ritz vectors (W z), and as ``top`` a
-    lower bound on lambda_max(Q + mu2 R), the larger of the largest Ritz
-    value and the largest diagonal entry.  None unless every Ritz vector of
-    the smallest Ritz value is an eigenvector of Q + mu2 R within the Ritz
-    gate, ||(Q + mu2 R) y - theta y|| <= _RITZ_GATE * tol * h_scale with
-    h_scale = 1 + top - theta_0, the rigorous lower bound of the one
+    problem: Ritz values (theta) and Ritz vectors (W z), and as ``top`` the
+    lower bound _ritz_top on lambda_max(Q + mu2 R).  None unless every Ritz
+    vector of the smallest Ritz value is an eigenvector of Q + mu2 R within
+    the Ritz gate, ||(Q + mu2 R) y - theta y|| <= _RITZ_GATE * tol * h_scale
+    with h_scale = 1 + top - theta_0, the rigorous lower bound of the one
     _certify uses.  Since theta_0 >= lambda_min(Q + mu2 R), whether it is
     the minimum is left to the positive semidefiniteness certificate."""
-    d = problem.q.diagonal() + p.mu2 * problem.r.diagonal()
-    top = max(float(p.w[-1]), float(d.max()))
+    top = _ritz_top(problem, p)
     h_scale = 1.0 + max(0.0, top - p.lam)
     z = p.v[:, : _cluster_size(p.w)]
     res = (qw + p.mu2 * rw) @ z - (w @ z) * p.w[: z.shape[1]]
@@ -429,25 +475,54 @@ def _ritz_point(
     return p._replace(v=w @ p.v, top=top)
 
 
+def _shift_invert_step(
+    problem: QecqpProblem, w: np.ndarray, qw: np.ndarray, rw: np.ndarray, p: _DualEval
+) -> np.ndarray | None:
+    """Directions toward the lowest eigenvectors of A = Q + mu2 R at the
+    projected evaluation p, from one LU solve with A - sigma I, where
+    sigma = theta_0 - _SHIFT * h_scale lies just below the smallest Ritz
+    value (h_scale as in _ritz_point).  The right-hand sides are the
+    residuals A y_i - theta_i y_i of the lowest three Ritz pairs and
+    (R - y_0^T R y_0) y_0, the direction of dv_0/dmu2, formed from the
+    products qw = Q W and rw = R W the search already holds.
+
+    (A - sigma I)^{-1} (A - theta_i I) y_i = y_i + (sigma - theta_i)
+    (A - sigma I)^{-1} y_i spans, together with y_i in W, the inverse
+    iteration step from y_i.  Solved for the residual, its part outside W
+    survives rounding; (A - sigma I)^{-1} y_i itself is parallel to y_i to
+    about 1e-11, below the drop rule of _orthonormal_complement.  None if
+    the factorization fails or the solution is not finite.
+    """
+    h_scale = 1.0 + max(0.0, _ritz_top(problem, p) - p.lam)
+    z = p.v[:, :3]
+    y = w @ z
+    rz = rw @ z
+    res = qw @ z + p.mu2 * rz - y * p.w[: z.shape[1]]
+    d = rz[:, 0] - float(y[:, 0] @ rz[:, 0]) * y[:, 0]
+    try:
+        x = np.linalg.solve(_h_matrix(problem, _SHIFT * h_scale - p.lam, p.mu2), np.column_stack([res, d]))
+    except np.linalg.LinAlgError:
+        return None
+    return x if np.isfinite(x).all() else None
+
+
 def _lowest_with_derivative(problem: QecqpProblem, e: _DualEval) -> np.ndarray:
     """The lowest _SUBSPACE_DIM eigenvectors of the evaluation e and the
     derivative dv_0/dmu2 = sum_{j>0} v_j (v_j^T R v_0) / (lambda_0 - lambda_j)
-    of its lowest one (terms of eigenvalues equal to lambda_0 left out),
-    unless that is 0 (R v_0 parallel to v_0)."""
+    of its lowest one (terms of eigenvalues equal to lambda_0 left out)."""
     c = e.v.T @ (problem.r @ e.v[:, 0])
     with np.errstate(divide="ignore", invalid="ignore"):
         coef = c[1:] / (e.w[0] - e.w[1:])
     coef[~np.isfinite(coef)] = 0.0
-    d = e.v[:, 1:] @ coef
-    low = e.v[:, :_SUBSPACE_DIM]
-    return np.column_stack([low, d]) if d.any() else low.copy()
+    return np.column_stack([e.v[:, :_SUBSPACE_DIM], e.v[:, 1:] @ coef])
 
 
 def _orthonormal_complement(w: np.ndarray, new: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the part of span(new) orthogonal to the
-    orthonormal columns of w; columns that are (numerically) inside span(w)
-    are dropped."""
-    new = new / np.linalg.norm(new, axis=0)
+    orthonormal columns of w; zero columns, and columns that are
+    (numerically) inside span(w), are dropped."""
+    norm = np.linalg.norm(new, axis=0)
+    new = new[:, norm > 0.0] / norm[norm > 0.0]
     for _ in range(2):  # twice is enough (Kahan-Parlett)
         new = new - w @ (w.T @ new)
     new = new[:, np.linalg.norm(new, axis=0) > 1e-8]
@@ -522,11 +597,14 @@ def _search(ev, e: _DualEval, width: float, lim: _Limits) -> _DualEval:
 
 
 def _h_matrix(problem: QecqpProblem, mu1: float, mu2: float) -> np.ndarray:
-    """Q + mu1 I + mu2 R, built in place to keep the peak of temporaries low;
-    exactly symmetric because Q and R are."""
+    """Q + mu1 I + mu2 R in one k x k buffer, through the diagonal alone when
+    R is diagonal; exactly symmetric because Q and R are."""
     h = problem.q.copy()
     h.flat[:: problem.dim + 1] += mu1
-    h += mu2 * problem.r
+    if problem._r_diagonal:
+        h.flat[:: problem.dim + 1] += mu2 * np.diagonal(problem.r)
+    else:
+        h += mu2 * problem.r
     return h
 
 
@@ -615,7 +693,8 @@ def _solve(
 
     A start without a subspace is a cold solve, certified as solve() is.  A
     start with one is warm, and its solution may come from a Ritz point of
-    the projected search.  That point is certified with the residual and
+    the projected search, reached through shift-invert steps or full
+    evaluations.  That point is certified with the residual and
     positive semidefiniteness gates tightened to _RITZ_GATE * tol * h_scale,
     so lambda_min(H) >= -delta also proves that no eigenvector outside the
     subspace lies below the Ritz value by more than delta; h_scale is a

@@ -482,6 +482,17 @@ def test_verify_load_bad_manifest_config(tmp_path, capsys, edit):
     assert "manifest config" in capsys.readouterr().err
 
 
+def test_verify_load_rejects_out_of_range_hstar(tmp_path, capsys):
+    # With the minimax design h* is unused, but a manifest must not carry
+    # a value that PyramidConfig refuses.
+    pyr = _saved_cli_pyramid(tmp_path)
+    manifest = json.loads((pyr / "manifest.json").read_text(encoding="utf-8"))
+    manifest["config"].update(design="minimax", hstar=5.0)
+    (pyr / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert run("verify", "--load", pyr, "--out", tmp_path / "b") == 2
+    assert "outside [0, 2]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("entry", [0.5, 0.0, True])
 def test_verify_load_rejects_non_integer_keep_low(tmp_path, capsys, entry):
     # int() used to truncate 0.5 to vertex 0 and read True as vertex 1.

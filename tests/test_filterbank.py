@@ -222,6 +222,18 @@ def test_build_level_rejects_unknown_design():
         filterbank.build_level(g, design="butterworth")
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"design": "butterworth"}, {"hstar": 5.0}, {"hstar": -0.5}, {"design": "minimax", "hstar": 2.5}]
+)
+def test_build_level_checks_its_design_before_building_the_basis(monkeypatch, kwargs):
+    def no_basis(*args, **kw):
+        raise AssertionError("compute_basis called before the design was checked")
+
+    monkeypatch.setattr(filterbank, "compute_basis", no_basis)
+    with pytest.raises(InputError):
+        filterbank.build_level(random_connected_graph(10, seed=0), **kwargs)
+
+
 def test_verify_pr_reports_small_residuals():
     g = random_connected_graph(16, seed=4)
     level = filterbank.build_level(g)

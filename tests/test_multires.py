@@ -959,7 +959,8 @@ def test_corrupted_basis_fails_verification(tmp_path):
     [{"eps": 5.0}, {"eps": 0.0}, {"eps": 1.0}, {"eps": float("nan")}, {"tol": 0.0}, {"tol": -1e-10},
      {"design": "nosuch"}, {"seed": -1}, {"seed": True}, {"seed": 1.0}, {"seed": "0"}, {"seed": None},
      {"tol": True}, {"hstar": True}, {"hstar": False}, {"eps": np.True_}, {"tol": "1e-10"}, {"hstar": None},
-     {"eps": [0.3]}],
+     {"eps": [0.3]}, {"hstar": 5.0}, {"hstar": -0.5}, {"hstar": float("nan")},
+     {"design": "minimax", "hstar": 2.5}],
 )
 def test_pyramid_config_rejects_invalid_values(kwargs):
     with pytest.raises(InputError):

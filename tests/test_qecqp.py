@@ -508,14 +508,20 @@ def test_projected_search_recovers_from_carried_subspace_without_straddle():
     assert sol.objective == pytest.approx(full.objective, rel=1e-9)
 
 
-def test_projected_search_certifies_at_clustered_minimum(monkeypatch):
-    # Step 1 on the Kron-reduced 16 x 16 grid (k = 126), warm: the smallest
-    # eigenvalue is degenerate at evaluations of both the projected and the
-    # full problem, so the search meets supergradient intervals, not values.
+def clustered_grid_subproblem() -> tuple[qecqp.QecqpProblem, qecqp._Start]:
+    """Step 1 on the Kron-reduced 16 x 16 grid (k = 126), warm: the smallest
+    eigenvalue is degenerate at evaluations of both the projected and the
+    full problem, so the search meets supergradient intervals, not values."""
     l0 = gf.laplacian(gf.generate("grid", 256))
     l1 = multires.kron_reduce(l0, sampling.greedy_max_cut(l0).keep_low)
     p, start = basis_subproblems(l1, 2)[1]
     assert start.w is not None and p.dim >= qecqp._WARM_MIN_DIM
+    return p, start
+
+
+def solve_recording_clusters(monkeypatch, p, start):
+    """solve_recorded from ``start``, with the sizes of the evaluations
+    whose smallest eigenvalue was degenerate in place of the sizes of all."""
     clustered: list[int] = []
     dual_eval = qecqp._dual_eval
 
@@ -526,10 +532,34 @@ def test_projected_search_certifies_at_clustered_minimum(monkeypatch):
         return e
 
     monkeypatch.setattr(qecqp, "_dual_eval", recording)
-    sol, _, _, _ = solve_recorded(p, start)  # raises SolverError if a certificate fails
-    assert any(k < p.dim for k in clustered) and p.dim in clustered
+    sol, trace, _, calls = solve_recorded(p, start)  # raises SolverError if a certificate fails
     monkeypatch.undo()
+    return sol, trace, clustered, calls
+
+
+def test_projected_search_certifies_at_clustered_minimum(monkeypatch):
+    # Without shift-invert steps every round that fails the Ritz gate
+    # evaluates the full problem, which meets the degenerate minimum too.
+    p, start = clustered_grid_subproblem()
+    monkeypatch.setattr(qecqp, "_LU_ROUNDS", 0)
+    sol, _, clustered, _ = solve_recording_clusters(monkeypatch, p, start)
+    assert any(k < p.dim for k in clustered) and p.dim in clustered
     full, _, _, _ = solve_recorded(p)
+    assert sol.objective == pytest.approx(full.objective, rel=1e-9)
+    assert sol.stationarity <= 1e-6 * max(1.0, float(np.linalg.norm(p.q, 2)))
+    assert sol.feas_error <= 1e-6
+
+
+def test_shift_invert_certifies_at_clustered_minimum(monkeypatch):
+    # With shift-invert steps the projected search meets the degenerate
+    # minimum and ends at a Ritz point, certified with the tight gates and
+    # without a full evaluation, that agrees with the cold solve.
+    p, start = clustered_grid_subproblem()
+    sol, trace, clustered, calls = solve_recording_clusters(monkeypatch, p, start)
+    assert any(k < p.dim for k in clustered)
+    assert trace == [] and calls == [(True, True)]
+    full, _, _, _ = solve_recorded(p)
+    assert abs(sol.mu2 - full.mu2) <= 1e-7
     assert sol.objective == pytest.approx(full.objective, rel=1e-9)
     assert sol.stationarity <= 1e-6 * max(1.0, float(np.linalg.norm(p.q, 2)))
     assert sol.feas_error <= 1e-6
@@ -556,22 +586,28 @@ def test_warm_start_from_useless_subspace_still_certifies(useless):
         assert len(trace) >= 1
 
 
-@pytest.mark.parametrize("offset", [10.0, 1e-8])
-def test_ritz_point_failing_its_certificate_falls_back_to_full_evaluation(offset):
-    # Q and R are block diagonal, the second block a copy of the first
-    # shifted up by ``offset``, and W spans the second block: its Ritz pairs
-    # are exact eigenpairs at every mu2 and pass the residual gate, but
-    # theta is lambda_min + offset.  The Cholesky certificate must reject
-    # the Ritz point, also when the offset (1e-8) is below the shift of the
-    # full-evaluation gate (1e3 tol h_scale ~ 1e-6), and the solve must
-    # recover the cold optimum from a full evaluation.
-    b = 25
+def shifted_block_problem(offset: float, b: int = 25) -> qecqp.QecqpProblem:
+    """Q and R block diagonal, the second block of Q a copy of the first
+    shifted up by ``offset``: the minimum lies in the first block."""
     z = np.random.default_rng(3).standard_normal((b, b))
     q1 = z @ z.T / b
     q = np.block([[q1, np.zeros((b, b))], [np.zeros((b, b)), q1 + offset * np.eye(b)]])
     r = np.diag(np.tile(np.where(np.arange(b) < 10, 2.0, 0.0), 2))
     p = qecqp.QecqpProblem(q, r)
     assert p.dim >= qecqp._WARM_MIN_DIM
+    return p
+
+
+@pytest.mark.parametrize("offset", [10.0, 1e-8])
+def test_ritz_point_failing_its_certificate_falls_back_to_full_evaluation(offset):
+    # W spans the second block of shifted_block_problem: its Ritz pairs are
+    # exact eigenpairs at every mu2 and pass the residual gate, but theta is
+    # lambda_min + offset.  The Cholesky certificate must reject the Ritz
+    # point, also when the offset (1e-8) is below the shift of the
+    # full-evaluation gate (1e3 tol h_scale ~ 1e-6), and the solve must
+    # recover the cold optimum from a full evaluation.
+    b = 25
+    p = shifted_block_problem(offset, b)
     cold = qecqp.solve(p)
     sol, trace, _, calls = solve_recorded(p, qecqp._Start(0.0, np.eye(2 * b)[:, b:]))
     assert calls[0] == (True, False)
@@ -580,6 +616,66 @@ def test_ritz_point_failing_its_certificate_falls_back_to_full_evaluation(offset
     assert abs(sol.mu2 - cold.mu2) <= 1e-7
     assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
     assert np.linalg.norm(sol.x[b:]) <= 1e-6  # the answer lies in the lower block
+
+
+@pytest.mark.parametrize("offset", [10.0, 1e-8])
+def test_refined_ritz_point_failing_its_certificate_falls_back_to_full_evaluation(offset):
+    # W holds the lowest eigenvectors of the second block of
+    # shifted_block_problem at the optimal mu2, perturbed by 1e-4, so the
+    # first Ritz point fails the residual gate.  Q + mu2 R - sigma I is
+    # block diagonal, so the shift-invert steps stay in the second block,
+    # and the Ritz point they reach has theta = lambda_min + offset: the
+    # Cholesky certificate must reject it, and the solve must recover the
+    # cold optimum from a full evaluation.
+    b = 25
+    p = shifted_block_problem(offset, b)
+    cold = qecqp.solve(p)
+    w = np.zeros((2 * b, qecqp._CARRY_DIM))
+    w[b:] = np.linalg.eigh(p.q[b:, b:] + cold.mu2 * p.r[b:, b:])[1][:, : qecqp._CARRY_DIM]
+    w[b:] += 1e-4 * np.random.default_rng(4).standard_normal((b, qecqp._CARRY_DIM))
+    lu_solves: list[int] = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, rhs):
+        lu_solves.append(a.shape[0])
+        return solve(a, rhs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "solve", counting_solve)
+        sol, trace, _, calls = solve_recorded(p, qecqp._Start(0.0, w))
+    assert lu_solves and set(lu_solves) == {p.dim}
+    assert calls[0] == (True, False)
+    assert calls[-1] == (False, True)
+    assert len(trace) >= 1
+    assert abs(sol.mu2 - cold.mu2) <= 1e-7
+    assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
+    assert np.linalg.norm(sol.x[b:]) <= 1e-6
+
+
+@pytest.mark.parametrize("failure", ["singular", "nan", "inf"])
+@pytest.mark.parametrize("step", [1, 9, 18])
+def test_failed_shift_invert_step_falls_back_to_full_evaluation(failure, step):
+    # An LU solve that raises LinAlgError, or returns NaN or inf, is replaced
+    # by a full evaluation: the warm solve still ends certified at the cold
+    # optimum.
+    p, start = rgg_subproblem(96, 1, step)
+    assert start.w is not None
+    attempts: list[int] = []
+
+    def failing_solve(a, rhs):
+        attempts.append(a.shape[0])
+        if failure == "singular":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.full(rhs.shape, np.nan if failure == "nan" else np.inf)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "solve", failing_solve)
+        sol, trace, _, calls = solve_recorded(p, start)
+    full, _, _, _ = solve_recorded(p)
+    assert attempts and len(trace) >= 1
+    assert calls[-1][1] is True
+    assert abs(sol.mu2 - full.mu2) <= 1e-7
+    assert sol.objective == pytest.approx(full.objective, rel=1e-9)
 
 
 def test_ritz_point_h_scale_is_a_lower_bound():
@@ -639,8 +735,10 @@ def test_carried_subspace_follows_the_deflation():
 
 
 def test_basis_uses_few_full_decompositions_per_large_pair():
-    # The carried subspace replaces the evaluation at mu2 = 0: pairs with
-    # k >= 48 take at most 2.5 full k x k eigendecompositions on average.
+    # The carried subspace replaces the evaluation at mu2 = 0, and
+    # shift-invert steps replace the full evaluations of the projected
+    # search: pairs with k >= 48 take at most 0.25 full k x k
+    # eigendecompositions on average (the cold first pair takes 4 of them).
     l_matrix = gf.laplacian(gf.generate("random_geometric", 96, seed=1))
     dims: list[int] = []
     full: list[int] = []
@@ -662,7 +760,7 @@ def test_basis_uses_few_full_decompositions_per_large_pair():
         gf.compute_basis(l_matrix, sampling.greedy_max_cut(l_matrix))
     large = [c for k, c in zip(dims, full) if k >= 48]
     assert len(large) >= 20
-    assert sum(large) <= 2.5 * len(large)
+    assert sum(large) <= 0.25 * len(large)
 
 
 # -- Sampling oracle ----------------------------------------------------------
