@@ -136,19 +136,18 @@ def _sym(m: np.ndarray) -> np.ndarray:
 class QecqpProblem:
     """Validated problem data (Q, R), with the spectral norm ``r_norm`` of R.
 
-    Q and R are kept as given when they are exactly symmetric (the basis
-    construction builds them so), and replaced by their symmetric parts when
-    they are symmetric only within rounding.
+    Q and R are private copies of the given matrices, replaced by their
+    symmetric parts when they are symmetric only within rounding, so a
+    later change to the given arrays does not reach the problem.
     """
 
     q: np.ndarray
     r: np.ndarray
     r_norm: float = field(init=False, repr=False)
-    _r_diagonal: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        q = np.asarray(self.q, dtype=float)
-        r = np.asarray(self.r, dtype=float)
+        q = np.array(self.q, dtype=float)
+        r = np.array(self.r, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape != r.shape:
             raise InputError(f"Q and R must be square with equal shapes, got {q.shape} and {r.shape}")
         # max |.| is NaN or inf exactly when an entry is.
@@ -161,8 +160,10 @@ class QecqpProblem:
         # A diagonal R (as the basis construction builds it) shows its
         # spectrum on the diagonal.
         diag = np.diagonal(r)
-        diagonal = np.count_nonzero(r) == np.count_nonzero(diag)
-        ev = np.sort(diag) if diagonal else np.linalg.eigvalsh(r)
+        if np.count_nonzero(r) == np.count_nonzero(diag):
+            ev = np.sort(diag)
+        else:
+            ev = np.linalg.eigvalsh(r)
         if ev[0] < -1e-10 * rs:
             raise InputError(f"R is not positive semidefinite (lambda_min = {ev[0]:.3e})")
         gap = _EIG_ONE_GAP * rs
@@ -173,7 +174,6 @@ class QecqpProblem:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "r_norm", max(-float(ev[0]), float(ev[-1])))
-        object.__setattr__(self, "_r_diagonal", diagonal)
 
     @property
     def dim(self) -> int:
@@ -181,8 +181,9 @@ class QecqpProblem:
 
 
 def _symmetric(m: np.ndarray, scale: float, name: str) -> np.ndarray:
-    """m itself if it is exactly symmetric, else its symmetric part, provided
-    it is symmetric within _SYM_TOL * scale."""
+    """m itself if it is exactly symmetric (the basis construction builds Q
+    and R so), else its symmetric part, provided it is symmetric within
+    _SYM_TOL * scale."""
     if np.array_equal(m, m.T):
         return m
     if float(np.abs(m - m.T).max()) > _SYM_TOL * scale:
@@ -519,14 +520,18 @@ def _lowest_with_derivative(problem: QecqpProblem, e: _DualEval) -> np.ndarray:
 
 def _orthonormal_complement(w: np.ndarray, new: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the part of span(new) orthogonal to the
-    orthonormal columns of w; zero columns, and columns that are
-    (numerically) inside span(w), are dropped."""
+    orthonormal columns of w: the left singular vectors, with singular value
+    above 1e-8, of the unit columns of new projected off span(w).  So zero
+    columns, columns (numerically) inside span(w) and columns that
+    (numerically) repeat the others add nothing; an orthonormal basis of
+    the projected columns themselves would turn their rounding noise into
+    unit directions."""
     norm = np.linalg.norm(new, axis=0)
     new = new[:, norm > 0.0] / norm[norm > 0.0]
     for _ in range(2):  # twice is enough (Kahan-Parlett)
         new = new - w @ (w.T @ new)
-    new = new[:, np.linalg.norm(new, axis=0) > 1e-8]
-    return np.linalg.qr(new)[0] if new.shape[1] else new
+    u, s, _ = np.linalg.svd(new, full_matrices=False)
+    return u[:, s > 1e-8]
 
 
 def _search(ev, e: _DualEval, width: float, lim: _Limits) -> _DualEval:
@@ -597,14 +602,11 @@ def _search(ev, e: _DualEval, width: float, lim: _Limits) -> _DualEval:
 
 
 def _h_matrix(problem: QecqpProblem, mu1: float, mu2: float) -> np.ndarray:
-    """Q + mu1 I + mu2 R in one k x k buffer, through the diagonal alone when
-    R is diagonal; exactly symmetric because Q and R are."""
+    """Q + mu1 I + mu2 R, built in place to keep the peak of temporaries low;
+    exactly symmetric because Q and R are."""
     h = problem.q.copy()
     h.flat[:: problem.dim + 1] += mu1
-    if problem._r_diagonal:
-        h.flat[:: problem.dim + 1] += mu2 * np.diagonal(problem.r)
-    else:
-        h += mu2 * problem.r
+    h += mu2 * problem.r
     return h
 
 
@@ -617,8 +619,10 @@ def _null_point_from_eigh(
     """Feasible point from the near-null eigenvectors of H.
 
     Starts with all eigenvectors below the null threshold and enlarges with
-    the next-smallest ones until the eigenvalues of B^T R B straddle 1, then
-    interpolates between the straddling pair to hit x^T R x = 1 exactly.
+    the next-smallest ones until an eigenvector of B^T R B is feasible within
+    the direct-accept band (of several, one of least energy z^T diag(w) z on
+    H), or until the eigenvalues of B^T R B straddle 1; it then interpolates
+    between the straddling pair to hit x^T R x = 1 exactly.
     """
     dim = len(w)
     threshold = tol_null * max(1.0, float(w[-1]))
@@ -633,7 +637,11 @@ def _null_point_from_eigh(
         d, z = _eigh(m)
         near = np.abs(d - 1.0) <= one_tol
         if near.any():
-            idx = int(np.nonzero(near)[0][0])
+            # The first near-feasible candidate of least energy, energies
+            # within the rounding noise dim eps ||H|| counting as equal.
+            cand = np.nonzero(near)[0]
+            energy = w[:k] @ z[:, cand] ** 2
+            idx = int(cand[np.argmax(energy <= energy.min() + dim * _EPS * max(1.0, float(w[-1])))])
             return b @ z[:, idx]
         below = np.nonzero(d < 1.0)[0]
         above = np.nonzero(d > 1.0)[0]

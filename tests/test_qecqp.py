@@ -111,6 +111,23 @@ def test_problem_keeps_r_norm_of_channel_matrix():
     assert p.r_norm == pytest.approx(2.0, rel=1e-14)
 
 
+def test_problem_keeps_its_own_copy_of_the_data():
+    # Exactly symmetric Q and a diagonal R, as the basis construction builds
+    # them: writing into the given arrays afterwards (R no longer diagonal,
+    # Q changed) must reach neither the problem nor its solution.
+    z = np.random.default_rng(6).standard_normal((30, 30))
+    q = z + z.T
+    r = np.diag(np.where(np.arange(30) < 12, 2.0, 0.0))
+    p = qecqp.QecqpProblem(q, r)
+    before = qecqp.solve(p)
+    r[0, 1] = r[1, 0] = 0.5
+    q += np.eye(30)
+    assert np.count_nonzero(p.r) == 12 and not np.array_equal(p.q, q)
+    after = qecqp.solve(p)
+    assert np.array_equal(after.x, before.x)
+    assert (after.mu1, after.mu2) == (before.mu1, before.mu2)
+
+
 # -- Dual objective against the closed form -----------------------------------
 
 
@@ -272,6 +289,18 @@ def test_feasible_null_point_enlarges_when_needed():
     x = null_point(h, r)
     assert x @ r @ x == pytest.approx(1.0, abs=1e-10)
     assert x @ h @ x == pytest.approx(0.0, abs=1e-10)
+
+
+def test_feasible_null_point_prefers_least_energy():
+    # Both null vectors are feasible within the direct-accept band; the one
+    # feasible to fewer digits comes first in B^T R B but has the lower
+    # energy on H, and is the one returned.  Energies equal within rounding
+    # keep that first candidate.
+    r = np.diag([1.0 + 2e-9, 1.0 + 1e-9, 5.0])
+    x = null_point(np.diag([0.0, 1e-8, 1.0]), r)
+    np.testing.assert_array_equal(np.abs(x), [1.0, 0.0, 0.0])
+    x = null_point(np.diag([0.0, 1e-17, 1.0]), r)
+    np.testing.assert_array_equal(np.abs(x), [0.0, 1.0, 0.0])
 
 
 def test_feasible_null_point_raises_when_unreachable():
@@ -596,6 +625,52 @@ def shifted_block_problem(offset: float, b: int = 25) -> qecqp.QecqpProblem:
     p = qecqp.QecqpProblem(q, r)
     assert p.dim >= qecqp._WARM_MIN_DIM
     return p
+
+
+def test_orthonormal_complement_drops_repeated_directions():
+    # Four columns that differ from one direction outside span(w) only by
+    # rounding-size parts: one column comes back, orthogonal to w.
+    rng = np.random.default_rng(7)
+    w = np.linalg.qr(rng.standard_normal((40, 10)))[0]
+    d = rng.standard_normal(40)
+    new = np.column_stack(
+        [c * d + 1e-15 * rng.standard_normal(40) + w @ rng.standard_normal(10) for c in (1.0, 2.0, -3.0, 0.5)]
+    )
+    out = qecqp._orthonormal_complement(w, new)
+    assert out.shape == (40, 1)
+    assert np.abs(w.T @ out).max() <= 1e-12
+    assert np.abs(out.T @ out - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("offset", [10.0, 1e-8])
+def test_shift_invert_steps_fill_an_invariant_block_without_noise(offset):
+    # W starts as 16 random directions inside the first block of
+    # shifted_block_problem, the one that holds the minimum.  Block inverse
+    # iteration stays in that block, so after the 9 directions left in it
+    # W holds the block and no more: its Ritz point is the answer, certified
+    # without a full evaluation.  Had W grown by directions made of rounding
+    # noise from the second block, the search would have drifted there and
+    # ended with several full evaluations.
+    b = 25
+    p = shifted_block_problem(offset, b)
+    cold = qecqp.solve(p)
+    w = np.zeros((2 * b, qecqp._CARRY_DIM))
+    w[:b] = np.random.default_rng(0).standard_normal((b, qecqp._CARRY_DIM))
+    sizes: list[int] = []
+    complement = qecqp._orthonormal_complement
+
+    def recording(w, new):
+        out = complement(w, new)
+        sizes.append(w.shape[1] + out.shape[1])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qecqp, "_orthonormal_complement", recording)
+        sol, trace, _, calls = solve_recorded(p, qecqp._Start(0.0, w))
+    assert max(sizes) == b
+    assert trace == [] and calls == [(True, True)]
+    assert abs(sol.mu2 - cold.mu2) <= 1e-7
+    assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
 
 
 @pytest.mark.parametrize("offset", [10.0, 1e-8])
