@@ -36,6 +36,7 @@ import numpy as np
 from .errors import InputError
 from .fourier import FourierBasis, SignedPermutation, compute_basis
 from .graphs import Graph, _real, as_signal, laplacian
+from .qecqp import _check_tol
 from .sampling import SamplingPattern, greedy_max_cut
 
 __all__ = [
@@ -170,12 +171,13 @@ def build_level(
     ``design`` is ``"hstar"`` (uses ``hstar``) or ``"minimax"`` (the
     closest feasible response to the ideal half-band one; call
     ``design_minimax`` directly for another desired response).  ``design``
-    and ``hstar`` (in [0, 2] with either design) are checked before the
-    basis is built.
+    and ``hstar`` (in [0, 2] with either design), and ``tol`` (in
+    (0, 1e-4)), are checked before the basis is built.
     """
     if design not in _DESIGNS:
         raise InputError(f"design must be 'hstar' or 'minimax', got {design!r}")
     _hstar(hstar)
+    _check_tol(tol)
     lap = laplacian(graph)
     pattern = greedy_max_cut(lap)
     basis = compute_basis(lap, pattern, tol=tol)

@@ -194,13 +194,15 @@ def compute_basis(
     certified Ritz point without one (see ``qecqp``).  A solve that ended at
     its own start (within ``tol``) hands on only its mu2, and the next one
     starts with a full evaluation there, as nearly every pair of the
-    first level of a grid does at mu2 = 0.
+    first level of a grid does at mu2 = 0.  ``tol``, the solver tolerance,
+    must lie in (0, 1e-4).
 
     ``trace_hook``, if given, is called as trace_hook(step, trace) with the
     trace of the solve for the subproblem of each step: one (mu2, f) row
     per full-size dual evaluation, so none for a step that ended at a Ritz
     point.
     """
+    qecqp._check_tol(tol)
     l_matrix = np.asarray(l_matrix, dtype=float)
     n = l_matrix.shape[0]
     if l_matrix.ndim != 2 or l_matrix.shape != (n, n):

@@ -54,6 +54,7 @@ from .graphs import (
     laplacian,
     parse_graph,
 )
+from .qecqp import _check_tol
 from .sampling import SamplingPattern
 
 __all__ = [
@@ -212,13 +213,11 @@ class PyramidConfig:
     tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        for name in ("eps", "tol"):
-            _real(getattr(self, name), name)
+        _real(self.eps, "eps")
         _hstar(self.hstar)
+        _check_tol(self.tol)
         if not (0.0 < self.eps < 1.0):
             raise InputError(f"eps must lie in (0, 1), got {self.eps}")
-        if not (self.tol > 0.0):
-            raise InputError(f"tol must be positive, got {self.tol}")
         if self.design not in _DESIGNS:
             raise InputError(f"design must be one of {_DESIGNS}, got {self.design!r}")
         if _integer(self.seed, "seed") < 0:

@@ -44,48 +44,42 @@ rounding noise k eps ||Q + mu2 R||_2 of g; when a smooth point is so close
 to the root that its null point v_0 is within 1e-2 tol of the root's; or
 when the bracket is narrower than the tolerance.
 
-A solve takes one of two routes.  A cold solve, one started without a
-subspace, is the full search above from one full evaluation at its start
-point; the public ``solve`` is always cold.  A warm solve starts from a mu2
-and a subspace handed on by the solve of a nearby problem (the basis
-construction hands each pair's mu2 and lowest 16 eigenvectors or Ritz
-vectors to the next).  Below k = _WARM_MIN_DIM it too runs the full
-search; from that size on it searches a small subspace W first
-(Rayleigh-Ritz): W starts as the carried subspace, and the dual of
-(W^T Q W, W^T R W) is maximized with the same routine at that mu2, at the
-cost of m x m eigendecompositions only, provided the spectrum of W^T R W
-straddles 1 so that the projected dual has a maximizer.  At that maximizer,
-the Ritz vectors of the smallest Ritz value theta are checked against the
-full problem, ||(Q + mu2 R) y - theta y|| <= 1e-2 tol h_scale: if they
-pass, the Ritz point is the answer and no full-size evaluation is made.
-Otherwise, in each of the first three rounds, W grows by one shift-invert
-step (block inverse iteration; Parlett, The Symmetric Eigenvalue Problem;
-Knyazev, LOBPCG, SISC 2001): a single LU solve with
-Q + mu2 R - sigma I, sigma = theta - 1e-6 h_scale just below the Ritz
-value, whose right-hand sides are the Ritz residuals of the lowest three
-Ritz pairs and (R - y^T R y) y, the direction of dv_0/dmu2; the next round
-starts from the same mu2 on the larger W.  After those rounds, or when the
-LU solve fails, is not finite or adds nothing to W, the full problem is
-evaluated once there instead.  An evaluation that stops the search is the
-answer; otherwise W grows by that evaluation's lowest eigenvectors and
-dv_0/dmu2, and the next round starts from its mu2, where the Ritz residual
-of the next round shrinks like the square of the step.  A subspace that
-does not straddle or cannot grow, or a projected search that fails, hands
-over to the full search, started from the latest full evaluation, or from
-one at the start mu2 if none was made.  Every stopping rule is therefore
-one of the full search or the Ritz gate.
+A cold solve, one started without a subspace, is the full search above
+from one full evaluation at its start point; the public ``solve`` is always
+cold.  A warm solve starts from a mu2 and a subspace handed on by the solve
+of a nearby problem (the basis construction hands each pair's mu2 and
+lowest 16 eigenvectors or Ritz vectors to the next).  Below
+k = _WARM_MIN_DIM it too runs the full search; from that size on it
+searches a small subspace W first (Rayleigh-Ritz): W starts as the carried
+subspace, and the dual of (W^T Q W, W^T R W) is maximized with the same
+routine at that mu2, at the cost of m x m eigendecompositions only,
+provided the spectrum of W^T R W straddles 1 so that the projected dual has
+a maximizer.  At that maximizer, the Ritz vectors of the smallest Ritz
+value theta are checked against the full problem,
+||(Q + mu2 R) y - theta y|| <= 1e-2 tol h_scale: if they pass, the Ritz
+point is the answer.  Otherwise W grows by one shift-invert step (block
+inverse iteration; Parlett, The Symmetric Eigenvalue Problem; Knyazev,
+LOBPCG, SISC 2001): a single LU solve with Q + mu2 R - sigma I,
+sigma = theta - 1e-6 h_scale just below the Ritz value, whose right-hand
+sides are the Ritz residuals of the lowest three Ritz pairs and
+(R - y^T R y) y, the direction of dv_0/dmu2; the next round maximizes
+again, from the same mu2, on the larger W.  After three steps, or when a
+step fails, is not finite or adds nothing to W, the full search takes over
+from one full evaluation at the last projected maximizer.  It starts at the
+start mu2 instead when the carried subspace does not straddle 1 or would
+fill the space, or when its projected dual has no maximizer.  Every
+stopping rule is therefore one of the full search or the Ritz gate.
 
 H = Q + mu1 I + mu2 R is a shift of Q + mu2 R by a multiple of I, so the
 last full evaluation's eigenpairs (w - lambda_min, V) are those of H, and
 the feasible null point is read off them, or off the Ritz pairs at a Ritz
 point.  A cold solve costs one k x k symmetric eigendecomposition per
-evaluation of the full search.  A warm solve costs one k x k LU
-factorization per shift-invert round, a small fraction of an
-eigendecomposition, and one eigendecomposition per later round that ends
-without a Ritz point, plus those of the full search if it runs; one that
-ends at a Ritz point makes no k x k eigendecomposition.  The other
-eigendecompositions are small: m x m ones of the projected duals, and one
-of R projected onto the null space of H, whose dimension is usually 1.
+evaluation of the full search.  A warm solve costs at most three k x k LU
+factorizations, each a small fraction of an eigendecomposition: one that
+ends at a Ritz point makes no k x k eigendecomposition, and one that does
+not adds those of the full search.  The other eigendecompositions are
+small: m x m ones of the projected duals, and one of R projected onto the
+null space of H, whose dimension is usually 1.
 Reused eigenvalues cannot certify H >= 0 (the smallest is 0 by
 construction), so that certificate is a Cholesky factorization of the
 explicitly formed H + delta I: if it succeeds, lambda_min(H) >= -delta up
@@ -110,6 +104,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EigensolverError, InputError, SolverError
+from .graphs import _real
 
 __all__ = [
     "QecqpProblem",
@@ -150,6 +145,8 @@ class QecqpProblem:
         r = np.array(self.r, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape != r.shape:
             raise InputError(f"Q and R must be square with equal shapes, got {q.shape} and {r.shape}")
+        if q.size == 0:
+            raise InputError("Q and R must not be empty")
         # max |.| is NaN or inf exactly when an entry is.
         q_max, r_max = (float(np.abs(m).max(initial=0.0)) for m in (q, r))
         if not (np.isfinite(q_max) and np.isfinite(r_max)):
@@ -271,42 +268,41 @@ def _maximize_dual(
 ) -> _DualEval:
     """Maximize the concave dual by safeguarded Newton steps on the
     supergradient; returns the evaluation at the maximizer with its
-    eigenpairs: the latest full-size evaluation, the only one that keeps
-    them, or a Ritz point of the projected search (see _ritz_point).
+    eigenpairs: a Ritz point of the projected search (see _ritz_point), or
+    the last full-size evaluation, the only one that keeps them.
 
     A start with a subspace, for k >= _WARM_MIN_DIM, runs _projected_search
-    from that subspace at start.mu2 first; it ends at a maximizer or hands
-    its latest full evaluation to _search.  Any other start, and a
-    projected search that made no full evaluation, takes one full
-    evaluation at start.mu2 and runs _search from there, the bracket's far
-    end ||Q + mu2 R||_2 + 1 away at first.  Convergence is declared by
-    _Limits.done (an interval that straddles zero within a small band, or a
-    smooth point whose null vector is as good as the root's), or when the
-    bracket is narrower than ``tol`` with a supergradient small enough that
-    a near-feasible null vector exists.
+    from that subspace at start.mu2 first; it ends at a Ritz point or names
+    the mu2 the full search starts from.  The full search takes one full
+    evaluation there, at start.mu2 for any other start, and runs _search,
+    the bracket's far end ||Q + mu2 R||_2 + 1 away at first.  Convergence
+    is declared by _Limits.done (an interval that straddles zero within a
+    small band, or a smooth point whose null vector is as good as the
+    root's), or when the bracket is narrower than ``tol`` with a
+    supergradient small enough that a near-feasible null vector exists.
 
     ``trace``, if given, collects one (mu2, f(mu2)) row per full-size
     evaluation, in order; the subspace evaluations and the shift-invert
     steps are not recorded.
     """
-    if tol <= 0:
-        raise InputError(f"tolerance must be positive, got {tol}")
     q, r = problem.q, problem.r
     r_scale = max(1.0, problem.r_norm)
     lim = _Limits(tol, 1e-13 * r_scale, 1e-8 * r_scale, problem.dim * _EPS)
+    mu2 = start.mu2
+    if start.w is not None and problem.dim >= _WARM_MIN_DIM:
+        width = 1.0 + float(np.abs(q.diagonal() + mu2 * r.diagonal()).max())
+        found = _projected_search(problem, mu2, start.w, width, lim)
+        if isinstance(found, _DualEval):
+            return found
+        mu2 = found
 
-    def ev(mu2: float) -> _DualEval:
-        e = _dual_eval(q, r, mu2)
+    def ev(m: float) -> _DualEval:
+        e = _dual_eval(q, r, m)
         if trace is not None:
-            trace.append((mu2, -mu2 + e.lam))
+            trace.append((m, -m + e.lam))
         return e
 
-    if start.w is not None and problem.dim >= _WARM_MIN_DIM:
-        width = 1.0 + float(np.abs(q.diagonal() + start.mu2 * r.diagonal()).max())
-        e = _projected_search(problem, ev, start.mu2, start.w, width, lim)
-        if e is not None:
-            return e if e.v is not None else _search(ev, e, width, lim)
-    e = ev(start.mu2)
+    e = ev(mu2)
     return _search(ev, e, max(-e.lam, e.top) + 1.0, lim)
 
 
@@ -347,21 +343,17 @@ class _Limits(NamedTuple):
         return max(g * max(1.0, abs(e.mu2)), step * max(1.0, e.dv)) <= _NEWTON_STOP * self.tol
 
 
-# Below this size a full search costs less than the projected one from a
-# carried subspace: a k x k eigendecomposition then takes about as long as
-# the Python work of a projected search (measured with one BLAS thread).
+# Below this size a start's subspace is not searched: a projected search
+# there, on a W of 16 or more columns, costs more than the full search it
+# saves (measured with one BLAS thread).
 _WARM_MIN_DIM = 24
-# Eigenvectors each full-size evaluation adds to the subspace.
-_SUBSPACE_DIM = 4
 # Lowest eigenvectors or Ritz vectors a solve hands on as the next start.
 _CARRY_DIM = 16
 # A Ritz point is accepted, and certified, with its residual and the
 # positive semidefiniteness shift both at _RITZ_GATE * tol * h_scale.
 _RITZ_GATE = 1e-2
-# Rounds of the projected search before the full search takes over.
-_MAX_ROUNDS = 8
-# Rounds of a projected search that grow W by a shift-invert step, before
-# the rounds that grow it by a full-size evaluation.
+# Shift-invert steps of a projected search, each followed by one more
+# projected maximization, before the full search takes over.
 _LU_ROUNDS = 3
 # The shift-invert step's shift lies this far below the smallest Ritz value,
 # relative to h_scale.
@@ -372,44 +364,32 @@ _MAX_EVALS = 400
 
 def _projected_search(
     problem: QecqpProblem,
-    ev,
     mu2: float,
     new: np.ndarray,
     width: float,
     lim: _Limits,
-) -> _DualEval | None:
-    """Dual maximizer searched on a subspace W and checked on the full problem.
+) -> _DualEval | float:
+    """Dual maximizer searched on a subspace W and checked on the full
+    problem, without a full-size evaluation.
 
-    W starts as the span of ``new``, carried over from a nearby problem, and
-    the first round starts at mu2.  Each round maximizes the dual of
-    (W^T Q W, W^T R W) with _search, which costs only m x m
-    eigendecompositions, and checks the projected maximizer p.  When p ends
-    the search (_Limits.done) and its Ritz point passes the Ritz gate, that
-    point is returned (_ritz_point).  Otherwise, for the first _LU_ROUNDS
-    rounds, W grows by one shift-invert step at p (_shift_invert_step, one
-    k x k LU solve) and the next round starts from p.mu2.  After those, or
-    when the step fails or adds nothing, one full-size evaluation ``ev`` at
-    p.mu2 is made, and returned with its eigenpairs if it ends the search;
-    otherwise W grows by that evaluation's lowest eigenvectors and the
-    derivative of its lowest one, and the next round starts from its mu2.
+    W starts as the span of ``new``, carried over from a nearby problem.
+    Each round maximizes the dual of (W^T Q W, W^T R W) from mu2 with
+    _search, which costs only m x m eigendecompositions, and checks the
+    projected maximizer p.  When p ends the search (_Limits.done) and its
+    Ritz point passes the Ritz gate, that point is returned (_ritz_point).
+    Otherwise, for the first _LU_ROUNDS rounds, W grows by one shift-invert
+    step at p (_shift_invert_step, one k x k LU solve) and the next round
+    starts from p.mu2.  When the rounds run out, or when a step fails or
+    adds nothing to W, p.mu2 is returned for the full search to start from.
     When the spectrum of the carried W^T R W does not straddle 1, when W
-    cannot grow or would fill the space, when the projected dual has no
-    maximizer, or when the rounds run out, the latest full evaluation is
-    returned without eigenpairs, for the full search to finish from; None if
-    there was none.
-
-    After a full evaluation W holds its lowest eigenvector v_0 and the
-    derivative dv_0/dmu2, so the projected dual has the same value,
-    supergradient and curvature there: where v_0 is simple that evaluation
-    is the start of the round's search, and no projected evaluation is spent
-    on it.
+    would fill the space, or when the projected dual has no maximizer, the
+    latest mu2 (the given one before any maximizer) is returned.
     """
     q, r = problem.q, problem.r
     w = np.zeros((problem.dim, 0))
     qw = rw = w
     new = _orthonormal_complement(w, new)
-    e = start = None
-    for rnd in range(_MAX_ROUNDS):
+    for rnd in range(_LU_ROUNDS + 1):
         if not 0 < new.shape[1] < problem.dim - w.shape[1]:
             break
         w = np.column_stack([w, new])
@@ -422,31 +402,20 @@ def _projected_search(
             d = np.linalg.eigvalsh(rs)
             if not d[0] < 1.0 < d[-1]:
                 break
-        if start is None:
-            start = _dual_eval(qs, rs, mu2)
         try:
-            p = _search(lambda m: _dual_eval(qs, rs, m), start, width, lim)
+            p = _search(lambda m: _dual_eval(qs, rs, m), _dual_eval(qs, rs, mu2), width, lim)
         except SolverError:
             break
+        mu2 = p.mu2
         if lim.done(p):
             ritz = _ritz_point(problem, w, qw, rw, p, lim)
             if ritz is not None:
                 return ritz
-        mu2, start = p.mu2, None
-        if rnd < _LU_ROUNDS:
-            step = _shift_invert_step(problem, w, qw, rw, p)
-            if step is not None:
-                new = _orthonormal_complement(w, step)
-                if 0 < new.shape[1] < problem.dim - w.shape[1]:
-                    continue
-        e = ev(mu2)
-        if lim.done(e):
-            return e
-        new = _orthonormal_complement(w, _lowest_with_derivative(problem, e))
-        e = e._replace(w=None, v=None)  # only the latest evaluation's eigenpairs stay alive
-        if e.dg is not None:
-            start = e
-    return e
+        step = _shift_invert_step(problem, w, qw, rw, p) if rnd < _LU_ROUNDS else None
+        if step is None:
+            break
+        new = _orthonormal_complement(w, step)
+    return mu2
 
 
 def _ritz_top(problem: QecqpProblem, p: _DualEval) -> float:
@@ -505,17 +474,6 @@ def _shift_invert_step(
     except np.linalg.LinAlgError:
         return None
     return x if np.isfinite(x).all() else None
-
-
-def _lowest_with_derivative(problem: QecqpProblem, e: _DualEval) -> np.ndarray:
-    """The lowest _SUBSPACE_DIM eigenvectors of the evaluation e and the
-    derivative dv_0/dmu2 = sum_{j>0} v_j (v_j^T R v_0) / (lambda_0 - lambda_j)
-    of its lowest one (terms of eigenvalues equal to lambda_0 left out)."""
-    c = e.v.T @ (problem.r @ e.v[:, 0])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coef = c[1:] / (e.w[0] - e.w[1:])
-    coef[~np.isfinite(coef)] = 0.0
-    return np.column_stack([e.v[:, :_SUBSPACE_DIM], e.v[:, 1:] @ coef])
 
 
 def _orthonormal_complement(w: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -651,7 +609,9 @@ def _null_point_from_eigh(
             d_lo, d_hi = float(d[i_lo]), float(d[i_hi])
             alpha = np.sqrt((1.0 - d_lo) / (d_hi - d_lo))
             beta = np.sqrt(1.0 - alpha**2)
-            return b @ (alpha * z[:, i_hi] + beta * z[:, i_lo])
+            # Each of the pair with its sign fixed, so that the mix depends
+            # on the null space only, not on the signs LAPACK returns.
+            return alpha * _fix_sign(b @ z[:, i_hi]) + beta * _fix_sign(b @ z[:, i_lo])
         k += 1
     raise SolverError("could not reach the feasibility constraint inside the null space of H")
 
@@ -701,15 +661,16 @@ def _solve(
 
     A start without a subspace is a cold solve, certified as solve() is.  A
     start with one is warm, and its solution may come from a Ritz point of
-    the projected search, reached through shift-invert steps or full
-    evaluations.  That point is certified with the residual and
-    positive semidefiniteness gates tightened to _RITZ_GATE * tol * h_scale,
-    so lambda_min(H) >= -delta also proves that no eigenvector outside the
-    subspace lies below the Ritz value by more than delta; h_scale is a
-    lower bound on 1 + ||H||_2, which makes every gate at least as tight as
-    on the full-evaluation path.  If any certificate fails there, the solve
-    starts over cold at that mu2.
+    the projected search, reached through shift-invert steps.  That point
+    is certified with the residual and positive semidefiniteness gates
+    tightened to _RITZ_GATE * tol * h_scale, so lambda_min(H) >= -delta
+    also proves that no eigenvector outside the subspace lies below the
+    Ritz value by more than delta; h_scale is a lower bound on
+    1 + ||H||_2, which makes every gate at least as tight as on the
+    full-evaluation path.  If any certificate fails there, the solve starts
+    over cold at that mu2.
     """
+    _check_tol(tol)
     e = _maximize_dual(problem, tol, trace, start)
     ritz = e.v.shape[1] < problem.dim
     x = _fix_sign(_null_point_from_eigh(e.w - e.lam, e.v, problem.r, tol_null=1e-8))
@@ -723,6 +684,14 @@ def _solve(
             raise
         return _solve(problem, tol, trace, _Start(e.mu2, None))
     return sol, _Start(e.mu2, carry)
+
+
+def _check_tol(tol) -> None:
+    """InputError unless tol is a real number, not a bool, with
+    0 < tol < 1e-4 (so NaN and inf fail too): from 1e-4 on the feasibility
+    gate 1e4 * tol reaches 1, which any unit x passes when R = diag(2I, 0)."""
+    if not 0.0 < _real(tol, "tol") < 1e-4:
+        raise InputError(f"tol must lie in (0, 1e-4), got {tol!r}")
 
 
 def _certify(

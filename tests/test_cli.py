@@ -527,6 +527,15 @@ def test_invalid_pyramid_config_at_depth_one(tmp_path, flags):
                "--out", tmp_path / "o") == 2
 
 
+@pytest.mark.parametrize("cmd", ["basis", "verify"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "1.0", "1e-4"])
+def test_tolerance_outside_its_range_is_input_error(tmp_path, capsys, cmd, tol):
+    # --tol nan exited 3 from a failed certificate, --tol inf and 1.0 exited
+    # 0 with every certificate vacuous.
+    assert run(cmd, "--graph", "ring", "--n", 8, "--tol", tol, "--out", tmp_path / "o") == 2
+    assert "tol must lie in (0, 1e-4)" in capsys.readouterr().err
+
+
 def test_verify_load_reproduces_saved_report(tmp_path):
     out1 = tmp_path / "a"
     assert run("verify", "--graph", "ring", "--n", 16, "--depth", 2,

@@ -234,6 +234,16 @@ def test_build_level_checks_its_design_before_building_the_basis(monkeypatch, kw
         filterbank.build_level(random_connected_graph(10, seed=0), **kwargs)
 
 
+@pytest.mark.parametrize("tol", [True, float("nan"), float("inf"), 1e-4, 0.0])
+def test_build_level_checks_its_tolerance_before_building_the_basis(monkeypatch, tol):
+    def no_basis(*args, **kw):
+        raise AssertionError("compute_basis called before the tolerance was checked")
+
+    monkeypatch.setattr(filterbank, "compute_basis", no_basis)
+    with pytest.raises(InputError, match="tol must"):
+        filterbank.build_level(random_connected_graph(10, seed=0), tol=tol)
+
+
 def test_verify_pr_reports_small_residuals():
     g = random_connected_graph(16, seed=4)
     level = filterbank.build_level(g)

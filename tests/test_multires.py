@@ -960,7 +960,8 @@ def test_corrupted_basis_fails_verification(tmp_path):
      {"design": "nosuch"}, {"seed": -1}, {"seed": True}, {"seed": 1.0}, {"seed": "0"}, {"seed": None},
      {"tol": True}, {"hstar": True}, {"hstar": False}, {"eps": np.True_}, {"tol": "1e-10"}, {"hstar": None},
      {"eps": [0.3]}, {"hstar": 5.0}, {"hstar": -0.5}, {"hstar": float("nan")},
-     {"design": "minimax", "hstar": 2.5}],
+     {"design": "minimax", "hstar": 2.5}, {"tol": float("inf")}, {"tol": float("nan")}, {"tol": 1e-4},
+     {"tol": 1.0}],
 )
 def test_pyramid_config_rejects_invalid_values(kwargs):
     with pytest.raises(InputError):
@@ -1072,6 +1073,17 @@ def test_load_rejects_a_manifest_tol_that_is_not_a_number(tmp_path, value):
     manifest["config"]["tol"] = value
     (d / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(InputError, match="tol must be a real number"):
+        multires.load_pyramid(d)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), 1.0])
+def test_load_rejects_a_manifest_tol_outside_its_range(tmp_path, value):
+    # json writes inf and nan as Infinity and NaN, which json reads back.
+    d = _saved_pyramid(tmp_path)
+    manifest = json.loads((d / "manifest.json").read_text())
+    manifest["config"]["tol"] = value
+    (d / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(InputError, match="tol must lie in"):
         multires.load_pyramid(d)
 
 

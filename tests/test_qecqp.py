@@ -72,6 +72,11 @@ def test_problem_rejects_shape_mismatch():
         qecqp.QecqpProblem(Q_PATH, np.diag([2.0, 0.0, 0.0]))
 
 
+def test_problem_rejects_empty_data():
+    with pytest.raises(InputError, match="must not be empty"):
+        qecqp.QecqpProblem(np.zeros((0, 0)), np.zeros((0, 0)))
+
+
 def test_problem_rejects_non_finite_data():
     with pytest.raises(InputError, match="finite"):
         qecqp.QecqpProblem(np.array([[np.nan, 0.0], [0.0, 1.0]]), R_20)
@@ -247,6 +252,21 @@ def test_maximize_dual_rejects_bad_tol():
         qecqp.solve(p, tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [-1e-10, float("nan"), float("inf"), 1e-4, 1.0, True, np.True_, "1e-10", None])
+def test_solve_rejects_a_tolerance_outside_its_range(tol):
+    # From tol = 1e-4 on, the feasibility gate 1e4 tol reaches 1 and any
+    # unit x passes it (R = diag(2, 0)); NaN made every gate fail, inf or
+    # True (tol = 1) made every certificate vacuous.
+    p = qecqp.QecqpProblem(Q_PATH, R_20)
+    with pytest.raises(InputError, match="tol must"):
+        qecqp.solve(p, tol=tol)
+
+
+def test_solve_accepts_a_tolerance_just_inside_its_range():
+    p = qecqp.QecqpProblem(Q_PATH, R_20)
+    assert qecqp.solve(p, tol=np.float32(9e-5)).feas_error <= 1e-8
+
+
 def test_translation_shifts_mu1_only():
     p = random_problem(5, seed=8)
     c = 3.7
@@ -301,6 +321,23 @@ def test_feasible_null_point_prefers_least_energy():
     np.testing.assert_array_equal(np.abs(x), [1.0, 0.0, 0.0])
     x = null_point(np.diag([0.0, 1e-17, 1.0]), r)
     np.testing.assert_array_equal(np.abs(x), [0.0, 1.0, 0.0])
+
+
+def test_feasible_null_point_does_not_depend_on_eigenvector_signs():
+    # A two-dimensional null space whose R-spectrum straddles 1: the point
+    # mixes the straddling pair, and flipping the sign of either null
+    # eigenvector (as another LAPACK route may) gives the same point.
+    rng = np.random.default_rng(11)
+    v = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+    w = np.array([0.0, 0.0, 1.0, 2.0, 3.0])
+    r = np.diag([2.0, 2.0, 0.0, 0.0, 0.0])
+    x = qecqp._fix_sign(qecqp._null_point_from_eigh(w, v, r, tol_null=1e-8))
+    assert abs(float(x @ r @ x) - 1.0) <= 1e-12
+    for j in (0, 1):
+        flipped = v.copy()
+        flipped[:, j] *= -1.0
+        y = qecqp._fix_sign(qecqp._null_point_from_eigh(w, flipped, r, tol_null=1e-8))
+        np.testing.assert_allclose(y, x, atol=1e-14)
 
 
 def test_feasible_null_point_raises_when_unreachable():
@@ -504,6 +541,19 @@ def test_projected_search_matches_full_search(seed):
     assert oracle_min(p, samples=20000, seed=seed) >= warm.objective - 1e-9
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_warm_solve_of_a_small_pair_matches_full_search(seed):
+    # k = 20, below _WARM_MIN_DIM: a start that carries a subspace runs the
+    # full search from its mu2, with no projected evaluation.
+    p, start = rgg_subproblem(24, seed, 2)
+    assert start.w is not None and p.dim == 20 < qecqp._WARM_MIN_DIM
+    warm, trace, sizes, _ = solve_recorded(p, start)
+    full, _, _, _ = solve_recorded(p)
+    assert projected_evaluations(p, sizes) == 0 and trace[0][0] == start.mu2
+    assert abs(warm.mu2 - full.mu2) <= 1e-7
+    assert warm.objective == pytest.approx(full.objective, rel=1e-9)
+
+
 @pytest.mark.parametrize("step", [0, 9, 18])
 def test_projected_search_counts_only_full_decompositions(step):
     p, start = rgg_subproblem(96, 1, step)
@@ -567,8 +617,9 @@ def solve_recording_clusters(monkeypatch, p, start):
 
 
 def test_projected_search_certifies_at_clustered_minimum(monkeypatch):
-    # Without shift-invert steps every round that fails the Ritz gate
-    # evaluates the full problem, which meets the degenerate minimum too.
+    # Without shift-invert steps a projected maximizer that fails the Ritz
+    # gate hands over to the full search, which meets the degenerate
+    # minimum too.
     p, start = clustered_grid_subproblem()
     monkeypatch.setattr(qecqp, "_LU_ROUNDS", 0)
     sol, _, clustered, _ = solve_recording_clusters(monkeypatch, p, start)
@@ -592,6 +643,54 @@ def test_shift_invert_certifies_at_clustered_minimum(monkeypatch):
     assert sol.objective == pytest.approx(full.objective, rel=1e-9)
     assert sol.stationarity <= 1e-6 * max(1.0, float(np.linalg.norm(p.q, 2)))
     assert sol.feas_error <= 1e-6
+
+
+def test_clustered_minimum_does_not_depend_on_the_route():
+    # The warm solve ends at a Ritz point, the cold one at a full
+    # evaluation, and the minimum is degenerate: both pick the same
+    # minimizer, since the straddling pair is mixed with the sign of each
+    # fixed (with LAPACK's relative sign they differed by 0.26).
+    p, start = clustered_grid_subproblem()
+    warm, _, _, calls = solve_recorded(p, start)
+    cold = qecqp.solve(p)
+    assert calls == [(True, True)]
+    assert np.abs(warm.x - cold.x).max() <= 1e-6
+
+
+def test_projected_search_hands_its_last_maximizer_to_the_full_search():
+    # With every Ritz point rejected, the projected search takes all its
+    # shift-invert steps and makes no full evaluation itself; the full
+    # search then starts at the last projected maximizer, not at the
+    # start's mu2.
+    p, start = rgg_subproblem(96, 1, 9)
+    evals: list[tuple[int, float]] = []
+    lu_solves: list[int] = []
+    dual_eval, solve = qecqp._dual_eval, np.linalg.solve
+
+    def recording(q, r, mu2):
+        evals.append((q.shape[0], mu2))
+        return dual_eval(q, r, mu2)
+
+    def counting_solve(a, rhs):
+        lu_solves.append(a.shape[0])
+        return solve(a, rhs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qecqp, "_ritz_point", lambda *args: None)
+        mp.setattr(qecqp, "_dual_eval", recording)
+        mp.setattr(np.linalg, "solve", counting_solve)
+        sol, trace, _, calls = solve_recorded(p, start)
+    first_full = next(i for i, (k, _) in enumerate(evals) if k == p.dim)
+    assert first_full > 0 and all(k < p.dim for k, _ in evals[:first_full])
+    assert all(k == p.dim for k, _ in evals[first_full:])
+    last_maximizer = evals[first_full - 1][1]
+    assert trace[0][0] == evals[first_full][1] == last_maximizer
+    assert abs(last_maximizer - start.mu2) > 1e-8
+    assert lu_solves == [p.dim] * qecqp._LU_ROUNDS
+    assert calls == [(False, True)]
+    full, _, _, _ = solve_recorded(p)
+    assert abs(sol.mu2 - full.mu2) <= 1e-7
+    assert sol.objective == pytest.approx(full.objective, rel=1e-9)
 
 
 # -- Warm starts and Ritz points ----------------------------------------------
