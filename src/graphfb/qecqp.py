@@ -91,14 +91,19 @@ tightened to 1e-2 tol h_scale, is what proves that no eigenvector outside
 W lies lower.  h_scale = 1 + ||H||_2 is exact after a full evaluation; at a
 Ritz point it is the lower bound 1 + max(theta_max, max_i (Q + mu2 R)_ii)
 - theta, so no gate is looser there.  The other residuals are explicit
-products with Q and R, H x among them as Q x + mu1 x + mu2 R x.  The
-spectrum of R is computed once per problem, read off the diagonal when R
-is diagonal.
+products with Q and R, H x among them as Q x + mu1 x + mu2 R x.
+
+Problems enter the solver validated, and at unit scale or above: their
+certificates hold absolute floors (max(1, .), 1 + ||H||_2) that would pass
+vacuously when ||Q|| << 1, so ``solve`` scales a Q with max |Q| < 1/2 up
+by a power of two, which is exact, and scales the solution back.  The
+basis construction checks and scales each level's problem once, and solves
+the deflated problems of that level unchecked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -124,16 +129,16 @@ def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    return 0.5 * m + 0.5 * m.T
 
 
 @dataclass(frozen=True, eq=False)
 class QecqpProblem:
     """Validated problem data (Q, R), with the spectral norm ``r_norm`` of R.
 
-    Q and R are private copies of the given matrices, replaced by their
-    symmetric parts when they are symmetric only within rounding, so a
-    later change to the given arrays does not reach the problem.
+    Q and R are the symmetric parts of the given matrices, which must be
+    symmetric within rounding, in arrays of their own, so a later change to
+    the given arrays does not reach the problem.
     """
 
     q: np.ndarray
@@ -141,8 +146,8 @@ class QecqpProblem:
     r_norm: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        q = np.array(self.q, dtype=float)
-        r = np.array(self.r, dtype=float)
+        q = np.asarray(self.q, dtype=float)
+        r = np.asarray(self.r, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape != r.shape:
             raise InputError(f"Q and R must be square with equal shapes, got {q.shape} and {r.shape}")
         if q.size == 0:
@@ -154,13 +159,7 @@ class QecqpProblem:
         rs = max(1.0, r_max)
         q = _symmetric(q, max(1.0, q_max), "Q")
         r = _symmetric(r, rs, "R")
-        # A diagonal R (as the basis construction builds it) shows its
-        # spectrum on the diagonal.
-        diag = np.diagonal(r)
-        if np.count_nonzero(r) == np.count_nonzero(diag):
-            ev = np.sort(diag)
-        else:
-            ev = np.linalg.eigvalsh(r)
+        ev = np.linalg.eigvalsh(r)
         if ev[0] < -1e-10 * rs:
             raise InputError(f"R is not positive semidefinite (lambda_min = {ev[0]:.3e})")
         gap = _EIG_ONE_GAP * rs
@@ -172,17 +171,24 @@ class QecqpProblem:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "r_norm", max(-float(ev[0]), float(ev[-1])))
 
+    @classmethod
+    def _trusted(cls, q: np.ndarray, r: np.ndarray, r_norm: float) -> QecqpProblem:
+        """(q, r) with r_norm = ||r||_2, neither copied nor checked: for data valid by construction."""
+        p = object.__new__(cls)
+        p.__dict__.update(q=q, r=r, r_norm=r_norm)
+        return p
+
     @property
     def dim(self) -> int:
         return self.q.shape[0]
 
 
 def _symmetric(m: np.ndarray, scale: float, name: str) -> np.ndarray:
-    """m itself if it is exactly symmetric (the basis construction builds Q
-    and R so), else its symmetric part, provided it is symmetric within
-    _SYM_TOL * scale."""
-    if np.array_equal(m, m.T):
-        return m
+    """The symmetric part of m, provided m is symmetric within
+    _SYM_TOL * scale.  An exactly symmetric m comes back unchanged, but for
+    rounding in subnormal entries, even with entries near the largest
+    float.  The basis construction runs this check once per level and
+    solves the deflated problems of that level unchecked."""
     if float(np.abs(m - m.T).max()) > _SYM_TOL * scale:
         raise InputError(f"{name} is not symmetric")
     return _sym(m)
@@ -642,8 +648,44 @@ def solve(
     (thresholds scale with ``tol``; at the default they are delta = 1e-7
     relative for positive semidefiniteness, 1e-6 relative for stationarity
     and the duality gap, 1e-8 for the unit norm, and 1e-6 for x^T R x - 1).
+    A Q with max |Q| < 1/2 is solved scaled up by a power of two (see
+    _scaled_up), and the solution and ``trace`` are scaled back.
     """
-    return _solve(problem, tol, trace, _COLD)[0]
+    _check_tol(tol)
+    q, e = _scaled_up(problem.q)
+    rows: list[tuple[float, float]] | None = [] if trace is not None else None
+    sol = _solve(QecqpProblem._trusted(q, problem.r, problem.r_norm), tol, rows, _COLD)[0]
+    if trace is not None:
+        trace.extend((_unscale(mu2, e), _unscale(f, e)) for mu2, f in rows)
+    return replace(
+        sol,
+        objective=_unscale(sol.objective, e),
+        mu1=_unscale(sol.mu1, e),
+        mu2=_unscale(sol.mu2, e),
+        fval=_unscale(sol.fval, e),
+        stationarity=_unscale(sol.stationarity, e),
+        gap=_unscale(sol.gap, e),
+    )
+
+
+def _scaled_up(q: np.ndarray) -> tuple[np.ndarray, int]:
+    """(Q * 2**e, e) for the e that brings max |Q| into [1/2, 1) when it
+    lies in (0, 1/2), else (Q, 0).  The scaling is exact and leaves the
+    minimizer where it is; mu1, mu2, f and the objective scale with Q.  It
+    keeps the certificates' absolute floors (max(1, .), 1 + ||H||_2) from
+    passing vacuously when ||Q|| << 1.  A large Q is not scaled down: that
+    made builds at tol 1e-13 and 1e-14 fail on random geometric graphs that
+    pass unscaled."""
+    q_max = float(np.abs(q).max())
+    if not 0.0 < q_max < 0.5:
+        return q, 0
+    e = -int(np.frexp(q_max)[1])
+    return np.ldexp(q, e), e
+
+
+def _unscale(value: float, e: int) -> float:
+    """A value that scales with Q, taken back from Q * 2**e."""
+    return float(np.ldexp(value, -e))
 
 
 def _solve(
@@ -668,9 +710,9 @@ def _solve(
     Ritz value by more than delta; h_scale is a lower bound on
     1 + ||H||_2, which makes every gate at least as tight as on the
     full-evaluation path.  If any certificate fails there, the solve starts
-    over cold at that mu2.
+    over cold at that mu2.  The problem enters validated and at unit scale
+    or above (see _scaled_up), and tol is checked by the caller.
     """
-    _check_tol(tol)
     e = _maximize_dual(problem, tol, trace, start)
     ritz = e.v.shape[1] < problem.dim
     x = _fix_sign(_null_point_from_eigh(e.w - e.lam, e.v, problem.r, tol_null=1e-8))

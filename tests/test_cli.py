@@ -60,6 +60,17 @@ def test_missing_graph_file(tmp_path):
     assert run("basis", "--graph-file", tmp_path / "nope.txt", "--out", tmp_path / "o") == 2
 
 
+def test_out_of_memory_is_input_error(tmp_path, monkeypatch, capsys):
+    # A graph too large for the machine (grid 1e10 asks numpy for more than
+    # it can allocate) ends in an error line, not a traceback.
+    def too_large(kind, n, **kwargs):
+        raise MemoryError("Unable to allocate 745. PiB for an array")
+
+    monkeypatch.setattr("graphfb.cli.generate", too_large)
+    assert run("verify", "--graph", "grid", "--n", 10**10, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_unreadable_config(tmp_path):
     assert run("basis", "--config", tmp_path / "nope.json", "--out", tmp_path / "o") == 2
 
@@ -205,6 +216,28 @@ def test_basis_trace_files(tmp_path):
     assert trace.exists()
     body = np.loadtxt(trace, delimiter=",", skiprows=1, ndmin=2)
     assert body.shape[1] == 2
+
+
+def test_basis_of_small_weights_scales_energies_and_trace(tmp_path):
+    # Weights times 1e-12 scale L, and with it the energies and the (mu2, f)
+    # trace rows, and nothing else.  Without the solver's power-of-two
+    # scaling the energies times 1e12 were 47% (of the largest) away.
+    g = gf.generate("random_geometric", 64, seed=1)
+    gf.write_graph_file(tmp_path / "unit.txt", g)
+    gf.write_graph_file(tmp_path / "small.txt", gf.Graph.from_arrays(g.n, g.lo, g.hi, 1e-12 * g.w))
+    for name in ("unit", "small"):
+        assert run("basis", "--graph-file", tmp_path / f"{name}.txt", "--trace", "--out", tmp_path / name) == 0
+    unit, small = (
+        np.loadtxt(tmp_path / name / "energies.csv", delimiter=",", skiprows=1)[:, 1] for name in ("unit", "small")
+    )
+    assert np.abs(1e12 * small - unit).max() <= 1e-9 * np.abs(unit).max()
+    unit, small = (
+        np.loadtxt(tmp_path / name / "trace" / "qecqp_000.csv", delimiter=",", skiprows=1)
+        for name in ("unit", "small")
+    )
+    assert unit.shape == small.shape and len(unit) >= 2
+    # f(0) = lambda_min(L) is 0 up to rounding.
+    np.testing.assert_allclose(1e12 * small, unit, rtol=1e-9, atol=1e-12)
 
 
 def test_config_reproduces_basis_run(tmp_path):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import graphfb as gf
-from graphfb import filterbank, fourier, sampling
+from graphfb import filterbank, fourier, multires, sampling
 from graphfb.errors import InputError
 from conftest import phi_matrix, random_connected_graph
 
@@ -242,6 +242,20 @@ def test_build_level_checks_its_tolerance_before_building_the_basis(monkeypatch,
     monkeypatch.setattr(filterbank, "compute_basis", no_basis)
     with pytest.raises(InputError, match="tol must"):
         filterbank.build_level(random_connected_graph(10, seed=0), tol=tol)
+
+
+@pytest.mark.parametrize("c", [2.0**-40, 1e-12, 1e-4])
+def test_build_level_of_small_weights_matches_unit_weights(c):
+    # Scaling the weights by c scales L, and only the energies: the basis
+    # stays.  Without the solver's power-of-two scaling it moved by 1.1,
+    # 0.77 and 1.1e-9 for these c.
+    g = gf.generate("random_geometric", 64, seed=1)
+    ref = filterbank.build_level(g)
+    level = filterbank.build_level(gf.Graph.from_arrays(g.n, g.lo, g.hi, c * g.w, g.coords))
+    assert np.abs(level.basis.u - ref.basis.u).max() <= 1e-9
+    np.testing.assert_allclose(level.basis.energies / c, ref.basis.energies, rtol=0, atol=1e-9)
+    pyramid = multires.Pyramid((level,), multires.PyramidConfig(), 1)
+    assert multires.verify_pyramid(pyramid)["ok"]
 
 
 def test_verify_pr_reports_small_residuals():

@@ -381,6 +381,38 @@ def test_compute_basis_rejects_mismatched_pattern(ring4):
         fourier.compute_basis(l_matrix, pat)
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, "asymmetric"])
+def test_compute_basis_rejects_a_non_finite_or_asymmetric_laplacian(entry):
+    # The level's problem is checked once, before any pair is solved.
+    l_matrix = gf.laplacian(gf.generate("random_geometric", 16, seed=3))
+    pattern = sampling.greedy_max_cut(l_matrix)
+    if entry == "asymmetric":
+        l_matrix[0, 1] += 1e-6
+        match = "not symmetric"
+    else:
+        l_matrix[2, 2] = entry
+        match = "finite"
+    with pytest.raises(InputError, match=match):
+        fourier.compute_basis(l_matrix, pattern)
+
+
+def test_compute_basis_checks_its_problem_once(monkeypatch):
+    # One QecqpProblem check for the level; the pairs are deflations of it,
+    # exactly symmetric and finite by construction, and go unchecked.
+    checks = []
+    post_init = qecqp.QecqpProblem.__post_init__
+
+    def counting(self):
+        checks.append(self.q.shape)
+        post_init(self)
+
+    monkeypatch.setattr(qecqp.QecqpProblem, "__post_init__", counting)
+    l_matrix = gf.laplacian(gf.generate("random_geometric", 64, seed=1))
+    b = fourier.compute_basis(l_matrix, sampling.greedy_max_cut(l_matrix))
+    assert np.count_nonzero(b.pair_tags >= 0) >= 40
+    assert checks == [(64, 64)]
+
+
 def test_first_column_energy_is_feasible_minimum():
     # The first solver column minimizes the Dirichlet energy over the
     # feasible set; a sampling oracle can only do worse.

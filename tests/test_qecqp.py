@@ -94,8 +94,7 @@ def test_problem_rejects_non_finite_data():
     ],
 )
 def test_problem_rejects_r_spectrum_diagonal_and_rotated(spectrum, message):
-    # The diagonal form is read off its diagonal, the rotated one goes
-    # through an eigensolver; both must give the same verdict.
+    # Both forms must give the same verdict.
     q = np.eye(3)
     rot, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((3, 3)))
     r_diag = np.diag(spectrum)
@@ -116,6 +115,16 @@ def test_problem_keeps_r_norm_of_channel_matrix():
     assert p.r_norm == pytest.approx(2.0, rel=1e-14)
 
 
+def test_problem_keeps_huge_symmetric_entries_finite():
+    # The symmetric part is formed from halves: 0.5 * (Q + Q^T) would
+    # overflow to inf on these entries.
+    q = np.array([[1.5e308, -1.5e308], [-1.5e308, 1.5e308]])
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(0.5 * (q + q.T)).all()
+    p = qecqp.QecqpProblem(q, R_20)
+    assert np.array_equal(p.q, q) and p.q is not q
+
+
 def test_problem_keeps_its_own_copy_of_the_data():
     # Exactly symmetric Q and a diagonal R, as the basis construction builds
     # them: writing into the given arrays afterwards (R no longer diagonal,
@@ -131,6 +140,25 @@ def test_problem_keeps_its_own_copy_of_the_data():
     after = qecqp.solve(p)
     assert np.array_equal(after.x, before.x)
     assert (after.mu1, after.mu2) == (before.mu1, before.mu2)
+
+
+@pytest.mark.parametrize("c", [2.0**-40, 1e-12, 1e-4])
+def test_solve_scales_a_small_problem_up(c):
+    # The certificates' floors (max(1, .), 1 + ||H||_2) are absolute, so a
+    # Q of norm << 1 would pass them vacuously: unscaled, objective / c was
+    # certified at 61.3 (c = 2^-40) and 49.0 (c = 1e-12), against a minimum
+    # of 0.0656.  Every output that scales with Q is scaled back.
+    z = np.random.default_rng(3).standard_normal((60, 60))
+    r = np.diag(np.repeat([2.0, 0.0], [25, 35]))
+    ref = qecqp.solve(qecqp.QecqpProblem(z @ z.T, r))
+    trace: list[tuple[float, float]] = []
+    sol = qecqp.solve(qecqp.QecqpProblem(c * (z @ z.T), r), trace=trace)
+    assert sol.objective / c == pytest.approx(ref.objective, rel=1e-9)
+    assert sol.fval / c == pytest.approx(ref.fval, rel=1e-9)
+    assert sol.mu1 / c == pytest.approx(ref.mu1, rel=1e-6)
+    assert sol.mu2 / c == pytest.approx(ref.mu2, rel=1e-6)
+    assert sol.gap / c <= 1e-9 and sol.stationarity / c <= 1e-9
+    assert trace[-1] == (sol.mu2, sol.fval)
 
 
 # -- Dual objective against the closed form -----------------------------------
@@ -408,22 +436,6 @@ def test_solve_decomposes_once_per_dual_evaluation(monkeypatch):
         qecqp.solve(p, trace=trace)
         assert sizes.count(p.dim) == len(trace)
         assert sorted(s for s in sizes if s != p.dim) == [1]
-
-
-def test_problem_with_diagonal_r_needs_no_eigensolver(monkeypatch):
-    calls: list[int] = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counting_eigvalsh(m):
-        calls.append(m.shape[0])
-        return eigvalsh(m)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    qecqp.QecqpProblem(np.eye(4), np.diag([2.0, 0.0, 2.0, 0.0]))
-    assert calls == []
-    rot, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((4, 4)))
-    qecqp.QecqpProblem(np.eye(4), rot @ np.diag([2.0, 0.0, 2.0, 0.0]) @ rot.T)
-    assert calls == [4]
 
 
 def test_psd_certificate_rejects_lowered_mu1():
