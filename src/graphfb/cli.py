@@ -10,7 +10,8 @@ Every run writes ``runconfig.json`` with the fully resolved parameters next
 to its outputs; passing that file back via ``--config`` reproduces the run
 (explicit flags still win).  Outputs are deterministic for fixed seeds.
 Exit codes: 0 on success, 2 for invalid inputs (one too large to fit in
-memory among them), 3 for numerical failures.
+memory, or an output path that cannot be written, among them), 3 for
+numerical failures.
 """
 
 from __future__ import annotations
@@ -447,6 +448,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except MemoryError as exc:
         print(f"error: the input is too large for the available memory ({exc})", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -7,22 +7,22 @@ of the sampled two-channel bank to two pointwise equations on the gains:
 
     g0.h0 + g1.h1 = 2,        (|Phi| g0).h0 - (|Phi| g1).h1 = 0.
 
-Both designs here produce h with h + |Phi| h = 2 on every entry, take
-h0 = g0 = sqrt(h) and h1 = g1 = |Phi| h0, and therefore satisfy both
-equations exactly up to rounding.
+Both designs here produce h with h + |Phi| h = 2 on every entry and take
+h0 = sqrt(h) and h1 = |Phi| h0.  The synthesis gains equal the analysis
+gains (g0 = h0, g1 = h1), so they are not stored, and both equations hold
+exactly up to rounding.
 
-Each level applies its bank as two n x n matrices, built once on first use
-from U and the quartet and shared by ``analyze``, ``synthesize`` and
-``verify_pr``:
+Each level therefore applies its bank as one orthogonal n x n operator,
+built once on first use from U and the gains and shared by ``analyze``,
+``synthesize`` and ``verify_pr``:
 
-    analysis  = [rows keep_low of F_h0; rows keep_high of F_h1],
-    synthesis = [cols keep_low of F_g0, cols keep_high of F_g1].
+    analysis = [rows keep_low of F_h0; rows keep_high of F_h1].
 
 Filtering then sampling a channel keeps the rows of its filter operator;
-zero-filling then filtering keeps the columns.  With g = h the synthesis
-operator is the transpose of the analysis operator, which is orthogonal:
-keeping all n sampled coefficients reconstructs any signal.  Signals with a
-non-finite entry are rejected with InputError before any filtering.
+zero-filling then filtering keeps the columns, so synthesis is the
+transpose of analysis, which is also its inverse: keeping all n sampled
+coefficients reconstructs any signal.  Signals with a non-finite entry are
+rejected with InputError before any filtering.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError
-from .fourier import FourierBasis, SignedPermutation, compute_basis
+from .fourier import FourierBasis, SignedPermutation, _orthonormality, compute_basis
 from .graphs import Graph, _real, as_signal, laplacian
 from .qecqp import _check_tol
 from .sampling import SamplingPattern, greedy_max_cut
@@ -54,10 +54,10 @@ __all__ = [
 
 
 class FilterQuartet(NamedTuple):
+    """Analysis gains h0, h1; the synthesis gains equal them and are not stored."""
+
     h0: np.ndarray
     h1: np.ndarray
-    g0: np.ndarray
-    g1: np.ndarray
 
 
 def ideal_half_band(n: int) -> np.ndarray:
@@ -110,21 +110,21 @@ def design_minimax(phi: SignedPermutation, h_des: np.ndarray) -> tuple[np.ndarra
 
 
 def quartet(h: np.ndarray, phi: SignedPermutation) -> FilterQuartet:
-    """Orthogonal quartet from a lowpass gain with h + |Phi| h = 2."""
+    """Orthogonal quartet (sqrt(h), |Phi| sqrt(h)) from a lowpass gain with h + |Phi| h = 2."""
     h = as_signal(h, phi.n)
     if (h < 0).any():
         raise InputError("lowpass gain must be non-negative to take its square root")
     h0 = np.sqrt(h)
-    h1 = phi.apply_abs(h0)
-    return FilterQuartet(h0=h0, h1=h1, g0=h0.copy(), g1=h1.copy())
+    return FilterQuartet(h0=h0, h1=phi.apply_abs(h0))
 
 
 @dataclass(frozen=True, eq=False)
 class FilterLevel:
     """One analysis/synthesis stage: graph, partition, basis, and quartet.
 
-    ``analysis`` and ``synthesis`` are the level's sampled operators, formed
-    on first access and kept read-only for the life of the level.
+    ``analysis`` is the level's orthogonal sampled operator, formed on first
+    access and kept read-only for the life of the level; ``synthesis`` is
+    its transpose, a view of the same memory.
     """
 
     graph: Graph
@@ -141,19 +141,14 @@ class FilterLevel:
         """n x n: the keep_low rows of F_h0 above the keep_high rows of F_h1."""
         u = self.basis.u
         low, high = list(self.pattern.keep_low), list(self.pattern.keep_high)
-        return _frozen(np.vstack([(u[low] * self.quartet.h0) @ u.T, (u[high] * self.quartet.h1) @ u.T]))
+        a = np.vstack([(u[low] * self.quartet.h0) @ u.T, (u[high] * self.quartet.h1) @ u.T])
+        a.flags.writeable = False
+        return a
 
     @cached_property
     def synthesis(self) -> np.ndarray:
-        """n x n: the keep_low columns of F_g0 beside the keep_high columns of F_g1."""
-        u = self.basis.u
-        low, high = list(self.pattern.keep_low), list(self.pattern.keep_high)
-        return _frozen(np.hstack([(u * self.quartet.g0) @ u[low].T, (u * self.quartet.g1) @ u[high].T]))
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+        """n x n: the transpose of ``analysis``, a read-only view with no copy."""
+        return self.analysis.T
 
 
 _DESIGNS = ("hstar", "minimax")
@@ -188,24 +183,13 @@ def build_level(
     return FilterLevel(graph=graph, pattern=pattern, basis=basis, quartet=quartet(h, basis.phi))
 
 
-def _apply(op: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """One level's product ``op @ x``, written to ``out`` when given.
-
-    ``analyze``, ``synthesize`` and the pyramid cascades all make their
-    products here, so a cascade gives bit for bit what the chain of
-    per-level calls gives.  ``x`` may overlap ``out``: numpy then reads
-    from a copy of ``x``.
-    """
-    return np.matmul(op, x, out=out)
-
-
 def analyze(level: FilterLevel, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split a signal into sampled low and high channel coefficients.
 
     One product with ``level.analysis``, split after the low channel.
     Raises InputError on a wrong length or a non-finite entry.
     """
-    c = _apply(level.analysis, as_signal(f, level.n))
+    c = np.matmul(level.analysis, as_signal(f, level.n))
     m = len(level.pattern.keep_low)
     return c[:m], c[m:]
 
@@ -219,20 +203,20 @@ def synthesize(level: FilterLevel, f_low: np.ndarray, f_high: np.ndarray) -> np.
     """
     f_low = as_signal(f_low, len(level.pattern.keep_low))
     f_high = as_signal(f_high, len(level.pattern.keep_high))
-    return _apply(level.synthesis, np.concatenate([f_low, f_high]))
+    return np.matmul(level.synthesis, np.concatenate([f_low, f_high]))
 
 
 def verify_pr(level: FilterLevel) -> dict[str, float]:
-    """Residuals of the two gain equations and of the full operator identity.
+    """Residuals of the two gain equations and of the operator's orthogonality.
 
-    Returns max-norm residuals: ``gain_sum`` for g0.h0 + g1.h1 = 2,
-    ``gain_fold`` for (|Phi| g0).h0 - (|Phi| g1).h1 = 0, and ``operator`` for
-    ``level.synthesis @ level.analysis`` against the identity, so the check
-    covers the very operators that ``analyze`` and ``synthesize`` apply.
+    Returns max-norm residuals, with the synthesis gains equal to the
+    analysis gains: ``gain_sum`` for h0.h0 + h1.h1 = 2, ``gain_fold`` for
+    (|Phi| h0).h0 - (|Phi| h1).h1 = 0, and ``operator`` for max |A^T A - I|
+    with A = ``level.analysis``, so the check covers the very operator that
+    ``analyze`` applies and whose transpose ``synthesize`` applies.
     """
-    h0, h1, g0, g1 = level.quartet
+    h0, h1 = level.quartet
     phi = level.basis.phi
-    gain_sum = float(np.abs(g0 * h0 + g1 * h1 - 2.0).max())
-    gain_fold = float(np.abs(phi.apply_abs(g0) * h0 - phi.apply_abs(g1) * h1).max())
-    operator = float(np.abs(level.synthesis @ level.analysis - np.eye(level.n)).max())
-    return {"gain_sum": gain_sum, "gain_fold": gain_fold, "operator": operator}
+    gain_sum = float(np.abs(h0 * h0 + h1 * h1 - 2.0).max())
+    gain_fold = float(np.abs(phi.apply_abs(h0) * h0 - phi.apply_abs(h1) * h1).max())
+    return {"gain_sum": gain_sum, "gain_fold": gain_fold, "operator": _orthonormality(level.analysis)}

@@ -398,9 +398,13 @@ def _grid(n: int) -> Graph:
 def _random_geometric(n: int, seed: int, radius: float) -> Graph:
     if n < 2:
         raise InputError(f"random geometric graph needs n >= 2, got {n}")
+    radius = _real(radius, "radius")
     if not (0 < radius <= math.sqrt(2.0)):
         raise InputError(f"radius must lie in (0, sqrt(2)], got {radius}")
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"invalid random geometric seed {seed!r}: {exc}") from exc
     pts = rng.random((n, 2))
     d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     r = radius
@@ -421,7 +425,9 @@ def generate(kind: str, n: int, *, seed: int = 0, radius: float = 0.3) -> Graph:
     Random geometric graphs place n points uniformly in the unit square
     (fixed by ``seed``), connect pairs within ``radius`` (grown by 1.25x until
     connected), and weight edges with a Gaussian kernel of the distance.
-    The same arguments always produce the same graph.
+    The same arguments always produce the same graph.  A ``radius`` that is
+    not a real number, or a seed ``np.random.default_rng`` refuses, raises
+    InputError.
     """
     builders = {
         "ring": lambda: _ring(n),

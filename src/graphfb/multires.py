@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .filterbank import _DESIGNS, FilterLevel, FilterQuartet, _apply, _hstar, build_level, verify_pr
+from .filterbank import _DESIGNS, FilterLevel, FilterQuartet, _hstar, build_level, verify_pr
 from .fourier import _ORTHONORMALITY_TOL, FourierBasis, SignedPermutation, _orthonormality
 from .graphs import (
     Graph,
@@ -156,8 +156,10 @@ def sparsify(g: Graph, eps: float, seed=0) -> Graph:
     matrix is positive definite and its inverse is L^+ + 11^T/n; the
     11^T/n terms cancel in R_ij, which is thus the pseudo-inverse formula
     computed from one LU-based inverse instead of an SVD.  A failed
-    inverse raises NumericalError.
+    inverse raises NumericalError; an ``eps`` that is not a real number in
+    (0, 1) raises InputError.
     """
+    eps = _real(eps, "eps")
     if not (0.0 < eps < 1.0):
         raise InputError(f"eps must lie in (0, 1), got {eps}")
     n = g.n
@@ -293,7 +295,7 @@ def pyramid_analyze(p: Pyramid, f: np.ndarray) -> CoefficientTree:
     highs = []
     for level in p.levels:
         m = len(level.pattern.keep_low)
-        _apply(level.analysis, x, buf[: level.n])
+        np.matmul(level.analysis, x, out=buf[: level.n])
         x = buf[:m]
         highs.append(buf[m : level.n])
     return CoefficientTree(lows=x, highs=tuple(highs))
@@ -318,7 +320,7 @@ def pyramid_synthesize(p: Pyramid, tree: CoefficientTree) -> np.ndarray:
         raise InputError("signal has a non-finite entry (nan or inf)")
     for level in reversed(p.levels):
         head = buf[: level.n]
-        _apply(level.synthesis, head, head)
+        np.matmul(level.synthesis, head, out=head)  # numpy reads head from a copy
     return buf
 
 
@@ -338,8 +340,10 @@ def threshold_highpass(tree: CoefficientTree, r: float, *, zero_large: bool = Tr
 
     With ``zero_large`` (default) entries with |value| strictly greater than
     r are zeroed; otherwise entries with |value| <= r are zeroed.  One
-    comparison covers the highs of every level.
+    comparison covers the highs of every level.  An ``r`` that is not a
+    non-negative real number raises InputError.
     """
+    r = _real(r, "threshold")
     if not (r >= 0.0):
         raise InputError(f"threshold must be non-negative, got {r}")
     flat = _flat(tree)
@@ -374,7 +378,8 @@ def save_pyramid(p: Pyramid, path: str | Path) -> None:
     """Write a pyramid as per-level CSV matrices plus a JSON manifest.
 
     Floats are stored with full round-trip precision, so loading reproduces
-    the pyramid exactly.
+    the pyramid exactly.  ``filters.csv`` keeps its four columns
+    (h0, h1, g0, g1), with g0 = h0 and g1 = h1.
     """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
@@ -405,14 +410,15 @@ def save_pyramid(p: Pyramid, path: str | Path) -> None:
             fmt="%d",
             delimiter=",",
         )
-        np.savetxt(d / "filters.csv", np.column_stack(level.quartet), fmt="%.17g", delimiter=",")
+        np.savetxt(d / "filters.csv", np.column_stack([*level.quartet, *level.quartet]), fmt="%.17g", delimiter=",")
 
 
 def load_pyramid(path: str | Path) -> Pyramid:
     """Rebuild a saved pyramid.  Invariants are not re-verified on load.
 
     A missing or malformed file, an array whose shape does not fit its
-    level's vertex count, a manifest whose ``config`` does not name exactly
+    level's vertex count, a ``filters.csv`` whose synthesis columns differ
+    from its analysis columns, a manifest whose ``config`` does not name exactly
     the PyramidConfig fields, or a level size ``n`` or ``requested_depth``
     that is not an integer (a float, integral or not, a bool or a string),
     raises InputError.
@@ -458,13 +464,15 @@ def _read_pyramid(root: Path) -> Pyramid:
         ):
             if got != want:
                 raise InputError(f"level {idx}: {name} holds shape {got}, expected {want}")
+        if not np.array_equal(filt[:, 2:], filt[:, :2], equal_nan=True):
+            raise InputError(f"level {idx}: filters.csv synthesis gains differ from its analysis gains")
         phi = SignedPermutation(phi_rows[:, 1], phi_rows[:, 2])
         basis = FourierBasis(u=u, energies=energies, phi=phi, pair_tags=pair_tags)
         level = FilterLevel(
             graph=graph,
             pattern=pattern,
             basis=basis,
-            quartet=FilterQuartet(filt[:, 0], filt[:, 1], filt[:, 2], filt[:, 3]),
+            quartet=FilterQuartet(filt[:, 0], filt[:, 1]),
         )
         levels.append(level)
     return Pyramid(levels=tuple(levels), config=config, requested_depth=manifest["requested_depth"])

@@ -34,8 +34,10 @@ __all__ = [
 class SamplingPattern:
     """Bipartition of 0..n-1 into a low set and a high set, both non-empty.
 
-    Both index tuples are strictly increasing.  ``sign``, derived from them,
-    is the length-n vector with +1 on ``keep_low`` and -1 on ``keep_high``.
+    Both index tuples are strictly increasing and hold integers: a bool, a
+    string or a float, integral or not, raises InputError rather than being
+    truncated.  ``sign``, derived from them, is the length-n vector with +1
+    on ``keep_low`` and -1 on ``keep_high``.
     """
 
     keep_low: tuple[int, ...]
@@ -43,8 +45,8 @@ class SamplingPattern:
     sign: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        low = tuple(int(i) for i in self.keep_low)
-        high = tuple(int(i) for i in self.keep_high)
+        low = tuple(_vertex_indices(self.keep_low).tolist())
+        high = tuple(_vertex_indices(self.keep_high).tolist())
         n = len(low) + len(high)
         if not low or not high:
             raise InputError("both channels of a sampling pattern must be non-empty")

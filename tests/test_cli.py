@@ -71,6 +71,25 @@ def test_out_of_memory_is_input_error(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_generate_onto_an_existing_file_is_input_error(tmp_path, capsys):
+    # --out naming a regular file ends in an error line naming it, not a traceback.
+    target = tmp_path / "afile"
+    target.write_text("not a directory\n", encoding="utf-8")
+    assert run("generate", "--graph", "ring", "--n", 8, "--out", target) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(target) in err
+
+
+def test_verify_save_onto_an_existing_file_is_input_error(tmp_path, capsys):
+    # OUT/pyramid is a file, so the save after the build cannot make it.
+    out = tmp_path / "d"
+    out.mkdir()
+    (out / "pyramid").write_text("in the way\n", encoding="utf-8")
+    assert run("verify", "--graph", "ring", "--n", 8, "--save", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out / "pyramid") in err
+
+
 def test_unreadable_config(tmp_path):
     assert run("basis", "--config", tmp_path / "nope.json", "--out", tmp_path / "o") == 2
 
@@ -472,6 +491,18 @@ def test_verify_load_rejects_flipped_pair_signs(tmp_path):
     level0 = report(out)["levels"][0]
     assert level0["folding"] > 1e-6 and "involution" not in level0
     assert level0["checks_ok"] is False
+
+
+def test_verify_load_rejects_differing_synthesis_gains(tmp_path, capsys):
+    # A synthesis column that is not the analysis column is refused on load
+    # as bad input (2), before any check runs.
+    pyr = _saved_cli_pyramid(tmp_path)
+    path = pyr / "level0" / "filters.csv"
+    filt = np.loadtxt(path, delimiter=",", ndmin=2)
+    filt[0, 2] += 1e-3
+    np.savetxt(path, filt, fmt="%.17g", delimiter=",")
+    assert run("verify", "--load", pyr, "--out", tmp_path / "b") == 2
+    assert "filters.csv" in capsys.readouterr().err
 
 
 def test_verify_load_rejects_an_empty_manifest(tmp_path, capsys):

@@ -5,10 +5,10 @@ Design identities checked by hand. For a pair (i, j) with i < j:
     design_from_hstar: h[i] = h*, h[j] = 2 - h*
     design_minimax:    h[i] = (h_des[i] + 2 - h_des[j]) / 2, clamped to [0,2]
 
-The quartet takes h0 = sqrt(h), g0 = h0, h1 = g1 = h0 permuted by |Phi|, so
-h0*g0 + h1*g1 = h + (2-h) = 2 entrywise, and the two-channel analysis
-operator built from them is orthogonal. Perfect reconstruction is then the
-statement T^T T = I.
+The quartet takes h0 = sqrt(h) and h1 = h0 permuted by |Phi|, with the
+synthesis gains equal to these, so h0*h0 + h1*h1 = h + (2-h) = 2 entrywise,
+and the two-channel analysis operator built from them is orthogonal.
+Perfect reconstruction is then the statement T^T T = I.
 """
 
 from __future__ import annotations
@@ -117,9 +117,12 @@ def test_quartet_root_and_fold():
     h = np.array([2.0, 0.0])
     q = filterbank.quartet(h, swap2())
     np.testing.assert_allclose(q.h0, [np.sqrt(2.0), 0.0])
-    np.testing.assert_allclose(q.g0, q.h0)
     np.testing.assert_allclose(q.h1, [0.0, np.sqrt(2.0)])
-    np.testing.assert_allclose(q.g1, q.h1)
+
+
+def test_quartet_holds_only_the_analysis_gains():
+    # The synthesis gains equal the analysis gains and are not stored.
+    assert filterbank.FilterQuartet._fields == ("h0", "h1")
 
 
 def test_quartet_k3_frozen(k3):
@@ -135,7 +138,7 @@ def test_quartet_gain_sum_is_two():
     b = basis_for(g)
     for hstar in (0.0, 1.0, 2.0):
         q = filterbank.quartet(filterbank.design_from_hstar(b.phi, hstar), b.phi)
-        np.testing.assert_allclose(q.h0 * q.g0 + q.h1 * q.g1, 2.0, atol=1e-12)
+        np.testing.assert_allclose(q.h0 * q.h0 + q.h1 * q.h1, 2.0, atol=1e-12)
 
 
 def test_quartet_rejects_negative_gain():
@@ -153,7 +156,7 @@ def test_apply_filter_scales_basis_columns(ring4):
     pat = sampling.greedy_max_cut(gf.laplacian(ring4))
     b = basis_for(ring4)
     h = np.array([1.0, 2.0, 3.0, 4.0])
-    level = filterbank.FilterLevel(ring4, pat, b, filterbank.FilterQuartet(h, h, h, h))
+    level = filterbank.FilterLevel(ring4, pat, b, filterbank.FilterQuartet(h, h))
     order = list(pat.keep_low + pat.keep_high)
     for i in range(4):
         u_i = b.u[:, i]
@@ -273,16 +276,11 @@ def test_verify_pr_catches_broken_quartet():
         graph=level.graph,
         pattern=level.pattern,
         basis=level.basis,
-        quartet=filterbank.FilterQuartet(
-            h0=level.quartet.h0,
-            h1=level.quartet.h1,
-            g0=level.quartet.g0,
-            g1=np.zeros_like(level.quartet.g1),
-        ),
+        quartet=filterbank.FilterQuartet(h0=level.quartet.h0, h1=np.zeros_like(level.quartet.h1)),
     )
     rep = filterbank.verify_pr(broken)
     assert rep["gain_sum"] > 0.1 or rep["operator"] > 0.1
-    assert rep["operator"] > 0.1  # the operator gate sees the synthesis side
+    assert rep["operator"] > 0.1  # the operator gate sees the zeroed high channel
 
 
 def _filter(u, h, f):
@@ -299,12 +297,12 @@ def _chain_analyze(level, f):
 
 
 def _chain_synthesize(level, f_low, f_high):
-    # Reference: zero-fill each channel, filter with its synthesis gain, add.
+    # Reference: zero-fill each channel, filter with its gain, add.
     u, q, pat = level.basis.u, level.quartet, level.pattern
     up_low, up_high = np.zeros(level.n), np.zeros(level.n)
     up_low[list(pat.keep_low)] = f_low
     up_high[list(pat.keep_high)] = f_high
-    return _filter(u, q.g0, up_low) + _filter(u, q.g1, up_high)
+    return _filter(u, q.h0, up_low) + _filter(u, q.h1, up_high)
 
 
 @pytest.mark.parametrize("g", [
@@ -334,6 +332,13 @@ def test_level_operators_are_cached_and_read_only():
     for op in (level.analysis, level.synthesis):
         with pytest.raises(ValueError):
             op[0, 0] = 1.0
+
+
+def test_synthesis_is_a_view_of_the_analysis_operator():
+    # One n x n operator per level: synthesis is its transpose, not a copy.
+    level = filterbank.build_level(random_connected_graph(12, seed=3))
+    assert np.shares_memory(level.synthesis, level.analysis)
+    assert np.array_equal(level.synthesis, level.analysis.T)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -377,6 +377,23 @@ def test_generate_rejects_tiny_ring():
         gf.generate("ring", 2)
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"radius": "0.3"}, "radius"),
+        ({"radius": True}, "radius"),
+        ({"radius": None}, "radius"),
+        ({"seed": "x"}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"),
+    ],
+)
+def test_generate_rejects_bad_random_geometric_arguments(kwargs, match):
+    # InputError, not TypeError or ValueError; radius=True is not read as 1.0.
+    with pytest.raises(InputError, match=match):
+        gf.generate("random_geometric", 10, **kwargs)
+
+
 # -- Edge list file format ----------------------------------------------------
 
 

@@ -249,6 +249,12 @@ def test_sparsify_rejects_bad_eps():
         multires.sparsify(g, eps=1.0)
 
 
+@pytest.mark.parametrize("eps", ["0.3", None, True])
+def test_sparsify_rejects_an_eps_that_is_not_a_real_number(eps):
+    with pytest.raises(InputError, match="eps must be a real number"):
+        multires.sparsify(gf.generate("complete", 40), eps)
+
+
 def test_reconnect_restores_dropped_bridge():
     # White-box: the sampling step essentially never drops a bridge (a
     # bridge has the largest possible leverage), so drive the reconnect
@@ -637,6 +643,13 @@ def test_threshold_rejects_negative_r():
         multires.threshold_highpass(tiny_tree(), -1.0)
 
 
+@pytest.mark.parametrize("r", ["1", None, True])
+def test_threshold_rejects_an_r_that_is_not_a_real_number(r):
+    # r=True is not read as 1.0.
+    with pytest.raises(InputError, match="threshold must be a real number"):
+        multires.threshold_highpass(tiny_tree(), r)
+
+
 def test_keep_top_k_budget():
     tree = tiny_tree()
     out = multires.keep_top_k(tree, 4)  # 2 lows + 2 largest highs (3, -2)
@@ -912,7 +925,7 @@ def test_save_load_round_trip_exact(tmp_path):
         np.testing.assert_array_equal(lv_p.basis.phi.perm, lv_q.basis.phi.perm)
         np.testing.assert_array_equal(lv_p.basis.phi.signs, lv_q.basis.phi.signs)
         np.testing.assert_array_equal(lv_p.quartet.h0, lv_q.quartet.h0)
-        np.testing.assert_array_equal(lv_p.quartet.g1, lv_q.quartet.g1)
+        np.testing.assert_array_equal(lv_p.quartet.h1, lv_q.quartet.h1)
         assert lv_p.graph.edges == lv_q.graph.edges
         assert lv_p.pattern.keep_low == lv_q.pattern.keep_low
     # loaded pyramid still reconstructs
@@ -1020,6 +1033,26 @@ def test_load_rejects_level_file_of_wrong_shape(tmp_path, name, cut):
     path = d / "level0" / name
     path.write_text(cut(path.read_text(encoding="utf-8")), encoding="utf-8")
     with pytest.raises(InputError, match=f"{name} holds shape"):
+        multires.load_pyramid(d)
+
+
+def test_saved_filters_keep_four_columns(tmp_path):
+    # Format v1: (h0, h1, g0, g1) with the synthesis gains written out.
+    d = _saved_pyramid(tmp_path)
+    for idx, level in enumerate(multires.load_pyramid(d).levels):
+        filt = np.loadtxt(d / f"level{idx}" / "filters.csv", delimiter=",", ndmin=2)
+        assert filt.shape == (level.n, 4)
+        np.testing.assert_array_equal(filt[:, 2:], filt[:, :2])
+
+
+@pytest.mark.parametrize("column", [2, 3])
+def test_load_rejects_synthesis_gains_that_differ(tmp_path, column):
+    d = _saved_pyramid(tmp_path)
+    path = d / "level1" / "filters.csv"
+    filt = np.loadtxt(path, delimiter=",", ndmin=2)
+    filt[0, column] += 0.5
+    np.savetxt(path, filt, fmt="%.17g", delimiter=",")
+    with pytest.raises(InputError, match="synthesis gains differ"):
         multires.load_pyramid(d)
 
 

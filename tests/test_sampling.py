@@ -126,6 +126,15 @@ def test_pattern_validation_rejects_empty_side():
         sampling.SamplingPattern(keep_low=(0, 1, 2), keep_high=())
 
 
+@pytest.mark.parametrize(
+    "low, high", [((0, 1.5), (2,)), ((0, True), (2,)), (("2",), (0, 1)), ((2.9,), (0, 1)), ((0,), (1.0, 2))]
+)
+def test_pattern_rejects_indices_that_are_not_integers(low, high):
+    # Refused, not truncated: int() would read (0, 1.5) as (0, 1) and (2.9,) as (2,).
+    with pytest.raises(InputError, match="integers"):
+        sampling.SamplingPattern(low, high)
+
+
 def test_pattern_from_low_set():
     pat = sampling.SamplingPattern.from_dict({"n": 4, "keep_low": [0, 2]})
     assert pat.keep_low == (0, 2)
