@@ -249,7 +249,7 @@ def _cmd_generate(cfg: dict, out: Path) -> None:
     write_graph_file(out / "graph.txt", g)
     if g.coords is not None:
         np.savetxt(out / "coords.csv", g.coords, fmt="%.17g", delimiter=",")
-    print(f"wrote {g.n} vertices, {len(g.edges)} edges to {out / 'graph.txt'}")
+    print(f"wrote {g.n} vertices, {len(g.w)} edges to {out / 'graph.txt'}")
 
 
 def _cmd_basis(cfg: dict, out: Path) -> None:

@@ -7,8 +7,9 @@ tuple view ``edges`` is built only when read.  Every graph passes one
 vectorized validation, whichever constructor made it: integer indices in
 range, no self-loops, positive finite weights, no duplicate edges, a
 single connected component, and a finite degree at every vertex.  The
-combinatorial Laplacian is L = D - W with D the diagonal degree matrix,
-and the smoothness of a signal f is the quadratic form f^T L f, which
+combinatorial Laplacian is L = D - W with D the diagonal degree matrix; it
+is written straight from the edge arrays, and no graph holds an n x n
+array.  The smoothness of a signal f is the quadratic form f^T L f, which
 equals the weighted sum of squared differences across edges.
 """
 
@@ -211,7 +212,8 @@ class Graph:
     ``Graph.from_arrays(n, i, j, w, coords)`` from columns, run the same
     vectorized validation (``_checked_edges``, then one pass each for
     connectivity and finite degrees), which raises InputError for the first
-    offending edge or vertex.  Instances are immutable.
+    offending edge or vertex.  Instances are immutable, and hold no n x n
+    array: ``laplacian(g)`` is written from the edge arrays.
 
     Attributes
     ----------
@@ -221,6 +223,11 @@ class Graph:
         Edge endpoints and weights, one entry per edge.
     edges : tuple of (int, int, float)
         The same edges as Python tuples, built on first access.
+    weight_matrix : ndarray
+        The dense symmetric weight matrix W, built anew on each access.
+    degrees : ndarray
+        The row sums of W (the diagonal of the Laplacian), built on first
+        access.
     coords : ndarray or None
         Optional (n, 2) vertex coordinates used by coordinate-derived signals.
     """
@@ -276,7 +283,7 @@ class Graph:
     def edges(self) -> tuple[Edge, ...]:
         return tuple(zip(self.lo.tolist(), self.hi.tolist(), self.w.tolist()))
 
-    @cached_property
+    @property
     def weight_matrix(self) -> np.ndarray:
         w = np.zeros((self.n, self.n))
         w[self.lo, self.hi] = self.w
@@ -285,13 +292,25 @@ class Graph:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        return self.weight_matrix.sum(axis=1)
+        return laplacian(self).diagonal().copy()
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """Combinatorial Laplacian L = D - W as a dense symmetric matrix."""
-    w = g.weight_matrix
-    return np.diag(w.sum(axis=1)) - w
+    """Combinatorial Laplacian L = D - W as a dense symmetric matrix.
+
+    Written into one zeroed array: -w at (lo, hi) and (hi, lo), then the
+    diagonal as 0 minus the row sums.  That equals ``np.diag(W.sum(1)) - W``
+    bit for bit, signed zeros included: negation is exact, and each row sum
+    adds the same entries in the same order as ``W.sum(1)``.
+    """
+    n = g.n
+    lap = np.zeros((n, n))
+    flat = lap.reshape(-1)  # a view; 1-d indices take numpy's fast scatter path
+    neg = -g.w
+    flat[g.lo * n + g.hi] = neg
+    flat[g.hi * n + g.lo] = neg
+    np.fill_diagonal(lap, 0.0 - lap.sum(axis=1))
+    return lap
 
 
 def _finite_square(l_matrix: object) -> np.ndarray:
@@ -395,27 +414,61 @@ def _grid(n: int) -> Graph:
     return Graph.from_arrays(n, src[ok], dst[ok], np.ones(int(ok.sum())), coords)
 
 
+def _rng(seed: object, what: str) -> np.random.Generator:
+    """``np.random.default_rng(seed)``; InputError for a bool (not read as
+    0 or 1) or any seed numpy refuses."""
+    if isinstance(seed, _BOOLS):
+        raise InputError(f"invalid {what} seed {seed!r}: a bool is not a seed")
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"invalid {what} seed {seed!r}: {exc}") from exc
+
+
+_ROW_BLOCK = 128  # rows of the upper triangle that one scan step of _pairs_within covers
+
+
+def _pairs_within(pts: np.ndarray, r: float) -> tuple[np.ndarray, ...]:
+    """Pairs i < j of points at distance d <= r, in row-major order, with d.
+
+    Scans the upper triangle in blocks of ``_ROW_BLOCK`` rows, so memory is
+    O(block * n + pairs).  d = sqrt(dx*dx + dy*dy) is the value
+    ``np.linalg.norm`` computes along an axis of two coordinates.
+    """
+    n = len(pts)
+    x, y = pts[:, 0], pts[:, 1]
+    found = []
+    for a in range(0, n - 1, _ROW_BLOCK):
+        b = min(a + _ROW_BLOCK, n)
+        dx = x[a:b, None] - x[None, a:]
+        dy = y[a:b, None] - y[None, a:]
+        d = np.sqrt(dx * dx + dy * dy)
+        # Block entry (p, q) is the pair (a + p, a + q): j > i above its diagonal.
+        p, q = np.nonzero(np.triu(d <= r, k=1))
+        found.append((p + a, q + a, d[p, q]))
+    return tuple(np.concatenate(col) for col in zip(*found))
+
+
 def _random_geometric(n: int, seed: int, radius: float) -> Graph:
     if n < 2:
         raise InputError(f"random geometric graph needs n >= 2, got {n}")
     radius = _real(radius, "radius")
     if not (0 < radius <= math.sqrt(2.0)):
         raise InputError(f"radius must lie in (0, sqrt(2)], got {radius}")
-    try:
-        rng = np.random.default_rng(seed)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"invalid random geometric seed {seed!r}: {exc}") from exc
-    pts = rng.random((n, 2))
-    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    pts = _rng(seed, "random geometric").random((n, 2))
     r = radius
     for _ in range(64):
-        ii, jj = np.nonzero(np.triu(d <= r, k=1))
+        ii, jj, d = _pairs_within(pts, r)
         if len(ii) and not _components(n, ii, jj).any():
             sigma = r / 2.0
-            w = np.exp(-(d[ii, jj] ** 2) / (2.0 * sigma**2))
+            w = np.exp(-(d**2) / (2.0 * sigma**2))
             return Graph.from_arrays(n, ii, jj, w, pts)
         r *= 1.25
     raise InputError("could not connect random geometric graph within radius growth budget")
+
+
+# The largest n whose n x n float64 array (a Laplacian) an intp can address.
+_MAX_VERTICES = math.isqrt(np.iinfo(np.intp).max // np.dtype(np.float64).itemsize)
 
 
 def generate(kind: str, n: int, *, seed: int = 0, radius: float = 0.3) -> Graph:
@@ -425,20 +478,27 @@ def generate(kind: str, n: int, *, seed: int = 0, radius: float = 0.3) -> Graph:
     Random geometric graphs place n points uniformly in the unit square
     (fixed by ``seed``), connect pairs within ``radius`` (grown by 1.25x until
     connected), and weight edges with a Gaussian kernel of the distance.
-    The same arguments always produce the same graph.  A ``radius`` that is
-    not a real number, or a seed ``np.random.default_rng`` refuses, raises
-    InputError.
+    Their pairs are scanned in blocks of rows, so memory is
+    O(block * n + edges) rather than O(n^2); each growth of the radius scans
+    again.
+    The same arguments always produce the same graph.  An ``n`` that is not
+    an integer, or so large that an n x n float64 array (a Laplacian) could
+    not be addressed, a ``radius`` that is not a real number, and a bool
+    seed or one ``np.random.default_rng`` refuses raise InputError.
     """
     builders = {
-        "ring": lambda: _ring(n),
-        "path": lambda: _path(n),
-        "complete": lambda: _complete(n),
-        "grid": lambda: _grid(n),
-        "random_geometric": lambda: _random_geometric(n, seed, radius),
+        "ring": _ring,
+        "path": _path,
+        "complete": _complete,
+        "grid": _grid,
+        "random_geometric": lambda n: _random_geometric(n, seed, radius),
     }
     if kind not in builders:
         raise InputError(f"unknown graph kind {kind!r}; expected one of {sorted(builders)}")
-    return builders[kind]()
+    n = _integer(n, "vertex count")
+    if n > _MAX_VERTICES:
+        raise InputError(f"vertex count {n} is too large: an n x n Laplacian could not be addressed")
+    return builders[kind](n)
 
 
 def parse_graph(text: str) -> tuple[Graph, np.ndarray | None]:
@@ -508,7 +568,7 @@ def parse_graph(text: str) -> tuple[Graph, np.ndarray | None]:
 
 def format_graph(g: Graph, signal: np.ndarray | None = None) -> str:
     """Inverse of parse_graph; weights keep full float precision."""
-    lines = [f"{i} {j} {w:.17g}" for i, j, w in g.edges]
+    lines = [f"{i} {j} {w:.17g}" for i, j, w in zip(g.lo.tolist(), g.hi.tolist(), g.w.tolist())]
     if signal is not None:
         signal = as_signal(signal, g.n)
         lines.append("%signal")

@@ -47,6 +47,7 @@ from .graphs import (
     _finite_square,
     _integer,
     _real,
+    _rng,
     _vector,
     _vertex_indices,
     as_signal,
@@ -148,8 +149,8 @@ def sparsify(g: Graph, eps: float, seed=0) -> Graph:
     disconnects the graph, the highest-probability crossing edges are added
     back at original weight.  The result lists its edges sorted by (i, j)
     and is built from the selected edge indices as arrays.  Deterministic
-    for a fixed ``seed``; a seed ``np.random.default_rng`` refuses raises
-    InputError.
+    for a fixed ``seed``; a graph that is sampled with a bool seed, or with
+    one ``np.random.default_rng`` refuses, raises InputError.
 
     The effective resistance of edge (i, j) is R_ij = M_ii + M_jj - 2 M_ij
     with M the inverse of L + 11^T/n.  The graph is connected, so that
@@ -169,11 +170,7 @@ def sparsify(g: Graph, eps: float, seed=0) -> Graph:
     q = math.ceil(9.0 * n * math.log(n) / eps**2)
     p = g.w * _effective_resistances(g)
     p = p / p.sum()
-    try:
-        rng = np.random.default_rng(seed)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"invalid sparsify seed {seed!r}: {exc}") from exc
-    counts = rng.multinomial(q, p)
+    counts = _rng(seed, "sparsify").multinomial(q, p)
     drawn = np.flatnonzero(counts)
     idx, w = _reconnect(g, drawn, counts[drawn] * g.w[drawn] / (q * p[drawn]), p)
     order = np.argsort(g.lo[idx] * n + g.hi[idx])

@@ -71,6 +71,14 @@ def test_out_of_memory_is_input_error(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_unaddressable_vertex_count_is_input_error(tmp_path, capsys):
+    # Refused before anything is allocated, with an error line, not a traceback.
+    assert run("generate", "--graph", "path", "--n", 2**70, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "too large" in err
+    assert not (tmp_path / "o" / "graph.txt").exists()
+
+
 def test_generate_onto_an_existing_file_is_input_error(tmp_path, capsys):
     # --out naming a regular file ends in an error line naming it, not a traceback.
     target = tmp_path / "afile"

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import graphfb as gf
+from graphfb import multires, sampling
 from graphfb.errors import InputError, NumericalError
-from graphfb.graphs import as_signal
+from graphfb.graphs import _components, as_signal
 from conftest import dirichlet_double_sum
 
 PATH3_LAPLACIAN = np.array(
@@ -29,6 +32,57 @@ def test_laplacian_complete4():
     g = gf.generate("complete", 4)
     expected = 4.0 * np.eye(4) - np.ones((4, 4))
     np.testing.assert_allclose(gf.laplacian(g), expected, atol=0)
+
+
+def _dense_laplacian(g: gf.Graph) -> np.ndarray:
+    w = g.weight_matrix
+    return np.diag(w.sum(axis=1)) - w
+
+
+def _kron_graph() -> gf.Graph:
+    g = gf.generate("random_geometric", 60, seed=2)
+    l_matrix = gf.laplacian(g)
+    return multires.graph_from_laplacian(multires.kron_reduce(l_matrix, sampling.greedy_max_cut(l_matrix).keep_low))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gf.Graph(1, ()),
+        lambda: gf.generate("ring", 7),
+        lambda: gf.generate("path", 9),
+        lambda: gf.generate("grid", 30),
+        lambda: gf.generate("complete", 12),
+        lambda: gf.generate("random_geometric", 192, seed=5),
+        lambda: gf.generate("random_geometric", 1024, seed=1),
+        _kron_graph,
+    ],
+)
+def test_laplacian_equals_dense_formula_bit_for_bit(make):
+    # L is written from the edge arrays; it must be exactly D - W, with the
+    # sign of every zero (a lone vertex's degree is +0.0) kept.
+    g = make()
+    got, want = gf.laplacian(g), _dense_laplacian(g)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(g.degrees, want.diagonal())
+
+
+def test_graph_holds_no_dense_matrix_after_laplacian():
+    n = 1024
+    g = gf.generate("random_geometric", n, seed=1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lap = gf.laplacian(g)
+        assert g.weight_matrix.shape == (n, n)
+        del lap
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1e6  # a kept W alone would be 8.4 MB
+    assert not any(isinstance(v, np.ndarray) and v.shape == (n, n) for v in vars(g).values())
+    assert g.weight_matrix is not g.weight_matrix
 
 
 def test_laplacian_row_sums_zero():
@@ -386,12 +440,88 @@ def test_generate_rejects_tiny_ring():
         ({"seed": "x"}, "seed"),
         ({"seed": -1}, "seed"),
         ({"seed": 1.5}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"seed": np.False_}, "seed"),
     ],
 )
 def test_generate_rejects_bad_random_geometric_arguments(kwargs, match):
     # InputError, not TypeError or ValueError; radius=True is not read as 1.0.
     with pytest.raises(InputError, match=match):
         gf.generate("random_geometric", 10, **kwargs)
+
+
+@pytest.mark.parametrize("kind", ["ring", "path", "complete", "grid", "random_geometric"])
+@pytest.mark.parametrize(
+    "n, match",
+    [
+        (8.0, "vertex count must be an integer"),
+        (10.0, "vertex count must be an integer"),
+        (np.float64(10), "vertex count must be an integer"),
+        (True, "vertex count must be an integer"),
+        ("10", "vertex count must be an integer"),
+        (None, "vertex count must be an integer"),
+        (2**31, "too large"),
+        (2**70, "too large"),
+        (np.int64(2**40), "too large"),
+    ],
+)
+def test_generate_rejects_bad_vertex_count(kind, n, match):
+    # InputError before anything is allocated, not TypeError, ValueError or
+    # MemoryError; True is not read as 1.
+    with pytest.raises(InputError, match=match):
+        gf.generate(kind, n)
+
+
+def test_unaddressable_vertex_count_bound():
+    # 2**30 is the first n whose n x n float64 array needs more bytes than an
+    # intp can count.  Random geometric is the kind asked for it: were the
+    # bound lost, its first allocation (16 GB of points) would fail at once.
+    first = 2**30
+    assert (first - 1) ** 2 * 8 <= np.iinfo(np.intp).max < first**2 * 8
+    with pytest.raises(InputError, match="too large"):
+        gf.generate("random_geometric", first)
+
+
+def _dense_random_geometric(n: int, seed: int, radius: float) -> tuple:
+    """The generator as it was before the row-blocked scan: the full n x n
+    distance matrix.  Returns (lo, hi, w, coords, final radius)."""
+    pts = np.random.default_rng(seed).random((n, 2))
+    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    r = radius
+    for _ in range(64):
+        ii, jj = np.nonzero(np.triu(d <= r, k=1))
+        if len(ii) and not _components(n, ii, jj).any():
+            sigma = r / 2.0
+            w = np.exp(-(d[ii, jj] ** 2) / (2.0 * sigma**2))
+            return ii, jj, w, pts, r
+        r *= 1.25
+    raise AssertionError("reference did not connect")
+
+
+@pytest.mark.parametrize(
+    "n, seed, radius",
+    list(itertools.product([2, 5, 24, 192, 1024], [1, 77], [0.3, 0.05, 0.01]))
+    + [(1024, 123, 0.3), (300, 9, 0.3), (129, 4, 0.3), (257, 3, 0.05)],
+)
+def test_random_geometric_matches_dense_reference(n, seed, radius):
+    g = gf.generate("random_geometric", n, seed=seed, radius=radius)
+    lo, hi, w, coords, r = _dense_random_geometric(n, seed, radius)
+    assert np.array_equal(g.lo, lo) and np.array_equal(g.hi, hi)
+    assert np.array_equal(g.w, w) and np.array_equal(g.coords, coords)
+    if radius == 0.01:
+        assert r > radius  # these cases take the radius growth path
+
+
+def test_generate_random_geometric_memory_scales_with_edges():
+    # The dense generator peaked at 48.7 MB here: an n x n x 2 difference
+    # array and an n x n distance matrix.
+    tracemalloc.start()
+    try:
+        gf.generate("random_geometric", 1024, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6
 
 
 # -- Edge list file format ----------------------------------------------------
@@ -404,6 +534,14 @@ def test_parse_format_round_trip():
     assert signal is None
     assert g2.n == g.n
     assert g2.edges == g.edges
+
+
+def test_format_graph_leaves_no_edge_tuples():
+    # format_graph reads the edge arrays; the tuple view stays unbuilt.
+    g = gf.generate("random_geometric", 30, seed=2)
+    text = gf.format_graph(g)
+    assert "edges" not in vars(g)
+    assert text == "".join(f"{i} {j} {w:.17g}\n" for i, j, w in g.edges)
 
 
 def test_parse_graph_with_signal_block():

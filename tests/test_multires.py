@@ -235,7 +235,7 @@ def test_effective_resistances_of_complete_and_ring(n):
     np.testing.assert_allclose(r, np.full(n, (n - 1) / n), rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("seed", [-1, [0, -1], 1.5, "x"])
+@pytest.mark.parametrize("seed", [-1, [0, -1], 1.5, "x", True, np.True_])
 def test_sparsify_rejects_bad_seed(seed):
     with pytest.raises(InputError, match="seed"):
         multires.sparsify(gf.generate("complete", 40), eps=0.9, seed=seed)
