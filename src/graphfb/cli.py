@@ -9,6 +9,11 @@ errors), ``denoise`` (coordinate-signal denoising by highpass thresholding),
 Every run writes ``runconfig.json`` with the fully resolved parameters next
 to its outputs; passing that file back via ``--config`` reproduces the run
 (explicit flags still win).  Outputs are deterministic for fixed seeds.
+Each option is declared once, in ``_OPTIONS``, and each command's handler
+and defaults once, in ``_COMMANDS``; the parser, ``--help``, the merge
+with a ``--config`` file and every check read those two tables.  Every
+value a run reads is checked before ``runconfig.json`` is written or any
+graph is read or generated.
 Exit codes: 0 on success, 2 for invalid inputs (one too large to fit in
 memory, or an output path that cannot be written, among them), 3 for
 numerical failures.
@@ -20,6 +25,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,34 +45,74 @@ from .multires import (
     threshold_highpass,
     verify_pyramid,
 )
+from .qecqp import _check_tol
 from .sampling import greedy_max_cut
 
-_GRAPH_KINDS = ("ring", "path", "complete", "grid", "random_geometric")
 
-_DEFAULTS: dict[str, dict] = {
-    "generate": {"graph": None, "n": None, "seed": 0, "radius": 0.3},
-    "basis": {
-        "graph": None, "n": None, "seed": 0, "radius": 0.3,
-        "graph_file": None, "tol": 1e-10, "trace": False,
-    },
-    "roundtrip": {
-        "graph": None, "n": None, "seed": 0, "radius": 0.3, "graph_file": None,
-        "depth": 1, "design": "hstar", "hstar": 2.0, "eps": 0.3,
-        "trials": 20, "keep": "all", "tol": 1e-10,
-    },
-    "denoise": {
-        "graph": "random_geometric", "n": None, "seed": 0, "radius": 0.3,
-        "depth": 3, "design": "hstar", "hstar": 2.0, "eps": 0.3,
-        "sigma": 0.5, "threshold": "median", "rule": "large", "tol": 1e-10,
-    },
-    "locality": {
-        "graph": "ring", "n": 400, "seed": 0, "radius": 0.3,
-        "depth": 3, "design": "hstar", "hstar": 2.0, "eps": 0.3, "tol": 1e-10,
-    },
-    "verify": {
-        "graph": None, "n": None, "seed": 0, "radius": 0.3, "load": None, "save": False,
-        "depth": 1, "design": "hstar", "hstar": 2.0, "eps": 0.3, "tol": 1e-10,
-    },
+class _Option(NamedTuple):
+    """One option of the command line.
+
+    ``kind`` is int, float, str, bool (a flag that takes no value) or a
+    tuple of choices; ``accepts``, when set, tells whether a value of that
+    kind lies in ``domain``, the words that --help and a refusal use.
+    """
+
+    kind: object
+    help: str
+    accepts: Callable[[object], bool] | None = None
+    domain: str = ""
+
+
+def _is_keep(text: str) -> bool:
+    if text in ("all", "lows"):
+        return True
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _is_threshold(text: str) -> bool:
+    if text == "median":
+        return True
+    try:
+        return float(text) >= 0.0
+    except ValueError:
+        return False
+
+
+_OPTIONS = {
+    "config": _Option(str, "runconfig.json from an earlier run; flags override it"),
+    "out": _Option(str, "output directory (created if missing)"),
+    "graph": _Option(("ring", "path", "complete", "grid", "random_geometric"), "generated graph kind"),
+    "n": _Option(int, "vertex count for generated graphs"),
+    "seed": _Option(int, "master seed", lambda v: v >= 0, "non-negative"),
+    "radius": _Option(float, "radius for random_geometric"),
+    "graph_file": _Option(str, "edge-list file instead of --graph"),
+    "depth": _Option(int, "number of pyramid levels"),
+    "design": _Option(_DESIGNS, "filter design"),
+    "hstar": _Option(float, "constant h* in [0, 2] for the hstar design"),
+    "eps": _Option(float, "sparsifier accuracy in (0, 1)"),
+    "tol": _Option(float, "solver tolerance"),
+    "trace": _Option(bool, "write one CSV per subproblem with a (mu2, f) row per full-size dual evaluation"),
+    "trials": _Option(int, "number of random test signals", lambda v: v >= 1, "at least 1"),
+    "keep": _Option(str, "coefficients to keep", _is_keep, "all, lows, or an integer"),
+    # The upper bound refuses inf and an integer too large for a float; nan fails both.
+    "sigma": _Option(float, "noise standard deviation", lambda v: 0 <= v <= sys.float_info.max,
+                     "a finite non-negative number"),
+    "threshold": _Option(str, "highpass threshold r", _is_threshold, "median, inf, or a non-negative number"),
+    "rule": _Option(("large", "small"), "zero entries larger/smaller than r"),
+    "load": _Option(str, "saved pyramid directory to verify instead of building"),
+    "save": _Option(bool, "save the built pyramid under OUT/pyramid for later --load runs"),
+}
+
+# What a value from a config file may be, by the kind of its option.
+_KINDS = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    bool: ((bool,), "true or false"),
 }
 
 
@@ -75,73 +121,34 @@ def _fanout(seed: int, stage: int) -> int:
     return int(np.random.SeedSequence([int(seed), int(stage)]).generate_state(1)[0])
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="graphfb", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, *, graph_file: bool = False) -> None:
-        p.add_argument("--config", help="runconfig.json from an earlier run; flags override it")
-        p.add_argument("--out", help="output directory (created if missing)")
-        p.add_argument("--graph", choices=_GRAPH_KINDS, help="generated graph kind")
-        p.add_argument("--n", type=int, help="vertex count for generated graphs")
-        p.add_argument("--seed", type=int, help="master seed (default 0)")
-        p.add_argument("--radius", type=float, help="radius for random_geometric (default 0.3)")
-        if graph_file:
-            p.add_argument("--graph-file", dest="graph_file", help="edge-list file instead of --graph")
-
-    def add_pyramid(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--depth", type=int, help="number of pyramid levels")
-        p.add_argument("--design", choices=_DESIGNS, help="filter design (default hstar)")
-        p.add_argument("--hstar", type=float, help="constant h* in [0, 2] for the hstar design")
-        p.add_argument("--eps", type=float, help="sparsifier accuracy in (0, 1) (default 0.3)")
-        p.add_argument("--tol", type=float, help="solver tolerance (default 1e-10)")
-
-    p = sub.add_parser("generate", help="write a test graph as an edge list")
-    add_common(p)
-
-    p = sub.add_parser("basis", help="build a basis and export it with its energies")
-    add_common(p, graph_file=True)
-    p.add_argument("--tol", type=float, help="solver tolerance (default 1e-10)")
-    p.add_argument(
-        "--trace",
-        action="store_true",
-        default=None,
-        help="write one CSV per subproblem with a (mu2, f) row per full-size dual evaluation",
-    )
-
-    p = sub.add_parser("roundtrip", help="measure analysis/synthesis reconstruction error")
-    add_common(p, graph_file=True)
-    add_pyramid(p)
-    p.add_argument("--trials", type=int, help="number of random test signals (default 20)")
-    p.add_argument("--keep", help="coefficients to keep: all, lows, or an integer")
-
-    p = sub.add_parser("denoise", help="denoise a coordinate signal by thresholding")
-    add_common(p)
-    add_pyramid(p)
-    p.add_argument("--sigma", type=float, help="noise standard deviation (default 0.5)")
-    p.add_argument("--threshold", help="median, inf, or a number (default median)")
-    p.add_argument("--rule", choices=("large", "small"), help="zero entries larger/smaller than r")
-
-    p = sub.add_parser("locality", help="step-signal reconstructions per pyramid layer")
-    add_common(p)
-    add_pyramid(p)
-
-    p = sub.add_parser("verify", help="re-check pyramid invariants")
-    add_common(p)
-    add_pyramid(p)
-    p.add_argument("--load", help="saved pyramid directory to verify instead of building")
-    p.add_argument(
-        "--save", action="store_true", default=None,
-        help="save the built pyramid under OUT/pyramid for later --load runs",
-    )
-
+    for cmd, (handler, defaults) in _COMMANDS.items():
+        p = sub.add_parser(cmd, help=handler.__doc__)
+        for key in ("config", "out", *defaults):
+            opt = _OPTIONS[key]
+            if opt.kind is bool:
+                how = {"action": "store_true"}
+            elif isinstance(opt.kind, tuple):
+                how = {"choices": opt.kind}
+            else:
+                how = {"type": opt.kind}
+            text = f"{opt.help}: {opt.domain}" if opt.domain else opt.help
+            if defaults.get(key) is not None:
+                text += f" (default {defaults[key]})"
+            # default=None tells an unset flag apart, so a --config file can fill it
+            p.add_argument("--" + key.replace("_", "-"), default=None, help=text, **how)
     return parser
 
 
 def _resolve(args: argparse.Namespace) -> dict:
+    """The command's defaults, overridden by a --config file, overridden by
+    the flags given; every value the run reads is checked here, before any
+    file is written or read."""
     cmd = args.command
-    cfg = dict(_DEFAULTS[cmd])
-    cfg["out"] = None
+    defaults = _COMMANDS[cmd][1]
+    cfg = {"out": None, **defaults}
     if args.config is not None:
         try:
             stored = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -153,56 +160,43 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise InputError(
                 f"config file is for command {stored.get('command')!r}, not {cmd!r}"
             )
-        for key, val in stored.items():
-            if key in cfg:
-                cfg[key] = val
-    for key, val in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if val is not None:
-            cfg[key] = val
-    if cmd == "denoise":
-        _check_sigma(cfg["sigma"])  # before the type check, whose message names no range
-    _check_types(cmd, cfg)
-    if cfg.get("out") is None:
+        cfg.update((key, val) for key, val in stored.items() if key in cfg)
+    cfg.update((key, val) for key, val in vars(args).items() if key in cfg and val is not None)
+    for key, val in cfg.items():
+        if val is not None or defaults.get(key) is not None:  # None stands for unset
+            _check(key, val)
+    if cfg["out"] is None:
         raise InputError("an output directory is required (--out)")
-    if cfg["seed"] < 0:
-        raise InputError(f"--seed must be non-negative, got {cfg['seed']}")
+    if cfg.get("load"):
+        return cfg  # a saved pyramid brings its own graph and config
+    if not cfg.get("graph_file") and (cfg["graph"] is None or cfg["n"] is None):
+        raise InputError("either --graph-file or both --graph and --n are required")
+    if "depth" in cfg:
+        if cfg["depth"] < 1:
+            raise InputError(f"--depth must be at least 1, got {cfg['depth']}")
+        _pyramid_config(cfg)  # the library's own checks of eps, hstar, tol and design
+    elif "tol" in cfg:
+        _check_tol(cfg["tol"])
     return cfg
 
 
-def _check_sigma(sigma) -> None:
-    try:
-        ok = bool(np.isfinite(float(sigma)) and float(sigma) >= 0.0)
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
-        raise InputError(f"--sigma must be a finite non-negative number, got {sigma}")
+def _check(key: str, val) -> None:
+    """InputError unless ``val`` is of its option's kind and in its domain.
 
-
-def _check_types(cmd: str, cfg: dict) -> None:
-    """Reject a value (from a config file) that is not of the type its flag
-    parses to, or not one of the flag's choices.  None stands for an unset
-    option whose default is None."""
-    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in sub.choices[cmd]._actions}
-    for key, val in cfg.items():
-        if val is None and _DEFAULTS[cmd].get(key) is None:
-            continue
-        action = actions[key]
-        if action.nargs == 0:
-            kinds, what = (bool,), "true or false"
-        elif action.type is int:
-            kinds, what = (int,), "an integer"
-        elif action.type is float:
-            kinds, what = (int, float), "a number"
-        else:
-            kinds, what = (str,), "a string"
-        ok = isinstance(val, kinds) and (isinstance(val, bool) == (kinds == (bool,)))
-        if ok and action.choices is not None and val not in action.choices:
-            ok, what = False, f"one of {list(action.choices)}"
-        if not ok:
-            raise InputError(f"config key {key!r} must be {what}, got {val!r}")
+    Only a config file can give a value of the wrong kind, so that refusal
+    names the key; it names the domain too, for an option that has one.
+    """
+    opt = _OPTIONS[key]
+    if isinstance(opt.kind, tuple):
+        typed, what = val in opt.kind, f"one of {list(opt.kind)}"
+    else:
+        kinds, what = _KINDS[opt.kind]
+        typed = isinstance(val, kinds) and isinstance(val, bool) == (opt.kind is bool)
+    rule = f"--{key.replace('_', '-')} must be {opt.domain}"
+    if not typed:
+        raise InputError(f"config key {key!r} must be {what}, got {val!r}" + (f"; {rule}" if opt.domain else ""))
+    if opt.accepts is not None and not opt.accepts(val):
+        raise InputError(f"{rule}, got {val!r}")
 
 
 def _load_graph(cfg: dict) -> tuple[Graph, np.ndarray | None]:
@@ -211,11 +205,7 @@ def _load_graph(cfg: dict) -> tuple[Graph, np.ndarray | None]:
             return read_graph_file(cfg["graph_file"])
         except OSError as exc:
             raise InputError(f"cannot read graph file: {exc}") from exc
-    kind = cfg.get("graph")
-    n = cfg.get("n")
-    if kind is None or n is None:
-        raise InputError("either --graph-file or both --graph and --n are required")
-    return generate(kind, int(n), seed=_fanout(cfg["seed"], 0), radius=cfg["radius"]), None
+    return generate(cfg["graph"], cfg["n"], seed=_fanout(cfg["seed"], 0), radius=cfg["radius"]), None
 
 
 def _pyramid_config(cfg: dict) -> PyramidConfig:
@@ -245,6 +235,7 @@ def _rms(x: np.ndarray) -> float:
 
 
 def _cmd_generate(cfg: dict, out: Path) -> None:
+    """write a test graph as an edge list"""
     g, _ = _load_graph(cfg)
     write_graph_file(out / "graph.txt", g)
     if g.coords is not None:
@@ -253,6 +244,7 @@ def _cmd_generate(cfg: dict, out: Path) -> None:
 
 
 def _cmd_basis(cfg: dict, out: Path) -> None:
+    """build a basis and export it with its energies"""
     g, _ = _load_graph(cfg)
     lap = laplacian(g)
     pattern = greedy_max_cut(lap)
@@ -293,26 +285,23 @@ def _cmd_basis(cfg: dict, out: Path) -> None:
 
 
 def _cmd_roundtrip(cfg: dict, out: Path) -> None:
-    if int(cfg["trials"]) < 1:
-        raise InputError(f"--trials must be at least 1, got {cfg['trials']}")
+    """measure analysis/synthesis reconstruction error"""
     g, signal = _load_graph(cfg)
-    pyramid = build_pyramid(g, int(cfg["depth"]), _pyramid_config(cfg))
+    pyramid = build_pyramid(g, cfg["depth"], _pyramid_config(cfg))
     if signal is not None:
         signals = [signal]
     else:
         rng = np.random.default_rng(_fanout(cfg["seed"], 1))
-        signals = [rng.standard_normal(g.n) for _ in range(int(cfg["trials"]))]
+        signals = [rng.standard_normal(g.n) for _ in range(cfg["trials"])]
+    k = None  # keep all
+    if cfg["keep"] == "lows":
+        k = len(pyramid.levels[-1].pattern.keep_low)
+    elif cfg["keep"] != "all":
+        k = int(cfg["keep"])
     res = []
     for f in signals:
         tree = pyramid_analyze(pyramid, f)
-        keep = str(cfg["keep"])
-        if keep == "lows":
-            tree = keep_top_k(tree, len(tree.lows))
-        elif keep != "all":
-            try:
-                k = int(keep)
-            except ValueError:
-                raise InputError(f"--keep must be all, lows, or an integer, got {keep!r}") from None
+        if k is not None:
             tree = keep_top_k(tree, k)
         fr = pyramid_synthesize(pyramid, tree)
         res.append(float(np.linalg.norm(f - fr) / np.linalg.norm(f)))
@@ -333,6 +322,7 @@ def _cmd_roundtrip(cfg: dict, out: Path) -> None:
 
 
 def _cmd_denoise(cfg: dict, out: Path) -> None:
+    """denoise a coordinate signal by thresholding"""
     sigma = float(cfg["sigma"])
     g, _ = _load_graph(cfg)
     if g.coords is None:
@@ -345,18 +335,9 @@ def _cmd_denoise(cfg: dict, out: Path) -> None:
     rng = np.random.default_rng(_fanout(cfg["seed"], 1))
     noise = sigma * rng.standard_normal(g.n)
     noisy = clean + noise
-    pyramid = build_pyramid(g, int(cfg["depth"]), _pyramid_config(cfg))
+    r = float(np.median(np.abs(noise))) if cfg["threshold"] == "median" else float(cfg["threshold"])
+    pyramid = build_pyramid(g, cfg["depth"], _pyramid_config(cfg))
     tree = pyramid_analyze(pyramid, noisy)
-    thr = str(cfg["threshold"])
-    if thr == "median":
-        r = float(np.median(np.abs(noise)))
-    elif thr == "inf":
-        r = float("inf")
-    else:
-        try:
-            r = float(thr)
-        except ValueError:
-            raise InputError(f"--threshold must be median, inf, or a number, got {thr!r}") from None
     tree = threshold_highpass(tree, r, zero_large=(cfg["rule"] == "large"))
     denoised = pyramid_synthesize(pyramid, tree)
     _write_csv(
@@ -379,9 +360,10 @@ def _cmd_denoise(cfg: dict, out: Path) -> None:
 
 
 def _cmd_locality(cfg: dict, out: Path) -> None:
+    """step-signal reconstructions per pyramid layer"""
     g, _ = _load_graph(cfg)
     f = np.where(np.arange(g.n) < g.n // 2, 0.0, 2.0)
-    pyramid = build_pyramid(g, int(cfg["depth"]), _pyramid_config(cfg))
+    pyramid = build_pyramid(g, cfg["depth"], _pyramid_config(cfg))
     tree = pyramid_analyze(pyramid, f)
     recons = []
     for i in range(1, pyramid.depth + 1):
@@ -403,12 +385,13 @@ def _cmd_locality(cfg: dict, out: Path) -> None:
 
 
 def _cmd_verify(cfg: dict, out: Path) -> None:
-    if cfg.get("load"):
+    """re-check pyramid invariants"""
+    if cfg["load"]:
         pyramid = load_pyramid(cfg["load"])
     else:
         g, _ = _load_graph(cfg)
-        pyramid = build_pyramid(g, int(cfg["depth"]), _pyramid_config(cfg))
-        if cfg.get("save"):
+        pyramid = build_pyramid(g, cfg["depth"], _pyramid_config(cfg))
+        if cfg["save"]:
             save_pyramid(pyramid, out / "pyramid")
     report = verify_pyramid(pyramid)
     _write_json(out / "report.json", report)
@@ -425,24 +408,33 @@ def _cmd_verify(cfg: dict, out: Path) -> None:
     print("all checks passed")
 
 
+_GRAPH = {"graph": None, "n": None, "seed": 0, "radius": 0.3}
+_PYRAMID = {"depth": 1, "design": "hstar", "hstar": 2.0, "eps": 0.3, "tol": 1e-10}
+
+# Each command's handler, whose docstring is its --help line, and the
+# default of every option it takes besides --config and --out, in --help order.
 _COMMANDS = {
-    "generate": _cmd_generate,
-    "basis": _cmd_basis,
-    "roundtrip": _cmd_roundtrip,
-    "denoise": _cmd_denoise,
-    "locality": _cmd_locality,
-    "verify": _cmd_verify,
+    "generate": (_cmd_generate, _GRAPH),
+    "basis": (_cmd_basis, {**_GRAPH, "graph_file": None, "tol": 1e-10, "trace": False}),
+    "roundtrip": (_cmd_roundtrip, {**_GRAPH, "graph_file": None, **_PYRAMID, "trials": 20, "keep": "all"}),
+    "denoise": (
+        _cmd_denoise,
+        {**_GRAPH, "graph": "random_geometric", **_PYRAMID, "depth": 3,
+         "sigma": 0.5, "threshold": "median", "rule": "large"},
+    ),
+    "locality": (_cmd_locality, {**_GRAPH, "graph": "ring", "n": 400, **_PYRAMID, "depth": 3}),
+    "verify": (_cmd_verify, {**_GRAPH, **_PYRAMID, "load": None, "save": False}),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _resolve(args)
         out = Path(cfg["out"])
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "runconfig.json", {"command": args.command, **cfg})
-        _COMMANDS[args.command](cfg, out)
+        _COMMANDS[args.command][0](cfg, out)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -154,6 +154,12 @@ class FilterLevel:
 _DESIGNS = ("hstar", "minimax")
 
 
+def _check_design(design) -> None:
+    """InputError unless ``design`` is one of ``_DESIGNS``."""
+    if design not in _DESIGNS:
+        raise InputError(f"design must be one of {_DESIGNS}, got {design!r}")
+
+
 def build_level(
     graph: Graph,
     *,
@@ -169,8 +175,7 @@ def build_level(
     and ``hstar`` (in [0, 2] with either design), and ``tol`` (in
     (0, 1e-4)), are checked before the basis is built.
     """
-    if design not in _DESIGNS:
-        raise InputError(f"design must be 'hstar' or 'minimax', got {design!r}")
+    _check_design(design)
     _hstar(hstar)
     _check_tol(tol)
     lap = laplacian(graph)

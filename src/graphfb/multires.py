@@ -38,9 +38,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .filterbank import _DESIGNS, FilterLevel, FilterQuartet, _hstar, build_level, verify_pr
+from .filterbank import FilterLevel, FilterQuartet, _check_design, _hstar, build_level, verify_pr
 from .fourier import _ORTHONORMALITY_TOL, FourierBasis, SignedPermutation, _orthonormality
 from .graphs import (
+    _BOOLS,
     Graph,
     _all_finite,
     _components,
@@ -138,6 +139,14 @@ def _effective_resistances(g: Graph) -> np.ndarray:
     return d[g.lo] + d[g.hi] - 2.0 * m[g.lo, g.hi]
 
 
+def _eps(value) -> float:
+    """``value`` as a float in (0, 1); InputError otherwise."""
+    eps = _real(value, "eps")
+    if not (0.0 < eps < 1.0):
+        raise InputError(f"eps must lie in (0, 1), got {eps}")
+    return eps
+
+
 def sparsify(g: Graph, eps: float, seed=0) -> Graph:
     """Spectral sparsifier by effective-resistance sampling.
 
@@ -149,8 +158,10 @@ def sparsify(g: Graph, eps: float, seed=0) -> Graph:
     disconnects the graph, the highest-probability crossing edges are added
     back at original weight.  The result lists its edges sorted by (i, j)
     and is built from the selected edge indices as arrays.  Deterministic
-    for a fixed ``seed``; a graph that is sampled with a bool seed, or with
-    one ``np.random.default_rng`` refuses, raises InputError.
+    for a fixed ``seed``.  A bool, string, bytes or float seed raises
+    InputError on entry, whether or not the graph is sampled; a seed of
+    another type that ``np.random.default_rng`` refuses (such as -1) raises
+    it when the graph is sampled.
 
     The effective resistance of edge (i, j) is R_ij = M_ii + M_jj - 2 M_ij
     with M the inverse of L + 11^T/n.  The graph is connected, so that
@@ -160,9 +171,9 @@ def sparsify(g: Graph, eps: float, seed=0) -> Graph:
     inverse raises NumericalError; an ``eps`` that is not a real number in
     (0, 1) raises InputError.
     """
-    eps = _real(eps, "eps")
-    if not (0.0 < eps < 1.0):
-        raise InputError(f"eps must lie in (0, 1), got {eps}")
+    eps = _eps(eps)
+    if isinstance(seed, (*_BOOLS, str, bytes, float, np.floating)):
+        raise InputError(f"invalid sparsify seed {seed!r}: a {type(seed).__name__} is not a seed")
     n = g.n
     m = len(g.w)
     if n < 2 or m <= 2.0 * n * math.log(n) / eps**2:
@@ -212,20 +223,18 @@ class PyramidConfig:
     tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        _real(self.eps, "eps")
+        _eps(self.eps)
         _hstar(self.hstar)
         _check_tol(self.tol)
-        if not (0.0 < self.eps < 1.0):
-            raise InputError(f"eps must lie in (0, 1), got {self.eps}")
-        if self.design not in _DESIGNS:
-            raise InputError(f"design must be one of {_DESIGNS}, got {self.design!r}")
+        _check_design(self.design)
         if _integer(self.seed, "seed") < 0:
             raise InputError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class Pyramid:
-    """Filter levels, shallowest first: at least one, at most ``requested_depth``."""
+    """Filter levels, shallowest first: at least one, at most ``requested_depth``,
+    each on as many vertices as the level before it keeps in its low channel."""
 
     levels: tuple[FilterLevel, ...]
     config: PyramidConfig
@@ -235,6 +244,11 @@ class Pyramid:
         depth = _integer(self.requested_depth, "requested_depth")
         if not 1 <= len(self.levels) <= depth:
             raise InputError(f"a pyramid needs 1 to requested_depth={depth} levels, got {len(self.levels)}")
+        for k, (level, deeper) in enumerate(zip(self.levels, self.levels[1:])):
+            if deeper.n != len(level.pattern.keep_low):
+                raise InputError(
+                    f"level {k + 1} has {deeper.n} vertices, but level {k} keeps {len(level.pattern.keep_low)}"
+                )
 
     @property
     def depth(self) -> int:
@@ -416,9 +430,10 @@ def load_pyramid(path: str | Path) -> Pyramid:
     A missing or malformed file, an array whose shape does not fit its
     level's vertex count, a ``filters.csv`` whose synthesis columns differ
     from its analysis columns, a manifest whose ``config`` does not name exactly
-    the PyramidConfig fields, or a level size ``n`` or ``requested_depth``
+    the PyramidConfig fields, a level size ``n`` or ``requested_depth``
     that is not an integer (a float, integral or not, a bool or a string),
-    raises InputError.
+    or a level whose size is not the low channel count of the level before
+    it, raises InputError.
     """
     try:
         return _read_pyramid(Path(path))

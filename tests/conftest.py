@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +106,16 @@ def all_cut_values(g: gf.Graph) -> np.ndarray:
             continue
         vals.append(float(w[np.ix_(side, ~side)].sum()))
     return np.asarray(vals)
+
+
+def splice_level1(saved: Path, donor: Path) -> None:
+    """Replace level 1 of the saved pyramid ``saved``, its directory and its
+    manifest entry, by those of the saved pyramid ``donor``."""
+    shutil.rmtree(saved / "level1")
+    shutil.copytree(donor / "level1", saved / "level1")
+    manifest = json.loads((saved / "manifest.json").read_text(encoding="utf-8"))
+    manifest["levels"][1] = json.loads((donor / "manifest.json").read_text(encoding="utf-8"))["levels"][1]
+    (saved / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
 
 
 def dirichlet_double_sum(g: gf.Graph, f: np.ndarray) -> float:

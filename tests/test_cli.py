@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import graphfb as gf
+from conftest import splice_level1
 from graphfb.cli import main
 
 
@@ -175,6 +176,47 @@ def test_zero_trials(tmp_path, capsys):
     assert run("roundtrip", "--graph", "ring", "--n", 8, "--trials", 0, "--out", out) == 2
     assert "--trials must be at least 1" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("cmd, key, value", [
+    ("roundtrip", "keep", "half"),
+    ("roundtrip", "keep", "1e3"),
+    ("roundtrip", "trials", 0),
+    ("denoise", "threshold", "abc"),
+    ("denoise", "threshold", "-1"),
+    ("denoise", "threshold", "nan"),
+])
+def test_bad_value_is_refused_before_any_graph_is_made(tmp_path, monkeypatch, source, cmd, key, value):
+    # These used to be refused only after a whole pyramid build.
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was generated")
+
+    monkeypatch.setattr("graphfb.cli.generate", no_graph)
+    out = tmp_path / "o"
+    argv = [cmd, "--graph", "random_geometric", "--n", 192, "--depth", 3, "--out", out]
+    if source == "flag":
+        argv.append(f"--{key}={value}")
+    else:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"command": cmd, key: value}), encoding="utf-8")
+        argv += ["--config", cfg]
+    assert run(*argv) == 2
+    assert not (out / "runconfig.json").exists()
+
+
+@pytest.mark.parametrize("cmd, shown", [
+    ("locality", ["graph kind (default ring)", "--n N vertex count for generated graphs (default 400)",
+                  "--depth DEPTH number of pyramid levels (default 3)"]),
+    ("denoise", ["graph kind (default random_geometric)", "--depth DEPTH number of pyramid levels (default 3)"]),
+])
+def test_help_shows_the_commands_defaults(capsys, cmd, shown):
+    with pytest.raises(SystemExit) as exc:
+        run(cmd, "--help")
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for line in shown:
+        assert line in text
 
 
 # -- generate ------------------------------------------------------------------
@@ -442,6 +484,24 @@ def _saved_cli_pyramid(tmp_path: Path) -> Path:
     out = tmp_path / "a"
     assert run("verify", "--graph", "ring", "--n", 12, "--depth", 2, "--save", "--out", out) == 0
     return out / "pyramid"
+
+
+def test_verify_load_reads_no_build_flags(tmp_path):
+    # A loaded pyramid brings its own config, so --tol and --depth go unread.
+    pyr = _saved_cli_pyramid(tmp_path)
+    assert run("verify", "--load", pyr, "--tol", "nan", "--depth", 0, "--out", tmp_path / "b") == 0
+
+
+def test_verify_load_rejects_level_sizes_that_do_not_chain(tmp_path, capsys):
+    # Level 0 of ring 16 keeps 8 vertices; level 1 of ring 20 has 10.  This
+    # used to print "all checks passed".
+    for name, n in (("a", 16), ("b", 20)):
+        assert run("verify", "--graph", "ring", "--n", n, "--depth", 2, "--save", "--out", tmp_path / name) == 0
+    capsys.readouterr()
+    splice_level1(tmp_path / "a" / "pyramid", tmp_path / "b" / "pyramid")
+    assert run("verify", "--load", tmp_path / "a" / "pyramid", "--out", tmp_path / "c") == 2
+    captured = capsys.readouterr()
+    assert "level 0 keeps 8" in captured.err and "all checks passed" not in captured.out
 
 
 def test_verify_load_missing_level_file(tmp_path, capsys):

@@ -24,7 +24,7 @@ import pytest
 import graphfb as gf
 from graphfb import fourier, multires, sampling
 from graphfb.errors import InputError, NumericalError
-from conftest import phi_matrix, random_connected_graph
+from conftest import phi_matrix, random_connected_graph, splice_level1
 
 
 # -- Kron reduction ------------------------------------------------------------
@@ -235,10 +235,18 @@ def test_effective_resistances_of_complete_and_ring(n):
     np.testing.assert_allclose(r, np.full(n, (n - 1) / n), rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("seed", [-1, [0, -1], 1.5, "x", True, np.True_])
+@pytest.mark.parametrize("seed", [-1, [0, -1], 1.5, "x", True, np.True_, b"bytes"])
 def test_sparsify_rejects_bad_seed(seed):
     with pytest.raises(InputError, match="seed"):
         multires.sparsify(gf.generate("complete", 40), eps=0.9, seed=seed)
+    # ring 10 is returned unchanged: a seed of a wrong type is refused there
+    # too, a seed that numpy refuses (-1, [0, -1]) only where it samples.
+    ring = gf.generate("ring", 10)
+    if isinstance(seed, (int, list)) and not isinstance(seed, bool):
+        assert multires.sparsify(ring, eps=0.9, seed=seed) is ring
+    else:
+        with pytest.raises(InputError, match="seed"):
+            multires.sparsify(ring, eps=0.9, seed=seed)
 
 
 def test_sparsify_rejects_bad_eps():
@@ -1145,6 +1153,21 @@ def test_pyramid_needs_one_to_requested_depth_levels():
     with pytest.raises(InputError, match="requested_depth must be an integer"):
         multires.Pyramid(levels=p.levels, config=p.config, requested_depth=2.0)
     assert multires.Pyramid(levels=p.levels[:1], config=p.config, requested_depth=3).depth == 1
+
+
+def test_pyramid_level_sizes_must_chain(tmp_path):
+    # Level 0 of ring 16 keeps 8 vertices; level 1 of ring 20 has 10.  Such
+    # a pyramid used to load and verify green, and pyramid_analyze then
+    # raised numpy's ValueError.
+    a = multires.build_pyramid(gf.generate("ring", 16), 2)
+    b = multires.build_pyramid(gf.generate("ring", 20), 2)
+    with pytest.raises(InputError, match="level 1 has 10 vertices, but level 0 keeps 8"):
+        multires.Pyramid(levels=(a.levels[0], b.levels[1]), config=a.config, requested_depth=2)
+    multires.save_pyramid(a, tmp_path / "a")
+    multires.save_pyramid(b, tmp_path / "b")
+    splice_level1(tmp_path / "a", tmp_path / "b")
+    with pytest.raises(InputError, match="level 1 has 10 vertices, but level 0 keeps 8"):
+        multires.load_pyramid(tmp_path / "a")
 
 
 def test_load_rejects_manifest_without_levels(tmp_path):
