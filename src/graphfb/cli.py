@@ -67,10 +67,9 @@ def _is_keep(text: str) -> bool:
     if text in ("all", "lows"):
         return True
     try:
-        int(text)
+        return int(text) >= 1
     except ValueError:
         return False
-    return True
 
 
 def _is_threshold(text: str) -> bool:
@@ -97,7 +96,7 @@ _OPTIONS = {
     "tol": _Option(float, "solver tolerance"),
     "trace": _Option(bool, "write one CSV per subproblem with a (mu2, f) row per full-size dual evaluation"),
     "trials": _Option(int, "number of random test signals", lambda v: v >= 1, "at least 1"),
-    "keep": _Option(str, "coefficients to keep", _is_keep, "all, lows, or an integer"),
+    "keep": _Option(str, "coefficients to keep", _is_keep, "all, lows, or a positive integer"),
     # The upper bound refuses inf and an integer too large for a float; nan fails both.
     "sigma": _Option(float, "noise standard deviation", lambda v: 0 <= v <= sys.float_info.max,
                      "a finite non-negative number"),
@@ -152,7 +151,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     if args.config is not None:
         try:
             stored = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an integer of over 4300 digits
             raise InputError(f"cannot read config file: {exc}") from exc
         if not isinstance(stored, dict):
             raise InputError("config file must hold a JSON object")
@@ -181,7 +180,8 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 
 def _check(key: str, val) -> None:
-    """InputError unless ``val`` is of its option's kind and in its domain.
+    """InputError unless ``val`` is of its option's kind and in its domain,
+    and, for a float option, fits in a float.
 
     Only a config file can give a value of the wrong kind, so that refusal
     names the key; it names the domain too, for an option that has one.
@@ -197,6 +197,11 @@ def _check(key: str, val) -> None:
         raise InputError(f"config key {key!r} must be {what}, got {val!r}" + (f"; {rule}" if opt.domain else ""))
     if opt.accepts is not None and not opt.accepts(val):
         raise InputError(f"{rule}, got {val!r}")
+    if opt.kind is float:
+        try:
+            float(val)  # a config file's integer may not fit
+        except OverflowError:
+            raise InputError(f"--{key.replace('_', '-')} is too large for a float") from None
 
 
 def _load_graph(cfg: dict) -> tuple[Graph, np.ndarray | None]:

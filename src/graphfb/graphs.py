@@ -167,10 +167,14 @@ def _integer(value, what: str) -> int:
 
 
 def _real(value, what: str) -> float:
-    """``value`` as a float; InputError for a bool, a string or any other non-real."""
+    """``value`` as a float; InputError for a bool, a string or any other
+    non-real, and for a real too large for a float, such as 10**400."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InputError(f"{what} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise InputError(f"{what} is too large for a float") from exc
 
 
 def _edge_columns(n: int, edges: Sequence) -> tuple[np.ndarray, ...]:

@@ -54,21 +54,23 @@ searches a small subspace W first (Rayleigh-Ritz): W starts as the carried
 subspace, and the dual of (W^T Q W, W^T R W) is maximized with the same
 routine at that mu2, at the cost of m x m eigendecompositions only,
 provided the spectrum of W^T R W straddles 1 so that the projected dual has
-a maximizer.  At that maximizer, the Ritz vectors of the smallest Ritz
-value theta are checked against the full problem,
-||(Q + mu2 R) y - theta y|| <= 1e-2 tol h_scale: if they pass, the Ritz
-point is the answer.  Otherwise W grows by one shift-invert step (block
+a maximizer.  At that maximizer one pass over the lowest Ritz pairs
+(theta, y) forms their residuals (Q + mu2 R) y - theta y on the full
+problem.  If those of the smallest Ritz value pass the Ritz gate,
+||(Q + mu2 R) y - theta y|| <= 1e-2 tol h_scale, the Ritz point is the
+answer.  Otherwise the same pass takes one shift-invert step (block
 inverse iteration; Parlett, The Symmetric Eigenvalue Problem; Knyazev,
 LOBPCG, SISC 2001): a single LU solve with Q + mu2 R - sigma I,
 sigma = theta - 1e-6 h_scale just below the Ritz value, whose right-hand
-sides are the Ritz residuals of the lowest three Ritz pairs and
-(R - y^T R y) y, the direction of dv_0/dmu2; the next round maximizes
-again, from the same mu2, on the larger W.  After three steps, or when a
-step fails, is not finite or adds nothing to W, the full search takes over
-from one full evaluation at the last projected maximizer.  It starts at the
-start mu2 instead when the carried subspace does not straddle 1 or would
-fill the space, or when its projected dual has no maximizer.  Every
-stopping rule is therefore one of the full search or the Ritz gate.
+sides are the residuals of the lowest three Ritz pairs and
+(R - y^T R y) y, the direction of dv_0/dmu2; W grows by its solutions, and
+the next round maximizes again, from the same mu2, on the larger W.  After
+three steps, or when a step fails, is not finite or adds nothing to W, the
+full search takes over from one full evaluation at the last projected
+maximizer.  It starts at the start mu2 instead when the carried subspace
+does not straddle 1 or would fill the space, or when its projected dual
+has no maximizer.  Every stopping rule is therefore one of the full search
+or the Ritz gate.
 
 H = Q + mu1 I + mu2 R is a shift of Q + mu2 R by a multiple of I, so the
 last full evaluation's eigenpairs (w - lambda_min, V) are those of H, and
@@ -274,7 +276,7 @@ def _maximize_dual(
 ) -> _DualEval:
     """Maximize the concave dual by safeguarded Newton steps on the
     supergradient; returns the evaluation at the maximizer with its
-    eigenpairs: a Ritz point of the projected search (see _ritz_point), or
+    eigenpairs: a Ritz point of the projected search (see _ritz_round), or
     the last full-size evaluation, the only one that keeps them.
 
     A start with a subspace, for k >= _WARM_MIN_DIM, runs _projected_search
@@ -351,7 +353,11 @@ class _Limits(NamedTuple):
 
 # Below this size a start's subspace is not searched: a projected search
 # there, on a W of 16 or more columns, costs more than the full search it
-# saves (measured with one BLAS thread).
+# saves (measured with one BLAS thread).  Without the rule random_geometric
+# 192 built about 2% slower, and build_level of random_geometric 128 seed 1
+# at tol 1e-14 failed its feasibility certificate with one BLAS thread
+# (residual 5.0e-10), where it passes with the rule (with two BLAS threads
+# it fails either way).
 _WARM_MIN_DIM = 24
 # Lowest eigenvectors or Ritz vectors a solve hands on as the next start.
 _CARRY_DIM = 16
@@ -380,11 +386,10 @@ def _projected_search(
 
     W starts as the span of ``new``, carried over from a nearby problem.
     Each round maximizes the dual of (W^T Q W, W^T R W) from mu2 with
-    _search, which costs only m x m eigendecompositions, and checks the
-    projected maximizer p.  When p ends the search (_Limits.done) and its
-    Ritz point passes the Ritz gate, that point is returned (_ritz_point).
-    Otherwise, for the first _LU_ROUNDS rounds, W grows by one shift-invert
-    step at p (_shift_invert_step, one k x k LU solve) and the next round
+    _search, which costs only m x m eigendecompositions, and hands the
+    projected maximizer p to _ritz_round, one pass that returns p's Ritz
+    point if it passes, or else, in the first _LU_ROUNDS rounds, one
+    shift-invert step (one k x k LU solve) by which W grows; the next round
     starts from p.mu2.  When the rounds run out, or when a step fails or
     adds nothing to W, p.mu2 is returned for the full search to start from.
     When the spectrum of the carried W^T R W does not straddle 1, when W
@@ -413,70 +418,58 @@ def _projected_search(
         except SolverError:
             break
         mu2 = p.mu2
-        if lim.done(p):
-            ritz = _ritz_point(problem, w, qw, rw, p, lim)
-            if ritz is not None:
-                return ritz
-        step = _shift_invert_step(problem, w, qw, rw, p) if rnd < _LU_ROUNDS else None
-        if step is None:
+        found = _ritz_round(problem, w, qw, rw, p, lim, rnd < _LU_ROUNDS)
+        if isinstance(found, _DualEval):
+            return found
+        if found is None:
             break
-        new = _orthonormal_complement(w, step)
+        new = _orthonormal_complement(w, found)
     return mu2
 
 
-def _ritz_top(problem: QecqpProblem, p: _DualEval) -> float:
-    """Lower bound on lambda_max(Q + mu2 R) at the projected evaluation p:
-    the larger of the largest Ritz value and the largest diagonal entry."""
-    d = problem.q.diagonal() + p.mu2 * problem.r.diagonal()
-    return max(float(p.w[-1]), float(d.max()))
+def _ritz_round(
+    problem: QecqpProblem, w: np.ndarray, qw: np.ndarray, rw: np.ndarray, p: _DualEval, lim: _Limits, step: bool
+) -> _DualEval | np.ndarray | None:
+    """One round's check and refinement at the projected maximizer p, in
+    one pass over the lowest max(c, 3) Ritz pairs (theta_i, y_i = W z_i) of
+    A = Q + mu2 R, c the size of the cluster of theta_0: y_i, R y_i and the
+    residuals A y_i - theta_i y_i come from the products qw = Q W and
+    rw = R W, and h_scale = 1 + top - theta_0, a lower bound of _certify's,
+    from top = max(theta_max, max_j A_jj) <= lambda_max(A).
 
-
-def _ritz_point(
-    problem: QecqpProblem, w: np.ndarray, qw: np.ndarray, rw: np.ndarray, p: _DualEval, lim: _Limits
-) -> _DualEval | None:
-    """The projected evaluation p at its maximizer, lifted to the full
-    problem: Ritz values (theta) and Ritz vectors (W z), and as ``top`` the
-    lower bound _ritz_top on lambda_max(Q + mu2 R).  None unless every Ritz
-    vector of the smallest Ritz value is an eigenvector of Q + mu2 R within
-    the Ritz gate, ||(Q + mu2 R) y - theta y|| <= _RITZ_GATE * tol * h_scale
-    with h_scale = 1 + top - theta_0, the rigorous lower bound of the one
-    _certify uses.  Since theta_0 >= lambda_min(Q + mu2 R), whether it is
-    the minimum is left to the positive semidefiniteness certificate."""
-    top = _ritz_top(problem, p)
-    h_scale = 1.0 + max(0.0, top - p.lam)
-    z = p.v[:, : _cluster_size(p.w)]
-    res = (qw + p.mu2 * rw) @ z - (w @ z) * p.w[: z.shape[1]]
-    if float(np.linalg.norm(res, axis=0).max()) > _RITZ_GATE * lim.tol * h_scale:
-        return None
-    return p._replace(v=w @ p.v, top=top)
-
-
-def _shift_invert_step(
-    problem: QecqpProblem, w: np.ndarray, qw: np.ndarray, rw: np.ndarray, p: _DualEval
-) -> np.ndarray | None:
-    """Directions toward the lowest eigenvectors of A = Q + mu2 R at the
-    projected evaluation p, from one LU solve with A - sigma I, where
-    sigma = theta_0 - _SHIFT * h_scale lies just below the smallest Ritz
-    value (h_scale as in _ritz_point).  The right-hand sides are the
-    residuals A y_i - theta_i y_i of the lowest three Ritz pairs and
-    (R - y_0^T R y_0) y_0, the direction of dv_0/dmu2, formed from the
-    products qw = Q W and rw = R W the search already holds.
-
-    (A - sigma I)^{-1} (A - theta_i I) y_i = y_i + (sigma - theta_i)
-    (A - sigma I)^{-1} y_i spans, together with y_i in W, the inverse
-    iteration step from y_i.  Solved for the residual, its part outside W
-    survives rounding; (A - sigma I)^{-1} y_i itself is parallel to y_i to
-    about 1e-11, below the drop rule of _orthonormal_complement.  None if
-    the factorization fails or the solution is not finite.
+    Returns p lifted to the full problem (``v`` = W z, and ``top``) when p
+    ends the search (_Limits.done) and the cluster's residuals pass the Ritz
+    gate, _RITZ_GATE * tol * h_scale; since theta_0 >= lambda_min(A),
+    whether it is the minimum is left to the positive semidefiniteness
+    certificate.  Otherwise, if ``step`` is set, returns the solution of one
+    LU solve with A - sigma I, sigma = theta_0 - _SHIFT * h_scale, for the
+    residuals of the lowest three Ritz pairs and (R - y_0^T R y_0) y_0, the
+    direction of dv_0/dmu2.  (A - sigma I)^{-1} (A - theta_i I) y_i =
+    y_i + (sigma - theta_i) (A - sigma I)^{-1} y_i spans, with y_i in W, the
+    inverse iteration step from y_i, and solved for the residual its part
+    outside W survives rounding ((A - sigma I)^{-1} y_i alone is parallel to
+    y_i to about 1e-11, below the drop rule of _orthonormal_complement).
+    None without ``step``, or if the factorization fails or the solution is
+    not finite.
     """
-    h_scale = 1.0 + max(0.0, _ritz_top(problem, p) - p.lam)
-    z = p.v[:, :3]
+    done = lim.done(p)
+    if not (done or step):
+        return None
+    d = problem.q.diagonal() + p.mu2 * problem.r.diagonal()
+    top = max(float(p.w[-1]), float(d.max()))
+    h_scale = 1.0 + max(0.0, top - p.lam)
+    c = _cluster_size(p.w)
+    z = p.v[:, : max(c, 3)]
     y = w @ z
-    rz = rw @ z
-    res = qw @ z + p.mu2 * rz - y * p.w[: z.shape[1]]
-    d = rz[:, 0] - float(y[:, 0] @ rz[:, 0]) * y[:, 0]
+    ry = rw @ z
+    res = qw @ z + p.mu2 * ry - y * p.w[: z.shape[1]]
+    if done and float(np.linalg.norm(res[:, :c], axis=0).max()) <= _RITZ_GATE * lim.tol * h_scale:
+        return p._replace(v=w @ p.v, top=top)
+    if not step:
+        return None
+    dv = ry[:, 0] - float(y[:, 0] @ ry[:, 0]) * y[:, 0]
     try:
-        x = np.linalg.solve(_h_matrix(problem, _SHIFT * h_scale - p.lam, p.mu2), np.column_stack([res, d]))
+        x = np.linalg.solve(_h_matrix(problem, _SHIFT * h_scale - p.lam, p.mu2), np.column_stack([res[:, :3], dv]))
     except np.linalg.LinAlgError:
         return None
     return x if np.isfinite(x).all() else None
@@ -716,6 +709,10 @@ def _solve(
     e = _maximize_dual(problem, tol, trace, start)
     ritz = e.v.shape[1] < problem.dim
     x = _fix_sign(_null_point_from_eigh(e.w - e.lam, e.v, problem.r, tol_null=1e-8))
+    # Carrying every subspace is a size trade-off, not a simplification: it
+    # cut depth-3 build CPU time to 0.56-0.66x on ring 400 and complete 120,
+    # rotating their bases inside degenerate eigenspaces, but raised it to
+    # 1.2-1.5x on grid 64-144 and ring 64.
     moved = abs(e.mu2 - start.mu2) > tol * (1.0 + abs(start.mu2))
     carry = e.v[:, :_CARRY_DIM].copy() if moved else None
     e = e._replace(v=None)  # frees the eigenvectors before the certificate's k x k work

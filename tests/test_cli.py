@@ -80,6 +80,31 @@ def test_unaddressable_vertex_count_is_input_error(tmp_path, capsys):
     assert not (tmp_path / "o" / "graph.txt").exists()
 
 
+@pytest.mark.parametrize("cmd, key", [("verify", "eps"), ("generate", "radius"), ("basis", "tol"),
+                                      ("roundtrip", "hstar")])
+def test_config_number_too_large_for_a_float_is_input_error(tmp_path, capsys, cmd, key):
+    # json writes 10**400 out in full; it used to end in an OverflowError
+    # traceback.  It is refused before runconfig.json is written.
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"command": cmd, key: 10**400}), encoding="utf-8")
+    out = tmp_path / "o"
+    assert run(cmd, "--config", cfg, "--graph", "ring", "--n", 8, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --{key} is too large for a float")
+    assert not (out / "runconfig.json").exists()
+
+
+def test_config_integer_past_the_digit_limit_is_input_error(tmp_path, capsys):
+    # json refuses an integer of more than 4300 digits with a plain
+    # ValueError (from Python 3.11 on); an older json reads it, and the
+    # vertex count is then refused as too large.
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"command": "generate", "graph": "ring", "n": 1' + "0" * 5000 + "}", encoding="utf-8")
+    assert run("generate", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o" / "graph.txt").exists()
+
+
 def test_generate_onto_an_existing_file_is_input_error(tmp_path, capsys):
     # --out naming a regular file ends in an error line naming it, not a traceback.
     target = tmp_path / "afile"
@@ -182,6 +207,8 @@ def test_zero_trials(tmp_path, capsys):
 @pytest.mark.parametrize("cmd, key, value", [
     ("roundtrip", "keep", "half"),
     ("roundtrip", "keep", "1e3"),
+    ("roundtrip", "keep", "0"),
+    ("roundtrip", "keep", "-3"),
     ("roundtrip", "trials", 0),
     ("denoise", "threshold", "abc"),
     ("denoise", "threshold", "-1"),

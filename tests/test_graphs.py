@@ -450,6 +450,12 @@ def test_generate_rejects_bad_random_geometric_arguments(kwargs, match):
         gf.generate("random_geometric", 10, **kwargs)
 
 
+def test_generate_rejects_a_radius_too_large_for_a_float():
+    # InputError, not OverflowError.
+    with pytest.raises(InputError, match="radius is too large for a float"):
+        gf.generate("random_geometric", 8, radius=10**400)
+
+
 @pytest.mark.parametrize("kind", ["ring", "path", "complete", "grid", "random_geometric"])
 @pytest.mark.parametrize(
     "n, match",

@@ -658,6 +658,11 @@ def test_threshold_rejects_an_r_that_is_not_a_real_number(r):
         multires.threshold_highpass(tiny_tree(), r)
 
 
+def test_threshold_rejects_an_r_too_large_for_a_float():
+    with pytest.raises(InputError, match="threshold is too large for a float"):
+        multires.threshold_highpass(tiny_tree(), 10**400)
+
+
 def test_keep_top_k_budget():
     tree = tiny_tree()
     out = multires.keep_top_k(tree, 4)  # 2 lows + 2 largest highs (3, -2)
@@ -987,6 +992,13 @@ def test_corrupted_basis_fails_verification(tmp_path):
 def test_pyramid_config_rejects_invalid_values(kwargs):
     with pytest.raises(InputError):
         multires.PyramidConfig(**kwargs)
+
+
+@pytest.mark.parametrize("key", ["eps", "hstar", "tol"])
+def test_pyramid_config_rejects_a_value_too_large_for_a_float(key):
+    # InputError, not OverflowError.
+    with pytest.raises(InputError, match="too large for a float"):
+        multires.PyramidConfig(**{key: 10**400})
 
 
 def test_pyramid_config_accepts_numpy_reals():

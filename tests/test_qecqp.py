@@ -669,11 +669,26 @@ def test_clustered_minimum_does_not_depend_on_the_route():
     assert np.abs(warm.x - cold.x).max() <= 1e-6
 
 
+def record_ritz_rounds(mp: pytest.MonkeyPatch) -> list[tuple]:
+    """Patches _ritz_round to record each call's arguments after the
+    problem, (w, qw, rw, p, lim, step), with its result appended."""
+    rounds: list[tuple] = []
+    ritz_round = qecqp._ritz_round
+
+    def recording(problem, *args):
+        out = ritz_round(problem, *args)
+        rounds.append((*args, out))
+        return out
+
+    mp.setattr(qecqp, "_ritz_round", recording)
+    return rounds
+
+
 def test_projected_search_hands_its_last_maximizer_to_the_full_search():
-    # With every Ritz point rejected, the projected search takes all its
-    # shift-invert steps and makes no full evaluation itself; the full
-    # search then starts at the last projected maximizer, not at the
-    # start's mu2.
+    # With every Ritz point rejected (a negative Ritz gate, which no
+    # residual passes), the projected search takes all its shift-invert
+    # steps and makes no full evaluation itself; the full search then
+    # starts at the last projected maximizer, not at the start's mu2.
     p, start = rgg_subproblem(96, 1, 9)
     evals: list[tuple[int, float]] = []
     lu_solves: list[int] = []
@@ -688,10 +703,12 @@ def test_projected_search_hands_its_last_maximizer_to_the_full_search():
         return solve(a, rhs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qecqp, "_ritz_point", lambda *args: None)
+        mp.setattr(qecqp, "_RITZ_GATE", -1.0)
+        rounds = record_ritz_rounds(mp)
         mp.setattr(qecqp, "_dual_eval", recording)
         mp.setattr(np.linalg, "solve", counting_solve)
         sol, trace, _, calls = solve_recorded(p, start)
+    assert [out is None for *_, out in rounds] == [False] * qecqp._LU_ROUNDS + [True]
     first_full = next(i for i, (k, _) in enumerate(evals) if k == p.dim)
     assert first_full > 0 and all(k < p.dim for k, _ in evals[:first_full])
     assert all(k == p.dim for k, _ in evals[first_full:])
@@ -703,6 +720,32 @@ def test_projected_search_hands_its_last_maximizer_to_the_full_search():
     full, _, _, _ = solve_recorded(p)
     assert abs(sol.mu2 - full.mu2) <= 1e-7
     assert sol.objective == pytest.approx(full.objective, rel=1e-9)
+
+
+def test_ritz_round_steps_and_lifts_as_documented():
+    # k = 78: the first round fails the Ritz gate and steps, the last one
+    # passes it.  The step's directions, rebuilt from the full matrices,
+    # solve (A - sigma I) X = [A y_i - theta_i y_i (i < 3), (R - y_0^T R y_0) y_0]
+    # with A = Q + mu2 R and sigma = theta_0 - _SHIFT (1 + top - theta_0);
+    # the Ritz point is p with the Ritz vectors W z and top >= theta_max.
+    p, start = rgg_subproblem(96, 1, 9)
+    with pytest.MonkeyPatch.context() as mp:
+        rounds = record_ritz_rounds(mp)
+        _, trace, _, calls = solve_recorded(p, start)
+    assert trace == [] and calls == [(True, True)]
+    (w, _, _, e, _, step, x), *_, (w_last, _, _, e_last, _, _, ritz) = rounds
+    assert step and isinstance(x, np.ndarray)
+    a = p.q + e.mu2 * p.r
+    y = w @ e.v[:, :3]
+    y0 = y[:, 0]
+    rhs = np.column_stack([a @ y - y * e.w[:3], p.r @ y0 - (y0 @ p.r @ y0) * y0])
+    top = max(e.w[-1], a.diagonal().max())
+    sigma = e.w[0] - qecqp._SHIFT * (1.0 + top - e.w[0])
+    assert np.abs(np.linalg.solve(a - sigma * np.eye(p.dim), rhs) - x).max() <= 1e-12
+    assert isinstance(ritz, qecqp._DualEval)
+    assert np.array_equal(ritz.v, w_last @ e_last.v)
+    assert ritz.top >= e_last.w[-1]
+    assert ritz.w is e_last.w and ritz[:5] == e_last[:5]  # mu2, lam, g_lo, g_hi, dg
 
 
 # -- Warm starts and Ritz points ----------------------------------------------
