@@ -197,11 +197,12 @@ def compute_basis(
     first level of a grid does at mu2 = 0.  ``tol``, the solver tolerance,
     must lie in (0, 1e-4).
 
-    The level's problem, Q = L in (low, high) order with R = diag(2I, 0), is
-    checked once, as a ``qecqp.QecqpProblem`` (so a non-finite or asymmetric
-    L raises InputError), and scaled up by a power of two when max |L| < 1/2
-    (see ``qecqp``).  Each deflation keeps Q exactly symmetric, and each
-    pair's R is a window of the level's, so the pairs are solved unchecked.
+    The level's problem, Q = L in (low, high) order with R = diag(2I, 0)
+    and ||R||_2 = 2, is scaled up by a power of two when max |L| < 1/2 (see
+    ``qecqp``), and its scaled Q is checked once, by the check a public
+    problem's Q passes (so a non-finite or asymmetric L raises
+    InputError).  Each deflation keeps Q exactly symmetric, and each pair's
+    R is a window of the level's, so the pairs are solved unchecked.
 
     ``trace_hook``, if given, is called as trace_hook(step, trace) with the
     trace of the solve for the subproblem of each step: one (mu2, f) row
@@ -218,9 +219,9 @@ def compute_basis(
     s = pattern.sign
     low, high = list(pattern.keep_low), list(pattern.keep_high)
     perm = np.asarray(low + high)
-    q, scale = qecqp._scaled_up(l_matrix[np.ix_(perm, perm)])
-    level = qecqp.QecqpProblem(q, np.diag(np.repeat([2.0, 0.0], [len(low), len(high)])))
-    q = level.q
+    r = np.diag(np.repeat([2.0, 0.0], [len(low), len(high)]))
+    level = qecqp._scaled_problem(l_matrix[np.ix_(perm, perm)], r, 2.0)
+    q = qecqp._checked_q(level.q)
     b_lo = np.eye(len(low))
     b_hi = np.eye(len(high))
 
@@ -233,11 +234,10 @@ def compute_basis(
     start = qecqp._COLD
     while b_lo.shape[1] and b_hi.shape[1]:
         k_lo, k = b_lo.shape[1], q.shape[0]
-        problem = qecqp.QecqpProblem._trusted(q, level.r[step : n - step, step : n - step], level.r_norm)
         trace: list | None = [] if trace_hook is not None else None
-        sol, start = qecqp._solve(problem, tol, trace, start)
+        sol, start = qecqp._solve(level._replace(q=q, r=r[step : n - step, step : n - step]), tol, trace, start)
         if trace_hook is not None:
-            trace_hook(step, [(qecqp._unscale(mu2, scale), qecqp._unscale(f, scale)) for mu2, f in trace])
+            trace_hook(step, trace)
         u = np.zeros(n)
         u[low], b_lo, v_lo = _split_off(b_lo, sol.x[:k_lo])
         u[high], b_hi, v_hi = _split_off(b_hi, sol.x[k_lo:])

@@ -353,12 +353,16 @@ def check_laplacian(l_matrix: np.ndarray, *, tol: float = 1e-10) -> dict[str, fl
     """Validate Laplacian structure; returns the residuals it checked.
 
     Checks symmetry, zero row sums, non-positive off-diagonal entries, and
-    positive semidefiniteness, each against ``tol`` scaled by max|L|.
-    Raises NumericalError on the first violation, and InputError for a
-    matrix that is not square or holds a nan or inf.
+    positive semidefiniteness, each against ``tol`` scaled by max|L|, with
+    no floor, so a Laplacian of small weights is held to the same relative
+    bound as one of unit weights.  Raises NumericalError on the first
+    violation, and InputError for a matrix that is empty, not square or
+    holds a nan or inf.
     """
     l_matrix = _finite_square(l_matrix)
-    scale = max(1.0, float(np.abs(l_matrix).max(initial=0.0)))
+    if l_matrix.size == 0:
+        raise InputError("Laplacian must not be empty")
+    scale = float(np.abs(l_matrix).max())
     sym = float(np.abs(l_matrix - l_matrix.T).max(initial=0.0))
     if sym > tol * scale:
         raise NumericalError(f"Laplacian asymmetry {sym:.3e} exceeds tolerance")

@@ -495,10 +495,11 @@ def verify_pyramid(p: Pyramid) -> dict:
 
     Per level: basis orthonormality max |U^T U - I| (the gate and threshold
     of the build), folding max |J U - U Phi|, the stored energies against
-    diag(U^T L U) (relative to max(1, max |energy|)), the pair tags against
-    Phi (each tag >= 0 on exactly two columns that Phi swaps, every -1
-    column fixed by Phi), and the three reconstruction residuals.  U Phi is
-    the column gather U[:, perm] * signs.  The types guarantee the rest: a
+    diag(U^T L U) (relative to max |energy|, with no floor, so that small
+    weights cannot hide wrong energies), the pair tags against Phi (each
+    tag >= 0 on exactly two columns that Phi swaps, every -1 column fixed
+    by Phi), and the three reconstruction residuals.  U Phi is the column
+    gather U[:, perm] * signs.  The types guarantee the rest: a
     ``Graph`` has a valid Laplacian, a ``SignedPermutation`` is a symmetric
     signed involution.  ``ok`` is True when every check passes its threshold.
     """
@@ -511,9 +512,10 @@ def verify_pyramid(p: Pyramid) -> dict:
         perm, signs = level.basis.phi.perm, level.basis.phi.signs
         entry["folding"] = float(np.abs(s[:, None] * u - u[:, perm] * signs).max())
         energies = np.einsum("ij,ij->j", u, laplacian(level.graph) @ u)
-        entry["energies"] = float(
-            np.abs(level.basis.energies - energies).max() / max(1.0, float(np.abs(energies).max()))
-        )
+        gap, scale = (float(np.abs(v).max()) for v in (level.basis.energies - energies, energies))
+        # Energies of an orthonormal U sum to trace(L) > 0; a zero scale means
+        # U is not one, which the orthonormality check reports.
+        entry["energies"] = gap / scale if scale else gap
         entry["pair_tags_ok"] = _pair_tags_match(level.basis.pair_tags, perm)
         entry.update(verify_pr(level))
         entry["checks_ok"] = bool(

@@ -97,15 +97,17 @@ products with Q and R, H x among them as Q x + mu1 x + mu2 R x.
 
 Problems enter the solver validated, and at unit scale or above: their
 certificates hold absolute floors (max(1, .), 1 + ||H||_2) that would pass
-vacuously when ||Q|| << 1, so ``solve`` scales a Q with max |Q| < 1/2 up
-by a power of two, which is exact, and scales the solution back.  The
-basis construction checks and scales each level's problem once, and solves
-the deflated problems of that level unchecked.
+vacuously when ||Q|| << 1, so a Q with max |Q| < 1/2 is scaled up by a
+power of two, which is exact.  The solver works on one private record of
+the scaled Q, R, ||R||_2 and that power, and hands its solution and trace
+rows back in the caller's units.  ``solve`` builds the record once per
+call; the basis construction builds and checks one per level, and solves
+the deflated problems of that level, windows of it, unchecked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -154,12 +156,8 @@ class QecqpProblem:
             raise InputError(f"Q and R must be square with equal shapes, got {q.shape} and {r.shape}")
         if q.size == 0:
             raise InputError("Q and R must not be empty")
-        # max |.| is NaN or inf exactly when an entry is.
-        q_max, r_max = (float(np.abs(m).max(initial=0.0)) for m in (q, r))
-        if not (np.isfinite(q_max) and np.isfinite(r_max)):
-            raise InputError("Q and R must be finite")
-        rs = max(1.0, r_max)
-        q = _symmetric(q, max(1.0, q_max), "Q")
+        q = _checked_q(q)
+        rs = max(1.0, _finite_max(r))
         r = _symmetric(r, rs, "R")
         ev = np.linalg.eigvalsh(r)
         if ev[0] < -1e-10 * rs:
@@ -173,27 +171,35 @@ class QecqpProblem:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "r_norm", max(-float(ev[0]), float(ev[-1])))
 
-    @classmethod
-    def _trusted(cls, q: np.ndarray, r: np.ndarray, r_norm: float) -> QecqpProblem:
-        """(q, r) with r_norm = ||r||_2, neither copied nor checked: for data valid by construction."""
-        p = object.__new__(cls)
-        p.__dict__.update(q=q, r=r, r_norm=r_norm)
-        return p
-
     @property
     def dim(self) -> int:
         return self.q.shape[0]
+
+
+def _finite_max(m: np.ndarray) -> float:
+    """max |m|, which is NaN or inf exactly when an entry is."""
+    m_max = float(np.abs(m).max())
+    if not np.isfinite(m_max):
+        raise InputError("Q and R must be finite")
+    return m_max
 
 
 def _symmetric(m: np.ndarray, scale: float, name: str) -> np.ndarray:
     """The symmetric part of m, provided m is symmetric within
     _SYM_TOL * scale.  An exactly symmetric m comes back unchanged, but for
     rounding in subnormal entries, even with entries near the largest
-    float.  The basis construction runs this check once per level and
-    solves the deflated problems of that level unchecked."""
+    float."""
     if float(np.abs(m - m.T).max()) > _SYM_TOL * scale:
         raise InputError(f"{name} is not symmetric")
     return _sym(m)
+
+
+def _checked_q(q: np.ndarray) -> np.ndarray:
+    """The symmetric part of a finite Q symmetric within _SYM_TOL * max |Q|,
+    with no floor, so a small Q is held to the same relative bound as a
+    large one.  The basis construction runs this check once per level, on
+    the scaled Q, and solves the deflated problems of that level unchecked."""
+    return _symmetric(q, _finite_max(q), "Q")
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,6 +221,26 @@ class QecqpSolution:
     unit_error: float
     feas_error: float
     gap: float
+
+
+class _Problem(NamedTuple):
+    """The problem as the solver works on it: Q scaled by 2**e (see
+    _scaled_problem), R, and r_norm = ||R||_2.  Every check runs on the
+    scaled values; what the solver hands out that scales with Q (trace rows,
+    and mu1, mu2, fval, objective, stationarity and gap) is scaled back."""
+
+    q: np.ndarray
+    r: np.ndarray
+    r_norm: float
+    e: int
+
+    @property
+    def dim(self) -> int:
+        return self.q.shape[0]
+
+    def unscale(self, value: float) -> float:
+        """A value that scales with Q, taken back to the caller's units."""
+        return float(np.ldexp(value, -self.e))
 
 
 class _DualEval(NamedTuple):
@@ -269,7 +295,7 @@ _COLD = _Start(0.0, None)
 
 
 def _maximize_dual(
-    problem: QecqpProblem,
+    problem: _Problem,
     tol: float,
     trace: list[tuple[float, float]] | None,
     start: _Start = _COLD,
@@ -290,8 +316,8 @@ def _maximize_dual(
     supergradient small enough that a near-feasible null vector exists.
 
     ``trace``, if given, collects one (mu2, f(mu2)) row per full-size
-    evaluation, in order; the subspace evaluations and the shift-invert
-    steps are not recorded.
+    evaluation, in order and in the caller's units; the subspace
+    evaluations and the shift-invert steps are not recorded.
     """
     q, r = problem.q, problem.r
     r_scale = max(1.0, problem.r_norm)
@@ -307,7 +333,7 @@ def _maximize_dual(
     def ev(m: float) -> _DualEval:
         e = _dual_eval(q, r, m)
         if trace is not None:
-            trace.append((m, -m + e.lam))
+            trace.append((problem.unscale(m), problem.unscale(-m + e.lam)))
         return e
 
     e = ev(mu2)
@@ -375,7 +401,7 @@ _MAX_EVALS = 400
 
 
 def _projected_search(
-    problem: QecqpProblem,
+    problem: _Problem,
     mu2: float,
     new: np.ndarray,
     width: float,
@@ -428,7 +454,7 @@ def _projected_search(
 
 
 def _ritz_round(
-    problem: QecqpProblem, w: np.ndarray, qw: np.ndarray, rw: np.ndarray, p: _DualEval, lim: _Limits, step: bool
+    problem: _Problem, w: np.ndarray, qw: np.ndarray, rw: np.ndarray, p: _DualEval, lim: _Limits, step: bool
 ) -> _DualEval | np.ndarray | None:
     """One round's check and refinement at the projected maximizer p, in
     one pass over the lowest max(c, 3) Ritz pairs (theta_i, y_i = W z_i) of
@@ -558,7 +584,7 @@ def _search(ev, e: _DualEval, width: float, lim: _Limits) -> _DualEval:
     raise SolverError("dual root finding failed to converge")
 
 
-def _h_matrix(problem: QecqpProblem, mu1: float, mu2: float) -> np.ndarray:
+def _h_matrix(problem: _Problem, mu1: float, mu2: float) -> np.ndarray:
     """Q + mu1 I + mu2 R, built in place to keep the peak of temporaries low;
     exactly symmetric because Q and R are."""
     h = problem.q.copy()
@@ -642,47 +668,27 @@ def solve(
     relative for positive semidefiniteness, 1e-6 relative for stationarity
     and the duality gap, 1e-8 for the unit norm, and 1e-6 for x^T R x - 1).
     A Q with max |Q| < 1/2 is solved scaled up by a power of two (see
-    _scaled_up), and the solution and ``trace`` are scaled back.
+    _scaled_problem), and the solution and ``trace`` come back in Q's units.
     """
     _check_tol(tol)
-    q, e = _scaled_up(problem.q)
-    rows: list[tuple[float, float]] | None = [] if trace is not None else None
-    sol = _solve(QecqpProblem._trusted(q, problem.r, problem.r_norm), tol, rows, _COLD)[0]
-    if trace is not None:
-        trace.extend((_unscale(mu2, e), _unscale(f, e)) for mu2, f in rows)
-    return replace(
-        sol,
-        objective=_unscale(sol.objective, e),
-        mu1=_unscale(sol.mu1, e),
-        mu2=_unscale(sol.mu2, e),
-        fval=_unscale(sol.fval, e),
-        stationarity=_unscale(sol.stationarity, e),
-        gap=_unscale(sol.gap, e),
-    )
+    return _solve(_scaled_problem(problem.q, problem.r, problem.r_norm), tol, trace, _COLD)[0]
 
 
-def _scaled_up(q: np.ndarray) -> tuple[np.ndarray, int]:
-    """(Q * 2**e, e) for the e that brings max |Q| into [1/2, 1) when it
-    lies in (0, 1/2), else (Q, 0).  The scaling is exact and leaves the
-    minimizer where it is; mu1, mu2, f and the objective scale with Q.  It
-    keeps the certificates' absolute floors (max(1, .), 1 + ||H||_2) from
-    passing vacuously when ||Q|| << 1.  A large Q is not scaled down: that
-    made builds at tol 1e-13 and 1e-14 fail on random geometric graphs that
-    pass unscaled."""
+def _scaled_problem(q: np.ndarray, r: np.ndarray, r_norm: float) -> _Problem:
+    """The record of (Q * 2**e, R) with r_norm = ||R||_2, for the e that
+    brings max |Q| into [1/2, 1) when it lies in (0, 1/2), else e = 0.  The
+    scaling is exact and leaves the minimizer where it is; mu1, mu2, f and
+    the objective scale with Q.  It keeps the certificates' absolute floors
+    (max(1, .), 1 + ||H||_2) from passing vacuously when ||Q|| << 1.  A
+    large Q is not scaled down: that made builds at tol 1e-13 and 1e-14 fail
+    on random geometric graphs that pass unscaled."""
     q_max = float(np.abs(q).max())
-    if not 0.0 < q_max < 0.5:
-        return q, 0
-    e = -int(np.frexp(q_max)[1])
-    return np.ldexp(q, e), e
-
-
-def _unscale(value: float, e: int) -> float:
-    """A value that scales with Q, taken back from Q * 2**e."""
-    return float(np.ldexp(value, -e))
+    e = -int(np.frexp(q_max)[1]) if 0.0 < q_max < 0.5 else 0
+    return _Problem(np.ldexp(q, e) if e else q, r, r_norm, e)
 
 
 def _solve(
-    problem: QecqpProblem,
+    problem: _Problem,
     tol: float,
     trace: list[tuple[float, float]] | None,
     start: _Start,
@@ -704,7 +710,7 @@ def _solve(
     1 + ||H||_2, which makes every gate at least as tight as on the
     full-evaluation path.  If any certificate fails there, the solve starts
     over cold at that mu2.  The problem enters validated and at unit scale
-    or above (see _scaled_up), and tol is checked by the caller.
+    or above (see _scaled_problem), and tol is checked by the caller.
     """
     e = _maximize_dual(problem, tol, trace, start)
     ritz = e.v.shape[1] < problem.dim
@@ -733,11 +739,10 @@ def _check_tol(tol) -> None:
         raise InputError(f"tol must lie in (0, 1e-4), got {tol!r}")
 
 
-def _certify(
-    problem: QecqpProblem, e: _DualEval, x: np.ndarray, tol: float, tight: bool = False
-) -> QecqpSolution:
+def _certify(problem: _Problem, e: _DualEval, x: np.ndarray, tol: float, tight: bool = False) -> QecqpSolution:
     """Check every optimality certificate of x for the dual point of the
-    evaluation e; ``tight`` scales the stationarity and positive
+    evaluation e, on the scaled problem, and return the solution in the
+    caller's units; ``tight`` scales the stationarity and positive
     semidefiniteness gates down to _RITZ_GATE * tol * h_scale."""
     h_scale = 1.0 + max(0.0, e.top - e.lam)
     delta, stat_tol = (_RITZ_GATE, _RITZ_GATE) if tight else (1e3, 1e4)
@@ -769,14 +774,8 @@ def _certify(
     for ok, msg in checks:
         if not ok:
             raise SolverError(f"optimality certificate failed: {msg}")
+    u = problem.unscale
     return QecqpSolution(
-        x=x,
-        objective=objective,
-        mu1=mu1,
-        mu2=mu2,
-        fval=fval,
-        stationarity=stationarity,
-        unit_error=unit_error,
-        feas_error=feas_error,
-        gap=gap,
+        x=x, objective=u(objective), mu1=u(mu1), mu2=u(mu2), fval=u(fval), stationarity=u(stationarity),
+        unit_error=unit_error, feas_error=feas_error, gap=u(gap),
     )

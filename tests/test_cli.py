@@ -560,6 +560,22 @@ def test_verify_load_rejects_tampered_energies(tmp_path):
     assert level0["checks_ok"] is False
 
 
+def test_verify_load_rejects_zeroed_energies_of_small_weights(tmp_path):
+    # Weights times 1e-12: the honest pyramid verifies, and zeroed level-0
+    # energies fail, as they do on unit weights.
+    g = gf.generate("random_geometric", 64, seed=1)
+    pyr = tmp_path / "pyramid"
+    gf.save_pyramid(gf.build_pyramid(gf.Graph.from_arrays(g.n, g.lo, g.hi, 1e-12 * g.w), 2), pyr)
+    assert run("verify", "--load", pyr, "--out", tmp_path / "a") == 0
+    path = pyr / "level0" / "energies.csv"
+    n = len(path.read_text(encoding="utf-8").splitlines())
+    path.write_text("0.0\n" * n, encoding="utf-8")
+    out = tmp_path / "b"
+    assert run("verify", "--load", pyr, "--out", out) == 3
+    level0 = report(out)["levels"][0]
+    assert level0["energies"] > 1e-10 and level0["checks_ok"] is False
+
+
 def test_verify_load_rejects_tampered_pair_tags(tmp_path):
     pyr = _saved_cli_pyramid(tmp_path)
     path = pyr / "level0" / "pair_tags.csv"

@@ -396,17 +396,35 @@ def test_compute_basis_rejects_a_non_finite_or_asymmetric_laplacian(entry):
         fourier.compute_basis(l_matrix, pattern)
 
 
+def test_compute_basis_rejects_a_small_laplacian_off_symmetry():
+    # Weights times 1e-12, one off-diagonal entry off by 1e-6 relative: the
+    # level's Q is checked after it is scaled up, so the asymmetry counts
+    # against the scaled max |Q|, not against a floor of 1.
+    g = gf.generate("random_geometric", 64, seed=1)
+    l_matrix = gf.laplacian(gf.Graph.from_arrays(g.n, g.lo, g.hi, 1e-12 * g.w))
+    pattern = sampling.greedy_max_cut(l_matrix)
+    i, j = np.argwhere(l_matrix < 0)[0]
+    l_matrix[i, j] *= 1.0 + 1e-6
+    with pytest.raises(InputError, match="not symmetric"):
+        fourier.compute_basis(l_matrix, pattern)
+
+
 def test_compute_basis_checks_its_problem_once(monkeypatch):
-    # One QecqpProblem check for the level; the pairs are deflations of it,
-    # exactly symmetric and finite by construction, and go unchecked.
+    # One Q check for the level, and no QecqpProblem built; the pairs are
+    # deflations of the level, exactly symmetric and finite by construction,
+    # and go unchecked.
     checks = []
-    post_init = qecqp.QecqpProblem.__post_init__
+    checked_q = qecqp._checked_q
 
-    def counting(self):
-        checks.append(self.q.shape)
-        post_init(self)
+    def counting(q):
+        checks.append(q.shape)
+        return checked_q(q)
 
-    monkeypatch.setattr(qecqp.QecqpProblem, "__post_init__", counting)
+    def refusing(self):
+        raise AssertionError("compute_basis built a QecqpProblem")
+
+    monkeypatch.setattr(qecqp, "_checked_q", counting)
+    monkeypatch.setattr(qecqp.QecqpProblem, "__post_init__", refusing)
     l_matrix = gf.laplacian(gf.generate("random_geometric", 64, seed=1))
     b = fourier.compute_basis(l_matrix, sampling.greedy_max_cut(l_matrix))
     assert np.count_nonzero(b.pair_tags >= 0) >= 40

@@ -144,6 +144,26 @@ def test_check_laplacian_rejects_nonzero_rowsum():
         gf.check_laplacian(bad)
 
 
+def test_check_laplacian_holds_small_weights_to_the_relative_bound():
+    # The gates scale with max |L| and have no floor of 1: with one, this
+    # matrix passed with row sum 6e-12, a positive off-diagonal entry 5e-12
+    # and lambda_min -3.2e-12.
+    ring = gf.laplacian(gf.generate("ring", 8))
+    bad = 1e-12 * ring
+    bad[0, 1] = bad[1, 0] = 5e-12
+    with pytest.raises(NumericalError):
+        gf.check_laplacian(bad)
+    for c in (1e-12, 1e-300):
+        report = gf.check_laplacian(c * ring)
+        assert report["asymmetry"] == report["row_sum"] == report["positive_offdiag"] == 0.0
+
+
+def test_check_laplacian_rejects_an_empty_matrix():
+    # It used to escape as numpy's IndexError from eigvalsh()[0].
+    with pytest.raises(InputError, match="empty"):
+        gf.check_laplacian(np.zeros((0, 0)))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_check_laplacian_rejects_non_finite(bad):
     # A nan diagonal entry used to escape as numpy's LinAlgError from eigvalsh.

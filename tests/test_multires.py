@@ -578,6 +578,32 @@ def test_verify_pyramid_checks_energies():
     assert entry["energies"] > 1e-10 and entry["checks_ok"] is False
 
 
+def test_verify_pyramid_reports_a_zero_basis_without_dividing_by_zero():
+    # A zero U (a tampered basis_u.csv loads as one) has zero energies; the
+    # energy residual is then the absolute one, and orthonormality fails.
+    p = multires.build_pyramid(random_connected_graph(30, seed=6), 1)
+    entry = multires.verify_pyramid(_with_basis(p, u=np.zeros((30, 30))))["levels"][0]
+    assert entry["energies"] == np.abs(p.levels[0].basis.energies).max()
+    assert entry["orthonormality"] == 1.0 and entry["checks_ok"] is False
+
+
+def small_weight_pyramid() -> multires.Pyramid:
+    """Depth-2 pyramid of random_geometric 64 (seed 1) with weights times 1e-12."""
+    g = gf.generate("random_geometric", 64, seed=1)
+    return multires.build_pyramid(gf.Graph.from_arrays(g.n, g.lo, g.hi, 1e-12 * g.w), 2)
+
+
+def test_verify_pyramid_checks_energies_of_small_weights():
+    # The energy residual is relative to max |energy| with no floor of 1:
+    # with one, zeroed energies on this pyramid (largest energy ~1e-11)
+    # passed.
+    p = small_weight_pyramid()
+    assert multires.verify_pyramid(p)["ok"] is True
+    zeroed = np.zeros_like(p.levels[0].basis.energies)
+    report = multires.verify_pyramid(_with_basis(p, energies=zeroed))
+    assert report["levels"][0]["energies"] > 1e-10 and report["ok"] is False
+
+
 def _flip_first_pair(phi_csv) -> None:
     """Negate the signs of the pair holding column 0 in a saved phi.csv.
 

@@ -43,6 +43,16 @@ def test_problem_rejects_asymmetric_q():
         qecqp.QecqpProblem(np.array([[1.0, 2.0], [0.0, 1.0]]), R_20)
 
 
+def test_problem_holds_a_small_q_to_the_relative_symmetry_bound():
+    # max |Q - Q^T| <= 1e-12 max |Q|, with no floor of 1: with one, this Q
+    # (off-diagonals 5e-13 and 0) passed and was symmetrized to 2.5e-13.
+    with pytest.raises(InputError, match="Q is not symmetric"):
+        qecqp.QecqpProblem(np.array([[1e-13, 5e-13], [0.0, 1e-13]]), R_20)
+    small = 1e-13 * Q_PATH
+    assert np.array_equal(qecqp.QecqpProblem(small, R_20).q, small)
+    assert not qecqp.QecqpProblem(np.zeros((2, 2)), R_20).q.any()
+
+
 def test_problem_rejects_indefinite_r():
     with pytest.raises(InputError):
         qecqp.QecqpProblem(Q_PATH, np.diag([2.0, -0.5]))
@@ -162,6 +172,11 @@ def test_solve_scales_a_small_problem_up(c):
 
 
 # -- Dual objective against the closed form -----------------------------------
+
+
+def solver_problem(p: qecqp.QecqpProblem) -> qecqp._Problem:
+    """The record the solver works on, built as ``solve`` builds it."""
+    return qecqp._scaled_problem(p.q, p.r, p.r_norm)
 
 
 def dual_value(p: qecqp.QecqpProblem, mu2: float) -> float:
@@ -443,7 +458,7 @@ def test_psd_certificate_rejects_lowered_mu1():
     # -s I and lambda_min(H) = -s.  The Cholesky gate must reject once
     # -s < -delta and pass below it.
     tol = 1e-10
-    p = random_problem(6, seed=3)
+    p = solver_problem(random_problem(6, seed=3))
     x = qecqp.solve(p, tol=tol).x
     e = qecqp._maximize_dual(p, tol, None)
     assert qecqp._certify(p, e, x, tol).objective == pytest.approx(e.lam - e.mu2, abs=1e-8)
@@ -460,10 +475,10 @@ class _Enough(Exception):
     pass
 
 
-def basis_subproblems(l_matrix: np.ndarray, steps: int) -> list[tuple[qecqp.QecqpProblem, qecqp._Start]]:
+def basis_subproblems(l_matrix: np.ndarray, steps: int) -> list[tuple[qecqp._Problem, qecqp._Start]]:
     """The first ``steps`` problems compute_basis solves for L and its
     greedy max-cut split, each with the start it was handed."""
-    problems: list[tuple[qecqp.QecqpProblem, qecqp._Start]] = []
+    problems: list[tuple[qecqp._Problem, qecqp._Start]] = []
     solve = qecqp._solve
 
     def record(problem, tol, trace, start):
@@ -481,7 +496,7 @@ def basis_subproblems(l_matrix: np.ndarray, steps: int) -> list[tuple[qecqp.Qecq
     return problems
 
 
-def rgg_subproblem(n: int, seed: int, step: int) -> tuple[qecqp.QecqpProblem, qecqp._Start]:
+def rgg_subproblem(n: int, seed: int, step: int) -> tuple[qecqp._Problem, qecqp._Start]:
     """Step ``step`` of the basis construction on a random geometric graph,
     with its start; step 0 is Q = L (split-ordered) with R = diag(2I, 0),
     started cold, and every later step is warm."""
@@ -489,7 +504,7 @@ def rgg_subproblem(n: int, seed: int, step: int) -> tuple[qecqp.QecqpProblem, qe
     return basis_subproblems(l_matrix, step + 1)[step]
 
 
-def solve_recorded(problem: qecqp.QecqpProblem, start: qecqp._Start | None = None):
+def solve_recorded(problem: qecqp._Problem, start: qecqp._Start | None = None):
     """solve(), or _solve from ``start``, returning the solution, the trace,
     the sizes of every eigendecomposition and every _certify call as
     (tight, passed)."""
@@ -521,7 +536,7 @@ def solve_recorded(problem: qecqp.QecqpProblem, start: qecqp._Start | None = Non
     return sol, trace, sizes, calls
 
 
-def projected_evaluations(problem: qecqp.QecqpProblem, sizes: list[int]) -> int:
+def projected_evaluations(problem: qecqp._Problem, sizes: list[int]) -> int:
     # Subspace evaluations are 2 x 2 or larger; the null-space
     # eigendecomposition of R at a smooth maximum is 1 x 1.
     return sum(1 for s in sizes if 1 < s < problem.dim)
@@ -599,7 +614,7 @@ def test_projected_search_recovers_from_carried_subspace_without_straddle():
     assert sol.objective == pytest.approx(full.objective, rel=1e-9)
 
 
-def clustered_grid_subproblem() -> tuple[qecqp.QecqpProblem, qecqp._Start]:
+def clustered_grid_subproblem() -> tuple[qecqp._Problem, qecqp._Start]:
     """Step 1 on the Kron-reduced 16 x 16 grid (k = 126), warm: the smallest
     eigenvalue is degenerate at evaluations of both the projected and the
     full problem, so the search meets supergradient intervals, not values."""
@@ -769,14 +784,14 @@ def test_warm_start_from_useless_subspace_still_certifies(useless):
         assert len(trace) >= 1
 
 
-def shifted_block_problem(offset: float, b: int = 25) -> qecqp.QecqpProblem:
+def shifted_block_problem(offset: float, b: int = 25) -> qecqp._Problem:
     """Q and R block diagonal, the second block of Q a copy of the first
     shifted up by ``offset``: the minimum lies in the first block."""
     z = np.random.default_rng(3).standard_normal((b, b))
     q1 = z @ z.T / b
     q = np.block([[q1, np.zeros((b, b))], [np.zeros((b, b)), q1 + offset * np.eye(b)]])
     r = np.diag(np.tile(np.where(np.arange(b) < 10, 2.0, 0.0), 2))
-    p = qecqp.QecqpProblem(q, r)
+    p = solver_problem(qecqp.QecqpProblem(q, r))
     assert p.dim >= qecqp._WARM_MIN_DIM
     return p
 
@@ -911,7 +926,7 @@ def test_ritz_point_h_scale_is_a_lower_bound():
     # Every Ritz point the basis construction certifies uses an h_scale no
     # larger than 1 + lambda_max(H) of the same H = Q + mu2 R - theta I.
     l_matrix = gf.laplacian(gf.generate("random_geometric", 96, seed=1))
-    accepted: list[tuple[qecqp.QecqpProblem, qecqp._DualEval]] = []
+    accepted: list[tuple[qecqp._Problem, qecqp._DualEval]] = []
     certify = qecqp._certify
 
     def recording(problem, e, x, tol, tight=False):
