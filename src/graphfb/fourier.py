@@ -198,11 +198,11 @@ def compute_basis(
     must lie in (0, 1e-4).
 
     The level's problem, Q = L in (low, high) order with R = diag(2I, 0)
-    and ||R||_2 = 2, is scaled up by a power of two when max |L| < 1/2 (see
-    ``qecqp``), and its scaled Q is checked once, by the check a public
-    problem's Q passes (so a non-finite or asymmetric L raises
-    InputError).  Each deflation keeps Q exactly symmetric, and each pair's
-    R is a window of the level's, so the pairs are solved unchecked.
+    and ||R||_2 = 2, is checked once, by the checks a public problem's Q
+    passes (so a non-finite or asymmetric L, or one with max |L| outside
+    [1e-100, 1e100], raises InputError).  Each deflation keeps Q exactly
+    symmetric, and each pair's R is a window of the level's, so the pairs
+    are solved unchecked.
 
     ``trace_hook``, if given, is called as trace_hook(step, trace) with the
     trace of the solve for the subproblem of each step: one (mu2, f) row
@@ -220,8 +220,8 @@ def compute_basis(
     low, high = list(pattern.keep_low), list(pattern.keep_high)
     perm = np.asarray(low + high)
     r = np.diag(np.repeat([2.0, 0.0], [len(low), len(high)]))
-    level = qecqp._scaled_problem(l_matrix[np.ix_(perm, perm)], r, 2.0)
-    q = qecqp._checked_q(level.q)
+    q = qecqp._checked_q(l_matrix[np.ix_(perm, perm)])
+    qecqp._check_scale(q, "L")
     b_lo = np.eye(len(low))
     b_hi = np.eye(len(high))
 
@@ -235,7 +235,7 @@ def compute_basis(
     while b_lo.shape[1] and b_hi.shape[1]:
         k_lo, k = b_lo.shape[1], q.shape[0]
         trace: list | None = [] if trace_hook is not None else None
-        sol, start = qecqp._solve(level._replace(q=q, r=r[step : n - step, step : n - step]), tol, trace, start)
+        sol, start = qecqp._solve(qecqp._Problem(q, r[step : n - step, step : n - step], 2.0), tol, trace, start)
         if trace_hook is not None:
             trace_hook(step, trace)
         u = np.zeros(n)

@@ -24,9 +24,9 @@ one full evaluation at its start point, mu2 = 0 for ``solve``, where the
 evaluation is the eigendecomposition of Q itself: if its supergradient
 interval straddles zero the maximum is found, otherwise its sign tells
 which side holds the root and its extreme eigenvalues give ||Q + mu2 R||_2
-as the first width of a one-sided bracket.  Where the smallest
-eigenvalue is simple the supergradient g is differentiable and its
-derivative
+as the first width of a one-sided bracket (mu2 has the units of Q, R has
+none).  Where the smallest eigenvalue is simple the supergradient g is
+differentiable and its derivative
 
     g'(mu2) = 2 sum_{j>0} (v_0^T R v_j)^2 / (lambda_0 - lambda_j)
 
@@ -39,10 +39,10 @@ distances; once it is closed, the intersection of the tangent lines of f at
 its two ends (or bisection) narrows it.  At kinks the smallest eigenvalue
 is degenerate and the supergradient is an interval; the tangent
 intersection lands on a lone kink exactly.  The search stops when the
-interval straddles zero, within the larger of 1e-13 ||R||_2 and the
-rounding noise k eps ||Q + mu2 R||_2 of g; when a smooth point is so close
-to the root that its null point v_0 is within 1e-2 tol of the root's; or
-when the bracket is narrower than the tolerance.
+interval straddles zero within 1e-13 ||R||_2; when a smooth point is so
+close to the root that its null point v_0 is within 1e-2 tol of the root's;
+or when the bracket is narrower than tol |mu2| plus eps ||Q + mu2 R||_2 /
+||R||_2, the move of mu2 that changes Q + mu2 R by one rounding unit.
 
 A cold solve, one started without a subspace, is the full search above
 from one full evaluation at its start point; the public ``solve`` is always
@@ -57,11 +57,11 @@ provided the spectrum of W^T R W straddles 1 so that the projected dual has
 a maximizer.  At that maximizer one pass over the lowest Ritz pairs
 (theta, y) forms their residuals (Q + mu2 R) y - theta y on the full
 problem.  If those of the smallest Ritz value pass the Ritz gate,
-||(Q + mu2 R) y - theta y|| <= 1e-2 tol h_scale, the Ritz point is the
-answer.  Otherwise the same pass takes one shift-invert step (block
-inverse iteration; Parlett, The Symmetric Eigenvalue Problem; Knyazev,
-LOBPCG, SISC 2001): a single LU solve with Q + mu2 R - sigma I,
-sigma = theta - 1e-6 h_scale just below the Ritz value, whose right-hand
+||(Q + mu2 R) y - theta y|| <= 1e-2 tol h + rho (h and rho below), the
+Ritz point is the answer.  Otherwise the same pass takes one shift-invert
+step (block inverse iteration; Parlett, The Symmetric Eigenvalue Problem;
+Knyazev, LOBPCG, SISC 2001): a single LU solve with Q + mu2 R - sigma I,
+sigma = theta - 1e-6 h just below the Ritz value, whose right-hand
 sides are the residuals of the lowest three Ritz pairs and
 (R - y^T R y) y, the direction of dv_0/dmu2; W grows by its solutions, and
 the next round maximizes again, from the same mu2, on the larger W.  After
@@ -89,20 +89,31 @@ to O(k u ||H||) rounding; H is formed only there and, shifted, for the
 shift-invert steps, and the Cholesky factorization costs a small fraction
 of an eigendecomposition.  At a Ritz point theta only bounds
 lambda_min(Q + mu2 R) from above, and this certificate, with delta
-tightened to 1e-2 tol h_scale, is what proves that no eigenvector outside
-W lies lower.  h_scale = 1 + ||H||_2 is exact after a full evaluation; at a
-Ritz point it is the lower bound 1 + max(theta_max, max_i (Q + mu2 R)_ii)
-- theta, so no gate is looser there.  The other residuals are explicit
-products with Q and R, H x among them as Q x + mu1 x + mu2 R x.
+tightened to 1e-2 tol h + rho, is what proves that no eigenvector outside
+W lies lower.  The other residuals are explicit products with Q and R,
+H x among them as Q x + mu1 x + mu2 R x.
 
-Problems enter the solver validated, and at unit scale or above: their
-certificates hold absolute floors (max(1, .), 1 + ||H||_2) that would pass
-vacuously when ||Q|| << 1, so a Q with max |Q| < 1/2 is scaled up by a
-power of two, which is exact.  The solver works on one private record of
-the scaled Q, R, ||R||_2 and that power, and hands its solution and trace
-rows back in the caller's units.  ``solve`` builds the record once per
-call; the basis construction builds and checks one per level, and solves
-the deflated problems of that level, windows of it, unchecked.
+Every threshold either has no units (g = x^T R x - 1, the unit norm,
+tol) or scales with the problem's own data, so Q times c changes nothing
+but mu1, mu2 and the objective, each times c.  The data scales are
+h = ||H||_2 = lambda_max - lambda_min, the mu2 unit ||Q + mu2 R||_2 /
+||R||_2, and the rounding floor rho = 8 k (eps (||Q + mu2 R||_2 +
+|mu2| ||R||_2) + tiny), tiny the smallest normal float, a bound on the
+rounding error of forming H and its products.  rho is added, not scaled
+by tol, to the positive semidefiniteness shift delta, to the stationarity
+and Ritz gates and to the duality gap gate: it is what certifies a
+near-scalar H at a kink, where h is near zero, and H = 0 when Q = 0.  h is
+exact after a full evaluation; at a Ritz point it is the lower bound
+max(theta_max, max_i (Q + mu2 R)_ii) - theta, and rho is computed from
+the same lower bound on ||Q + mu2 R||_2, so no gate is looser there.
+The solver takes max |Q| in [1e-100, 1e100] (or Q = 0), where the squares
+it forms neither overflow nor underflow, and refuses the rest with
+InputError.
+
+Problems enter the solver validated, as one private record of Q, R and
+||R||_2: ``solve`` builds it once per call; the basis construction checks
+one Q per level, and solves the deflated problems of that level, windows
+of it, unchecked.
 """
 
 from __future__ import annotations
@@ -202,6 +213,17 @@ def _checked_q(q: np.ndarray) -> np.ndarray:
     return _symmetric(q, _finite_max(q), "Q")
 
 
+def _check_scale(q: np.ndarray, name: str) -> None:
+    """InputError unless Q = 0 or 1e-100 <= max |Q| <= 1e100.  Within that
+    range the squares the solver forms stay normal floats: those of
+    ||Q + mu2 R||_2, up to about 10 max |Q|, and of the inverse eigenvalue
+    gaps of g'.  Past it, sums of squares overflow (weights of 1e200 gave a
+    stationarity residual of inf) or underflow to 0."""
+    q_max = float(np.abs(q).max())
+    if q_max and not 1e-100 <= q_max <= 1e100:
+        raise InputError(f"max |{name}| = {q_max:.3e} lies outside [1e-100, 1e100], the range the solver certifies")
+
+
 @dataclass(frozen=True, eq=False)
 class QecqpSolution:
     """Certified global minimizer with its dual maximizer (mu1, mu2) and the
@@ -224,23 +246,16 @@ class QecqpSolution:
 
 
 class _Problem(NamedTuple):
-    """The problem as the solver works on it: Q scaled by 2**e (see
-    _scaled_problem), R, and r_norm = ||R||_2.  Every check runs on the
-    scaled values; what the solver hands out that scales with Q (trace rows,
-    and mu1, mu2, fval, objective, stationarity and gap) is scaled back."""
+    """The problem as the solver works on it: validated Q and R, and
+    r_norm = ||R||_2."""
 
     q: np.ndarray
     r: np.ndarray
     r_norm: float
-    e: int
 
     @property
     def dim(self) -> int:
         return self.q.shape[0]
-
-    def unscale(self, value: float) -> float:
-        """A value that scales with Q, taken back to the caller's units."""
-        return float(np.ldexp(value, -self.e))
 
 
 class _DualEval(NamedTuple):
@@ -256,10 +271,15 @@ class _DualEval(NamedTuple):
     top: float  # lambda_max(Q + mu2 R), or a lower bound on it at a Ritz point
     dv: float  # ||dv_0/dmu2|| when lambda_min is simple, else inf
 
+    @property
+    def norm(self) -> float:
+        """||Q + mu2 R||_2 (a lower bound on it at a Ritz point)."""
+        return max(-self.lam, self.top)
+
 
 def _cluster_size(w: np.ndarray) -> int:
     """Number of eigenvalues within rounding of the smallest one."""
-    tol = 1e-9 * max(1.0, float(np.abs(w).max()))
+    tol = 1e-9 * float(np.abs(w).max())
     return int(np.searchsorted(w, w[0] + tol, side="right"))
 
 
@@ -308,24 +328,21 @@ def _maximize_dual(
     A start with a subspace, for k >= _WARM_MIN_DIM, runs _projected_search
     from that subspace at start.mu2 first; it ends at a Ritz point or names
     the mu2 the full search starts from.  The full search takes one full
-    evaluation there, at start.mu2 for any other start, and runs _search,
-    the bracket's far end ||Q + mu2 R||_2 + 1 away at first.  Convergence
-    is declared by _Limits.done (an interval that straddles zero within a
-    small band, or a smooth point whose null vector is as good as the
-    root's), or when the bracket is narrower than ``tol`` with a
-    supergradient small enough that a near-feasible null vector exists.
+    evaluation there, at start.mu2 for any other start, and runs _search.
+    Convergence is declared by _Limits.done (an interval that straddles
+    zero within a small band, or a smooth point whose null vector is as
+    good as the root's), or when the bracket is narrower than _mu2_tol with
+    a supergradient small enough that a near-feasible null vector exists.
 
     ``trace``, if given, collects one (mu2, f(mu2)) row per full-size
-    evaluation, in order and in the caller's units; the subspace
-    evaluations and the shift-invert steps are not recorded.
+    evaluation, in order; the subspace evaluations and the shift-invert
+    steps are not recorded.
     """
     q, r = problem.q, problem.r
-    r_scale = max(1.0, problem.r_norm)
-    lim = _Limits(tol, 1e-13 * r_scale, 1e-8 * r_scale, problem.dim * _EPS)
+    lim = _Limits(tol, problem.r_norm)
     mu2 = start.mu2
     if start.w is not None and problem.dim >= _WARM_MIN_DIM:
-        width = 1.0 + float(np.abs(q.diagonal() + mu2 * r.diagonal()).max())
-        found = _projected_search(problem, mu2, start.w, width, lim)
+        found = _projected_search(problem, mu2, start.w, lim)
         if isinstance(found, _DualEval):
             return found
         mu2 = found
@@ -333,48 +350,50 @@ def _maximize_dual(
     def ev(m: float) -> _DualEval:
         e = _dual_eval(q, r, m)
         if trace is not None:
-            trace.append((problem.unscale(m), problem.unscale(-m + e.lam)))
+            trace.append((m, -m + e.lam))
         return e
 
-    e = ev(mu2)
-    return _search(ev, e, max(-e.lam, e.top) + 1.0, lim)
+    return _search(ev, ev(mu2), lim)
 
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 # A smooth point counts as the maximizer when its null point v_0 is within
 # _NEWTON_STOP * tol of the one at the root (see _Limits.done).
 _NEWTON_STOP = 1e-2
 
 
+def _mu2_tol(rel: float, mu2: float, e: _DualEval, r_norm: float) -> float:
+    """A width in mu2 near the evaluation e: rel |mu2| plus
+    eps ||Q + mu2 R||_2 / ||R||_2, the move of mu2 that changes Q + mu2 R
+    by one rounding unit of its norm."""
+    return rel * abs(mu2) + _EPS * e.norm / r_norm
+
+
 class _Limits(NamedTuple):
-    """Stopping rules of a dual search."""
+    """Stopping rules of a dual search.  None has the units of Q: g has
+    none, and a width in mu2 is measured by _mu2_tol."""
 
-    tol: float  # bracket width, relative to 1 + |mu2|
-    g_tol: float  # an interval within g_tol of 0 straddles it: a kink or an exact root
-    g_accept: float  # a supergradient small enough for a near-feasible null vector
-    g_floor: float  # rounding noise of g, relative to ||Q + mu2 R||_2
-
-    def straddles(self, e: _DualEval) -> bool:
-        """The supergradient interval reaches zero within the larger of
-        g_tol and the rounding noise g_floor * ||Q + mu2 R||_2."""
-        band = max(self.g_tol, self.g_floor * max(abs(e.lam), abs(e.top)))
-        return e.g_lo <= band and e.g_hi >= -band
+    tol: float
+    r_norm: float  # ||R||_2
 
     def accepts(self, e: _DualEval) -> bool:
-        return max(abs(e.g_lo), abs(e.g_hi)) <= self.g_accept
+        """The supergradient is small enough for a near-feasible null vector."""
+        return max(abs(e.g_lo), abs(e.g_hi)) <= 1e-8 * self.r_norm
 
     def done(self, e: _DualEval) -> bool:
-        """e straddles zero, or it is smooth and its null point v_0 is as
-        good as the root's: the feasibility error g, the duality gap
-        |mu2 g| of v_0, the Newton step |g / g'| to the root and the move
-        |g / g'| * ||dv_0/dmu2|| of v_0 along it are all within
-        _NEWTON_STOP * tol."""
-        if self.straddles(e):
+        """The supergradient interval reaches zero within 1e-13 ||R||_2 (a
+        kink or an exact root), or e is smooth and its null point v_0 is as
+        good as the root's: the feasibility error g of v_0 and its move
+        |g / g'| * ||dv_0/dmu2|| along the Newton step to the root are both
+        within _NEWTON_STOP * tol."""
+        band = 1e-13 * self.r_norm
+        if e.g_lo <= band and e.g_hi >= -band:
             return True
         if not e.dg:
             return False
-        g, step = abs(e.g_lo), abs(e.g_lo / e.dg)
-        return max(g * max(1.0, abs(e.mu2)), step * max(1.0, e.dv)) <= _NEWTON_STOP * self.tol
+        g = abs(e.g_lo)
+        return max(g, g / abs(e.dg) * e.dv) <= _NEWTON_STOP * self.tol
 
 
 # Below this size a start's subspace is not searched: a projected search
@@ -388,13 +407,14 @@ _WARM_MIN_DIM = 24
 # Lowest eigenvectors or Ritz vectors a solve hands on as the next start.
 _CARRY_DIM = 16
 # A Ritz point is accepted, and certified, with its residual and the
-# positive semidefiniteness shift both at _RITZ_GATE * tol * h_scale.
+# positive semidefiniteness shift both at _RITZ_GATE * tol * h plus the
+# rounding floor (see _rounding).
 _RITZ_GATE = 1e-2
 # Shift-invert steps of a projected search, each followed by one more
 # projected maximization, before the full search takes over.
 _LU_ROUNDS = 3
 # The shift-invert step's shift lies this far below the smallest Ritz value,
-# relative to h_scale.
+# relative to h.
 _SHIFT = 1e-6
 _MAX_FAR_EVALS = 80
 _MAX_EVALS = 400
@@ -404,7 +424,6 @@ def _projected_search(
     problem: _Problem,
     mu2: float,
     new: np.ndarray,
-    width: float,
     lim: _Limits,
 ) -> _DualEval | float:
     """Dual maximizer searched on a subspace W and checked on the full
@@ -440,7 +459,7 @@ def _projected_search(
             if not d[0] < 1.0 < d[-1]:
                 break
         try:
-            p = _search(lambda m: _dual_eval(qs, rs, m), _dual_eval(qs, rs, mu2), width, lim)
+            p = _search(lambda m: _dual_eval(qs, rs, m), _dual_eval(qs, rs, mu2), lim)
         except SolverError:
             break
         mu2 = p.mu2
@@ -460,17 +479,17 @@ def _ritz_round(
     one pass over the lowest max(c, 3) Ritz pairs (theta_i, y_i = W z_i) of
     A = Q + mu2 R, c the size of the cluster of theta_0: y_i, R y_i and the
     residuals A y_i - theta_i y_i come from the products qw = Q W and
-    rw = R W, and h_scale = 1 + top - theta_0, a lower bound of _certify's,
-    from top = max(theta_max, max_j A_jj) <= lambda_max(A).
+    rw = R W, and h = top - theta_0, a lower bound of ||H||_2, from
+    top = max(theta_max, max_j A_jj) <= lambda_max(A).
 
     Returns p lifted to the full problem (``v`` = W z, and ``top``) when p
     ends the search (_Limits.done) and the cluster's residuals pass the Ritz
-    gate, _RITZ_GATE * tol * h_scale; since theta_0 >= lambda_min(A),
-    whether it is the minimum is left to the positive semidefiniteness
-    certificate.  Otherwise, if ``step`` is set, returns the solution of one
-    LU solve with A - sigma I, sigma = theta_0 - _SHIFT * h_scale, for the
-    residuals of the lowest three Ritz pairs and (R - y_0^T R y_0) y_0, the
-    direction of dv_0/dmu2.  (A - sigma I)^{-1} (A - theta_i I) y_i =
+    gate, _RITZ_GATE * tol * h plus the rounding floor; since
+    theta_0 >= lambda_min(A), whether it is the minimum is left to the
+    positive semidefiniteness certificate.  Otherwise, if ``step`` is set,
+    returns the solution of one LU solve with A - sigma I,
+    sigma = theta_0 - _SHIFT * h, for the residuals of the lowest three
+    Ritz pairs and (R - y_0^T R y_0) y_0, the direction of dv_0/dmu2.  (A - sigma I)^{-1} (A - theta_i I) y_i =
     y_i + (sigma - theta_i) (A - sigma I)^{-1} y_i spans, with y_i in W, the
     inverse iteration step from y_i, and solved for the residual its part
     outside W survives rounding ((A - sigma I)^{-1} y_i alone is parallel to
@@ -482,20 +501,21 @@ def _ritz_round(
     if not (done or step):
         return None
     d = problem.q.diagonal() + p.mu2 * problem.r.diagonal()
-    top = max(float(p.w[-1]), float(d.max()))
-    h_scale = 1.0 + max(0.0, top - p.lam)
+    lifted = p._replace(top=max(float(p.w[-1]), float(d.max())))
+    h = lifted.top - p.lam
     c = _cluster_size(p.w)
     z = p.v[:, : max(c, 3)]
     y = w @ z
     ry = rw @ z
     res = qw @ z + p.mu2 * ry - y * p.w[: z.shape[1]]
-    if done and float(np.linalg.norm(res[:, :c], axis=0).max()) <= _RITZ_GATE * lim.tol * h_scale:
-        return p._replace(v=w @ p.v, top=top)
+    gate = _RITZ_GATE * lim.tol * h + _rounding(problem, lifted)
+    if done and float(np.linalg.norm(res[:, :c], axis=0).max()) <= gate:
+        return lifted._replace(v=w @ p.v)
     if not step:
         return None
     dv = ry[:, 0] - float(y[:, 0] @ ry[:, 0]) * y[:, 0]
     try:
-        x = np.linalg.solve(_h_matrix(problem, _SHIFT * h_scale - p.lam, p.mu2), np.column_stack([res[:, :3], dv]))
+        x = np.linalg.solve(_h_matrix(problem, _SHIFT * h - p.lam, p.mu2), np.column_stack([res[:, :3], dv]))
     except np.linalg.LinAlgError:
         return None
     return x if np.isfinite(x).all() else None
@@ -517,29 +537,29 @@ def _orthonormal_complement(w: np.ndarray, new: np.ndarray) -> np.ndarray:
     return u[:, s > 1e-8]
 
 
-def _search(ev, e: _DualEval, width: float, lim: _Limits) -> _DualEval:
+def _search(ev, e: _DualEval, lim: _Limits) -> _DualEval:
     """Root of the supergradient of the dual that ``ev`` evaluates, searched
     from the evaluation ``e``; returns the latest evaluation, at which the
     search converged.
 
     The bracket starts one-sided at e.mu2 on the side the supergradient
-    points to.  Each step is, in this order of preference:
+    points to, with ``width`` = ||Q + mu2 R||_2 at e.  Each step is, in this
+    order of preference:
 
     * a Newton step from the latest evaluation, when it lands strictly
       inside the bracket, is at most half the step before last (so an
       oscillating Newton iteration is cut off) and, while the bracket is
       open, at most ``width``;
     * a probe just past the Newton point, when Newton has stalled at
-      rounding level with the supergradient within g_accept and the Newton
-      step within half the tolerance, so that the bracket closes within the
-      tolerance;
+      rounding level with a supergradient _Limits.accepts and the Newton
+      step within half of _mu2_tol, so that the bracket closes within it;
     * on an open bracket, the far end ``width`` past its finite end, with
       width doubling each time;
     * on a closed bracket, the intersection of the tangent lines of f at
       the two ends, exact where f has a kink, or bisection when it does not
       land strictly inside.
     """
-    eps = float(np.finfo(float).eps)
+    width = e.norm
     lo = hi = None  # (mu2, f, supergradient) at the two ends of the bracket
     prev_step = last_step = np.inf
     far = 0
@@ -553,12 +573,12 @@ def _search(ev, e: _DualEval, width: float, lim: _Limits) -> _DualEval:
         a = lo[0] if lo else -np.inf
         b = hi[0] if hi else np.inf
         closed = lo is not None and hi is not None
-        tol_abs = lim.tol * (1.0 + abs(e.mu2))
+        tol_abs = _mu2_tol(lim.tol, e.mu2, e, lim.r_norm)
         if closed:
             if lim.accepts(e) and b - a <= tol_abs:
                 return e
             mu2 = 0.5 * (a + b)
-            if b - a <= 16.0 * eps * (1.0 + abs(mu2)):
+            if b - a <= _mu2_tol(16.0 * _EPS, mu2, e, lim.r_norm):
                 return ev(mu2)
         newton = e.mu2 - e.g_lo / e.dg if e.dg else np.nan
         step = abs(newton - e.mu2)
@@ -608,7 +628,7 @@ def _null_point_from_eigh(
     between the straddling pair to hit x^T R x = 1 exactly.
     """
     dim = len(w)
-    threshold = tol_null * max(1.0, float(w[-1]))
+    threshold = tol_null * float(w[-1])
     k = max(1, int(np.searchsorted(w, threshold, side="right")))
     # Direct-accept band for a single near-feasible eigenvector.  Wide enough
     # to absorb the solver's supergradient residual at a smooth dual maximum,
@@ -624,7 +644,7 @@ def _null_point_from_eigh(
             # within the rounding noise dim eps ||H|| counting as equal.
             cand = np.nonzero(near)[0]
             energy = w[:k] @ z[:, cand] ** 2
-            idx = int(cand[np.argmax(energy <= energy.min() + dim * _EPS * max(1.0, float(w[-1])))])
+            idx = int(cand[np.argmax(energy <= energy.min() + dim * _EPS * float(w[-1]))])
             return b @ z[:, idx]
         below = np.nonzero(d < 1.0)[0]
         above = np.nonzero(d > 1.0)[0]
@@ -661,30 +681,19 @@ def solve(
     row of ``trace``.  The feasible null point is read off the eigenpairs
     of the last one, shifted to those of H, so no further k x k
     eigendecomposition is made.  Positive semidefiniteness of H is
-    certified by a Cholesky factorization of H + delta I with
-    delta = 1e3 * tol * (1 + ||H||_2); every other residual is an explicit
-    product with Q and R.  Raises SolverError if any certificate fails
-    (thresholds scale with ``tol``; at the default they are delta = 1e-7
-    relative for positive semidefiniteness, 1e-6 relative for stationarity
-    and the duality gap, 1e-8 for the unit norm, and 1e-6 for x^T R x - 1).
-    A Q with max |Q| < 1/2 is solved scaled up by a power of two (see
-    _scaled_problem), and the solution and ``trace`` come back in Q's units.
+    certified by a Cholesky factorization of H + delta I; every other
+    residual is an explicit product with Q and R.  Raises SolverError if
+    any certificate fails.  At the default ``tol`` the thresholds are
+    delta = 1e-7 ||H||_2 for positive semidefiniteness, 1e-6 ||H||_2 for
+    stationarity and 1e-6 |x^T Q x| for the duality gap, each plus the
+    rounding floor of the module docstring, and 1e-8 for the unit norm and
+    1e-6 for x^T R x - 1.  None depends on the scale of Q, so Q times c
+    gives the same x, with mu1, mu2, fval and ``trace`` times c.  Raises
+    InputError when Q is not 0 and max |Q| lies outside [1e-100, 1e100].
     """
     _check_tol(tol)
-    return _solve(_scaled_problem(problem.q, problem.r, problem.r_norm), tol, trace, _COLD)[0]
-
-
-def _scaled_problem(q: np.ndarray, r: np.ndarray, r_norm: float) -> _Problem:
-    """The record of (Q * 2**e, R) with r_norm = ||R||_2, for the e that
-    brings max |Q| into [1/2, 1) when it lies in (0, 1/2), else e = 0.  The
-    scaling is exact and leaves the minimizer where it is; mu1, mu2, f and
-    the objective scale with Q.  It keeps the certificates' absolute floors
-    (max(1, .), 1 + ||H||_2) from passing vacuously when ||Q|| << 1.  A
-    large Q is not scaled down: that made builds at tol 1e-13 and 1e-14 fail
-    on random geometric graphs that pass unscaled."""
-    q_max = float(np.abs(q).max())
-    e = -int(np.frexp(q_max)[1]) if 0.0 < q_max < 0.5 else 0
-    return _Problem(np.ldexp(q, e) if e else q, r, r_norm, e)
+    _check_scale(problem.q, "Q")
+    return _solve(_Problem(problem.q, problem.r, problem.r_norm), tol, trace, _COLD)[0]
 
 
 def _solve(
@@ -697,20 +706,20 @@ def _solve(
     that differs from this one by a small deflation: the final mu2 with the
     lowest _CARRY_DIM eigenvectors (or Ritz vectors) of Q + mu2 R there, or
     without them when the solve ended at its own start point (within tol
-    relative to 1 + |mu2|), where one full evaluation is likely to settle
-    the next problem too.
+    relative to |mu2| plus the mu2 unit ||Q + mu2 R||_2 / ||R||_2), where
+    one full evaluation is likely to settle the next problem too.
 
     A start without a subspace is a cold solve, certified as solve() is.  A
     start with one is warm, and its solution may come from a Ritz point of
     the projected search, reached through shift-invert steps.  That point
     is certified with the residual and positive semidefiniteness gates
-    tightened to _RITZ_GATE * tol * h_scale, so lambda_min(H) >= -delta
-    also proves that no eigenvector outside the subspace lies below the
-    Ritz value by more than delta; h_scale is a lower bound on
-    1 + ||H||_2, which makes every gate at least as tight as on the
-    full-evaluation path.  If any certificate fails there, the solve starts
-    over cold at that mu2.  The problem enters validated and at unit scale
-    or above (see _scaled_problem), and tol is checked by the caller.
+    tightened to _RITZ_GATE * tol * h plus the rounding floor, so
+    lambda_min(H) >= -delta also proves that no eigenvector outside the
+    subspace lies below the Ritz value by more than delta; h and the floor
+    there are lower bounds of the full-evaluation path's, which makes every
+    gate at least as tight as on that path.  If any certificate fails
+    there, the solve starts over cold at that mu2.  The problem enters
+    validated, and tol is checked by the caller.
     """
     e = _maximize_dual(problem, tol, trace, start)
     ritz = e.v.shape[1] < problem.dim
@@ -719,7 +728,7 @@ def _solve(
     # cut depth-3 build CPU time to 0.56-0.66x on ring 400 and complete 120,
     # rotating their bases inside degenerate eigenspaces, but raised it to
     # 1.2-1.5x on grid 64-144 and ring 64.
-    moved = abs(e.mu2 - start.mu2) > tol * (1.0 + abs(start.mu2))
+    moved = abs(e.mu2 - start.mu2) > tol * (abs(start.mu2) + e.norm / problem.r_norm)
     carry = e.v[:, :_CARRY_DIM].copy() if moved else None
     e = e._replace(v=None)  # frees the eigenvectors before the certificate's k x k work
     try:
@@ -739,15 +748,27 @@ def _check_tol(tol) -> None:
         raise InputError(f"tol must lie in (0, 1e-4), got {tol!r}")
 
 
+def _rounding(problem: _Problem, e: _DualEval) -> float:
+    """The rounding floor rho of the module docstring at e: a bound on the
+    rounding error of H and of the products with it, which a threshold
+    scaled by tol cannot meet where ||H||_2 is near zero (a kink at a
+    near-scalar H).  Its tiny keeps it positive where H = 0 exactly
+    (Q = 0), so that the Cholesky factorization of H + delta I certifies
+    H >= 0 there too."""
+    return 8.0 * problem.dim * (_EPS * (e.norm + abs(e.mu2) * problem.r_norm) + _TINY)
+
+
 def _certify(problem: _Problem, e: _DualEval, x: np.ndarray, tol: float, tight: bool = False) -> QecqpSolution:
     """Check every optimality certificate of x for the dual point of the
-    evaluation e, on the scaled problem, and return the solution in the
-    caller's units; ``tight`` scales the stationarity and positive
-    semidefiniteness gates down to _RITZ_GATE * tol * h_scale."""
-    h_scale = 1.0 + max(0.0, e.top - e.lam)
-    delta, stat_tol = (_RITZ_GATE, _RITZ_GATE) if tight else (1e3, 1e4)
-    delta *= tol * h_scale
-    stat_tol *= tol * h_scale
+    evaluation e and return the solution.  The positive semidefiniteness
+    shift, the stationarity and the duality gap gates each add the rounding
+    floor to a multiple of tol: of h = ||H||_2 = top - lambda_min, and of
+    |x^T Q x| for the gap.  ``tight`` scales the stationarity and positive
+    semidefiniteness multiples down to _RITZ_GATE * tol * h."""
+    h = e.top - e.lam
+    floor = _rounding(problem, e)
+    c_psd, c_stat = (_RITZ_GATE, _RITZ_GATE) if tight else (1e3, 1e4)
+    delta, stat_tol = c_psd * tol * h + floor, c_stat * tol * h + floor
     try:
         np.linalg.cholesky(_h_matrix(problem, delta - e.lam, e.mu2))
         psd = True
@@ -769,13 +790,12 @@ def _certify(problem: _Problem, e: _DualEval, x: np.ndarray, tol: float, tight: 
         (stationarity <= stat_tol, f"stationarity residual {stationarity:.3e} too large"),
         (unit_error <= 1e2 * tol, f"unit-norm residual {unit_error:.3e} too large"),
         (feas_error <= 1e4 * tol, f"feasibility residual {feas_error:.3e} too large"),
-        (gap <= 1e4 * tol * (1.0 + abs(objective)), f"duality gap {gap:.3e} too large"),
+        (gap <= 1e4 * tol * abs(objective) + floor, f"duality gap {gap:.3e} too large"),
     ]
     for ok, msg in checks:
         if not ok:
             raise SolverError(f"optimality certificate failed: {msg}")
-    u = problem.unscale
     return QecqpSolution(
-        x=x, objective=u(objective), mu1=u(mu1), mu2=u(mu2), fval=u(fval), stationarity=u(stationarity),
-        unit_error=unit_error, feas_error=feas_error, gap=u(gap),
+        x=x, objective=objective, mu1=mu1, mu2=mu2, fval=fval, stationarity=stationarity,
+        unit_error=unit_error, feas_error=feas_error, gap=gap,
     )

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -314,10 +315,28 @@ def test_basis_trace_files(tmp_path):
     assert body.shape[1] == 2
 
 
+def test_basis_of_large_weights(tmp_path):
+    # A 16-vertex ring with weights 1e10 to 2e10: with a duality gap gate
+    # of absolute floor the first pair exited 3.
+    lines = [f"{i} {(i + 1) % 16} {1e10 * (1.0 + i / 15.0):.17g}" for i in range(16)]
+    (tmp_path / "g.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run("basis", "--graph-file", tmp_path / "g.txt", "--out", tmp_path / "o") == 0
+
+
+def test_basis_refuses_weights_past_the_certified_range(tmp_path):
+    # max |L| = 1e300 is past the solver's [1e-100, 1e100]: exit 2, with no
+    # numpy warning.  It used to warn of an overflow in a norm and exit 3.
+    (tmp_path / "g.txt").write_text("0 1 1e-300\n1 2 1e300\n", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("basis", "--graph-file", tmp_path / "g.txt", "--out", tmp_path / "o") == 2
+    assert caught == []
+
+
 def test_basis_of_small_weights_scales_energies_and_trace(tmp_path):
     # Weights times 1e-12 scale L, and with it the energies and the (mu2, f)
-    # trace rows, and nothing else.  Without the solver's power-of-two
-    # scaling the energies times 1e12 were 47% (of the largest) away.
+    # trace rows, and nothing else.  With absolute floors in the solver's
+    # gates the energies times 1e12 were 47% (of the largest) away.
     g = gf.generate("random_geometric", 64, seed=1)
     gf.write_graph_file(tmp_path / "unit.txt", g)
     gf.write_graph_file(tmp_path / "small.txt", gf.Graph.from_arrays(g.n, g.lo, g.hi, 1e-12 * g.w))

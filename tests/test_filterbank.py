@@ -250,8 +250,21 @@ def test_build_level_checks_its_tolerance_before_building_the_basis(monkeypatch,
 @pytest.mark.parametrize("c", [2.0**-40, 1e-12, 1e-4])
 def test_build_level_of_small_weights_matches_unit_weights(c):
     # Scaling the weights by c scales L, and only the energies: the basis
-    # stays.  Without the solver's power-of-two scaling it moved by 1.1,
+    # stays.  With absolute floors in the solver's gates it moved by 1.1,
     # 0.77 and 1.1e-9 for these c.
+    assert_level_matches_unit_weights(c)
+
+
+@pytest.mark.parametrize("c", [1e4, 1e8, 1e12])
+def test_build_level_of_large_weights_matches_unit_weights(c):
+    # With gates that mixed units, c = 1e4 moved the basis by 3.1e-10, and
+    # c = 1e8 and 1e12 raised SolverError (stationarity 7.8e3 and 3.9e11).
+    assert_level_matches_unit_weights(c)
+
+
+def assert_level_matches_unit_weights(c: float) -> None:
+    """build_level of random_geometric 64 (seed 1) with weights times c has
+    the basis of c = 1 and its energies times c, and verifies ok."""
     g = gf.generate("random_geometric", 64, seed=1)
     ref = filterbank.build_level(g)
     level = filterbank.build_level(gf.Graph.from_arrays(g.n, g.lo, g.hi, c * g.w, g.coords))

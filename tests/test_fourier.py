@@ -398,8 +398,7 @@ def test_compute_basis_rejects_a_non_finite_or_asymmetric_laplacian(entry):
 
 def test_compute_basis_rejects_a_small_laplacian_off_symmetry():
     # Weights times 1e-12, one off-diagonal entry off by 1e-6 relative: the
-    # level's Q is checked after it is scaled up, so the asymmetry counts
-    # against the scaled max |Q|, not against a floor of 1.
+    # asymmetry counts against max |Q|, not against a floor of 1.
     g = gf.generate("random_geometric", 64, seed=1)
     l_matrix = gf.laplacian(gf.Graph.from_arrays(g.n, g.lo, g.hi, 1e-12 * g.w))
     pattern = sampling.greedy_max_cut(l_matrix)

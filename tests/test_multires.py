@@ -604,6 +604,20 @@ def test_verify_pyramid_checks_energies_of_small_weights():
     assert report["levels"][0]["energies"] > 1e-10 and report["ok"] is False
 
 
+@pytest.mark.parametrize("scale, spread", [(1e10, 1.0), (1e14, 0.01)])
+def test_pyramid_of_large_weights_verifies(scale, spread):
+    # A 12-vertex ring plus one chord, weights from scale to
+    # scale * (1 + spread).  With gates that mixed units the first level
+    # raised SolverError (stationarity residual 5.8e9 and 4.1e13).
+    n = 12
+    v = np.arange(n + 1)
+    w = scale * (1.0 + spread * (v % 5) / 4.0)
+    g = gf.Graph.from_arrays(n, np.r_[np.arange(n), 0], np.r_[(np.arange(n) + 1) % n, 6], w)
+    p = multires.build_pyramid(g, 2)
+    assert len(p.levels) == 2
+    assert multires.verify_pyramid(p)["ok"] is True
+
+
 def _flip_first_pair(phi_csv) -> None:
     """Negate the signs of the pair holding column 0 in a saved phi.csv.
 

@@ -13,6 +13,8 @@ form by hand; nothing is copied from solver output.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -152,12 +154,13 @@ def test_problem_keeps_its_own_copy_of_the_data():
     assert (after.mu1, after.mu2) == (before.mu1, before.mu2)
 
 
-@pytest.mark.parametrize("c", [2.0**-40, 1e-12, 1e-4])
-def test_solve_scales_a_small_problem_up(c):
-    # The certificates' floors (max(1, .), 1 + ||H||_2) are absolute, so a
-    # Q of norm << 1 would pass them vacuously: unscaled, objective / c was
-    # certified at 61.3 (c = 2^-40) and 49.0 (c = 1e-12), against a minimum
-    # of 0.0656.  Every output that scales with Q is scaled back.
+@pytest.mark.parametrize("c", [2.0**-40, 1e-12, 1e-4, 1e4, 1e8, 1e12])
+def test_solve_is_invariant_to_the_scale_of_q(c):
+    # Every gate has no units or scales with the problem's own data, so Q
+    # times c gives the same solution with every output that scales with Q
+    # times c.  With absolute floors (max(1, .), 1 + ||H||_2) a Q of norm
+    # << 1 passed them vacuously (objective / c certified at 61.3 for
+    # c = 2^-40 and 49.0 for c = 1e-12, against a minimum of 0.0656).
     z = np.random.default_rng(3).standard_normal((60, 60))
     r = np.diag(np.repeat([2.0, 0.0], [25, 35]))
     ref = qecqp.solve(qecqp.QecqpProblem(z @ z.T, r))
@@ -171,12 +174,33 @@ def test_solve_scales_a_small_problem_up(c):
     assert trace[-1] == (sol.mu2, sol.fval)
 
 
+def test_solve_certifies_q_zero():
+    # H = 0 exactly: only the smallest normal float in the rounding floor
+    # keeps the Cholesky shift of the positive semidefiniteness gate above 0.
+    r = np.diag([2.0, 0.0, 0.0])
+    sol = qecqp.solve(qecqp.QecqpProblem(np.zeros((3, 3)), r))
+    assert (sol.objective, sol.mu1, sol.mu2) == (0.0, 0.0, 0.0)
+    assert sol.x @ r @ sol.x == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("c", [1e-101, 1e101, 1e300])
+def test_solve_refuses_q_outside_the_certified_range(c):
+    # Past [1e-100, 1e100] the squares the solver forms overflow or lose
+    # every digit: weights of 1e300 ended in an overflow warning and a
+    # stationarity residual of inf.
+    p = qecqp.QecqpProblem(c * Q_PATH, R_20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=r"outside \[1e-100, 1e100\]"):
+            qecqp.solve(p)
+
+
 # -- Dual objective against the closed form -----------------------------------
 
 
 def solver_problem(p: qecqp.QecqpProblem) -> qecqp._Problem:
     """The record the solver works on, built as ``solve`` builds it."""
-    return qecqp._scaled_problem(p.q, p.r, p.r_norm)
+    return qecqp._Problem(p.q, p.r, p.r_norm)
 
 
 def dual_value(p: qecqp.QecqpProblem, mu2: float) -> float:
@@ -462,7 +486,7 @@ def test_psd_certificate_rejects_lowered_mu1():
     x = qecqp.solve(p, tol=tol).x
     e = qecqp._maximize_dual(p, tol, None)
     assert qecqp._certify(p, e, x, tol).objective == pytest.approx(e.lam - e.mu2, abs=1e-8)
-    delta = 1e3 * tol * (1.0 + float(e.w[-1] - e.w[0]))
+    delta = 1e3 * tol * float(e.w[-1] - e.w[0]) + qecqp._rounding(p, e)
     qecqp._certify(p, e._replace(lam=e.lam + 0.5 * delta), x, tol)
     with pytest.raises(SolverError, match="not positive semidefinite"):
         qecqp._certify(p, e._replace(lam=e.lam + 2.0 * delta), x, tol)
@@ -741,7 +765,7 @@ def test_ritz_round_steps_and_lifts_as_documented():
     # k = 78: the first round fails the Ritz gate and steps, the last one
     # passes it.  The step's directions, rebuilt from the full matrices,
     # solve (A - sigma I) X = [A y_i - theta_i y_i (i < 3), (R - y_0^T R y_0) y_0]
-    # with A = Q + mu2 R and sigma = theta_0 - _SHIFT (1 + top - theta_0);
+    # with A = Q + mu2 R and sigma = theta_0 - _SHIFT (top - theta_0);
     # the Ritz point is p with the Ritz vectors W z and top >= theta_max.
     p, start = rgg_subproblem(96, 1, 9)
     with pytest.MonkeyPatch.context() as mp:
@@ -755,7 +779,7 @@ def test_ritz_round_steps_and_lifts_as_documented():
     y0 = y[:, 0]
     rhs = np.column_stack([a @ y - y * e.w[:3], p.r @ y0 - (y0 @ p.r @ y0) * y0])
     top = max(e.w[-1], a.diagonal().max())
-    sigma = e.w[0] - qecqp._SHIFT * (1.0 + top - e.w[0])
+    sigma = e.w[0] - qecqp._SHIFT * (top - e.w[0])
     assert np.abs(np.linalg.solve(a - sigma * np.eye(p.dim), rhs) - x).max() <= 1e-12
     assert isinstance(ritz, qecqp._DualEval)
     assert np.array_equal(ritz.v, w_last @ e_last.v)
@@ -848,7 +872,7 @@ def test_ritz_point_failing_its_certificate_falls_back_to_full_evaluation(offset
     # exact eigenpairs at every mu2 and pass the residual gate, but theta is
     # lambda_min + offset.  The Cholesky certificate must reject the Ritz
     # point, also when the offset (1e-8) is below the shift of the
-    # full-evaluation gate (1e3 tol h_scale ~ 1e-6), and the solve must
+    # full-evaluation gate (1e3 tol h ~ 1e-6), and the solve must
     # recover the cold optimum from a full evaluation.
     b = 25
     p = shifted_block_problem(offset, b)
@@ -923,8 +947,8 @@ def test_failed_shift_invert_step_falls_back_to_full_evaluation(failure, step):
 
 
 def test_ritz_point_h_scale_is_a_lower_bound():
-    # Every Ritz point the basis construction certifies uses an h_scale no
-    # larger than 1 + lambda_max(H) of the same H = Q + mu2 R - theta I.
+    # Every Ritz point the basis construction certifies uses an h no larger
+    # than lambda_max(H) = ||H||_2 of the same H = Q + mu2 R - theta I.
     l_matrix = gf.laplacian(gf.generate("random_geometric", 96, seed=1))
     accepted: list[tuple[qecqp._Problem, qecqp._DualEval]] = []
     certify = qecqp._certify
@@ -941,7 +965,7 @@ def test_ritz_point_h_scale_is_a_lower_bound():
     assert accepted
     for problem, e in accepted:
         top = float(np.linalg.eigvalsh(problem.q + e.mu2 * problem.r)[-1])
-        assert 1.0 + max(0.0, e.top - e.lam) <= 1.0 + (top - e.lam)
+        assert 0.0 <= e.top - e.lam <= top - e.lam
 
 
 def test_carried_subspace_follows_the_deflation():
