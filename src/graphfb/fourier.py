@@ -191,11 +191,13 @@ def compute_basis(
     (or Ritz vectors) of Q + mu2 R there, which follow Q through the same
     block Householder reflections and row deletions.  The solve searches
     that subspace before any k x k eigendecomposition, and may end at a
-    certified Ritz point without one (see ``qecqp``).  A solve that ended at
-    its own start (within ``tol``) hands on only its mu2, and the next one
-    starts with a full evaluation there, as nearly every pair of the
-    first level of a grid does at mu2 = 0.  ``tol``, the solver tolerance,
-    must lie in (0, 1e-4).
+    certified Ritz point without one (see ``qecqp``).  A solve of size
+    k < 128 that ended at its own start (within ``tol``) hands on only its
+    mu2, and the next one starts with a full evaluation there; from k = 128
+    on it hands on its subspace too, as nearly every pair of the first level
+    of a grid 256 does at mu2 = 0.  The last pair of a level, at k = 2 when
+    both channels end together, is solved exactly.  ``tol``, the solver
+    tolerance, must lie in (0, 1e-4).
 
     The level's problem, Q = L in (low, high) order with R = diag(2I, 0)
     and ||R||_2 = 2, is checked once, by the checks a public problem's Q
@@ -207,7 +209,7 @@ def compute_basis(
     ``trace_hook``, if given, is called as trace_hook(step, trace) with the
     trace of the solve for the subproblem of each step: one (mu2, f) row
     per full-size dual evaluation, so none for a step that ended at a Ritz
-    point.
+    point, and one, its dual value, for an exactly solved 2 x 2 step.
     """
     qecqp._check_tol(tol)
     l_matrix = np.asarray(l_matrix, dtype=float)

@@ -48,8 +48,9 @@ A cold solve, one started without a subspace, is the full search above
 from one full evaluation at its start point; the public ``solve`` is always
 cold.  A warm solve starts from a mu2 and a subspace handed on by the solve
 of a nearby problem (the basis construction hands each pair's mu2 and
-lowest 16 eigenvectors or Ritz vectors to the next).  Below
-k = _WARM_MIN_DIM it too runs the full search; from that size on it
+lowest 16 eigenvectors or Ritz vectors to the next, except that a pair of
+size k < 128 that ended at its own start point hands on its mu2 alone).
+Below k = _WARM_MIN_DIM it too runs the full search; from that size on it
 searches a small subspace W first (Rayleigh-Ritz): W starts as the carried
 subspace, and the dual of (W^T Q W, W^T R W) is maximized with the same
 routine at that mu2, at the cost of m x m eigendecompositions only,
@@ -109,6 +110,13 @@ the same lower bound on ||Q + mu2 R||_2, so no gate is looser there.
 The solver takes max |Q| in [1e-100, 1e100] (or Q = 0), where the squares
 it forms neither overflow nor underflow, and refuses the rest with
 InputError.
+
+A 2 x 2 problem runs no search.  Its feasible set is four points, two
+pairs +-x, so the lower pair is the minimum, and its multipliers solve
+H x = 0, two linear equations; the certificates above check it as they
+check a full evaluation.  A search there would compare eigenvalues of a
+near-scalar Q + mu2 R against a cluster bound relative to their size, not
+to h, and stop at a kink that is not one.
 
 Problems enter the solver validated, as one private record of Q, R and
 ||R||_2: ``solve`` builds it once per call; the basis construction checks
@@ -406,6 +414,9 @@ class _Limits(NamedTuple):
 _WARM_MIN_DIM = 24
 # Lowest eigenvectors or Ritz vectors a solve hands on as the next start.
 _CARRY_DIM = 16
+# From this size on, a solve that ended at its own start hands on its
+# subspace too; below it, only its mu2 (see _solve).
+_CARRY_OWN_START_DIM = 128
 # A Ritz point is accepted, and certified, with its residual and the
 # positive semidefiniteness shift both at _RITZ_GATE * tol * h plus the
 # rounding floor (see _rounding).
@@ -678,18 +689,20 @@ def solve(
 
     The solve is cold: the full search of the module docstring from mu2 = 0,
     with one k x k eigendecomposition per full-size dual evaluation, one per
-    row of ``trace``.  The feasible null point is read off the eigenpairs
-    of the last one, shifted to those of H, so no further k x k
-    eigendecomposition is made.  Positive semidefiniteness of H is
-    certified by a Cholesky factorization of H + delta I; every other
-    residual is an explicit product with Q and R.  Raises SolverError if
-    any certificate fails.  At the default ``tol`` the thresholds are
-    delta = 1e-7 ||H||_2 for positive semidefiniteness, 1e-6 ||H||_2 for
-    stationarity and 1e-6 |x^T Q x| for the duality gap, each plus the
-    rounding floor of the module docstring, and 1e-8 for the unit norm and
-    1e-6 for x^T R x - 1.  None depends on the scale of Q, so Q times c
-    gives the same x, with mu1, mu2, fval and ``trace`` times c.  Raises
-    InputError when Q is not 0 and max |Q| lies outside [1e-100, 1e100].
+    row of ``trace``; a 2 x 2 problem is solved exactly instead, with the
+    dual value at its maximizer as the one row.  The feasible null point is
+    read off the eigenpairs of the last evaluation, shifted to those of H,
+    so no further k x k eigendecomposition is made.  Positive
+    semidefiniteness of H is certified by a Cholesky factorization of
+    H + delta I; every other residual is an explicit product with Q and R.
+    Raises SolverError if any certificate fails.  At the default ``tol`` the
+    thresholds are delta = 1e-7 ||H||_2 for positive semidefiniteness,
+    1e-6 ||H||_2 for stationarity and 1e-6 |x^T Q x| for the duality gap,
+    each plus the rounding floor of the module docstring, and 1e-8 for the
+    unit norm and 1e-6 for x^T R x - 1.  None depends on the scale of Q, so
+    Q times c gives the same x, with mu1, mu2, fval and ``trace`` times c.
+    Raises InputError when Q is not 0 and max |Q| lies outside
+    [1e-100, 1e100].
     """
     _check_tol(tol)
     _check_scale(problem.q, "Q")
@@ -704,10 +717,13 @@ def _solve(
 ) -> tuple[QecqpSolution, _Start]:
     """solve() from ``start``, also returning the start for a next problem
     that differs from this one by a small deflation: the final mu2 with the
-    lowest _CARRY_DIM eigenvectors (or Ritz vectors) of Q + mu2 R there, or
-    without them when the solve ended at its own start point (within tol
-    relative to |mu2| plus the mu2 unit ||Q + mu2 R||_2 / ||R||_2), where
-    one full evaluation is likely to settle the next problem too.
+    lowest _CARRY_DIM eigenvectors (or Ritz vectors) of Q + mu2 R there.
+    Below k = _CARRY_OWN_START_DIM a solve that ended at its own start point
+    (within tol relative to |mu2| plus the mu2 unit ||Q + mu2 R||_2 /
+    ||R||_2) hands on its mu2 alone, since one full evaluation there is
+    likely to settle the next problem too; from that size on the projected
+    search on the handed-on subspace costs less.  A 2 x 2 problem is solved
+    exactly (_solve_2d), with one trace row, and hands on its mu2 alone.
 
     A start without a subspace is a cold solve, certified as solve() is.  A
     start with one is warm, and its solution may come from a Ritz point of
@@ -721,15 +737,25 @@ def _solve(
     there, the solve starts over cold at that mu2.  The problem enters
     validated, and tol is checked by the caller.
     """
+    if problem.dim == 2:
+        e, x = _solve_2d(problem)
+        if trace is not None:
+            trace.append((e.mu2, -e.mu2 + e.lam))
+        return _certify(problem, e, x, tol), _Start(e.mu2, None)
     e = _maximize_dual(problem, tol, trace, start)
     ritz = e.v.shape[1] < problem.dim
     x = _fix_sign(_null_point_from_eigh(e.w - e.lam, e.v, problem.r, tol_null=1e-8))
-    # Carrying every subspace is a size trade-off, not a simplification: it
-    # cut depth-3 build CPU time to 0.56-0.66x on ring 400 and complete 120,
-    # rotating their bases inside degenerate eigenspaces, but raised it to
-    # 1.2-1.5x on grid 64-144 and ring 64.
+    # Carrying the subspace of a solve that ended at its own start is a size
+    # trade-off: from k = 128 on, the warm projected search it buys costs
+    # less than the k x k eigendecomposition at the handed-on mu2 that it
+    # replaces.  Measured with one BLAS thread on depth-3 builds, against
+    # handing on mu2 alone: grid 256 built 10-14% faster (level-0 full
+    # evaluations 132 -> 86), ring 200, grid 400 and ring 400 in 0.75x,
+    # 0.7x and 0.5x the time; grid 144, complete 120 and random_geometric
+    # 192 did not move.  A threshold of 64 built grid 100 1.1x slower, and
+    # carrying at every size made grid 64 1.5x and ring 64 1.2x slower.
     moved = abs(e.mu2 - start.mu2) > tol * (abs(start.mu2) + e.norm / problem.r_norm)
-    carry = e.v[:, :_CARRY_DIM].copy() if moved else None
+    carry = e.v[:, :_CARRY_DIM].copy() if moved or problem.dim >= _CARRY_OWN_START_DIM else None
     e = e._replace(v=None)  # frees the eigenvectors before the certificate's k x k work
     try:
         sol = _certify(problem, e, x, tol, tight=ritz)
@@ -738,6 +764,31 @@ def _solve(
             raise
         return _solve(problem, tol, trace, _Start(e.mu2, None))
     return sol, _Start(e.mu2, carry)
+
+
+def _solve_2d(problem: _Problem) -> tuple[_DualEval, np.ndarray]:
+    """The exact solution of a 2 x 2 problem, as the evaluation at its dual
+    point (lam = -mu1 and top = lambda_max(Q + mu2 R)) and its x.
+
+    The feasible set is the four points +-a u_0 +- b u_1, for the unit
+    eigenvectors u_i of R with eigenvalues d_0 < 1 < d_1 and
+    a^2 = (d_1 - 1) / (d_1 - d_0), b^2 = (1 - d_0) / (d_1 - d_0); x is the
+    lower of a u_0 + b u_1 and a u_0 - b u_1, and (mu1, mu2) solve
+    H x = Q x + mu1 x + mu2 R x = 0, a 2 x 2 system whose columns x and R x
+    are independent (their determinant is +-a b (d_1 - d_0) in the u
+    basis).  x is an eigenvector of Q + mu2 R with eigenvalue -mu1, so the
+    other one is the trace minus it.
+    """
+    q, r = problem.q, problem.r
+    d, u = np.linalg.eigh(r)
+    a = np.sqrt((d[1] - 1.0) / (d[1] - d[0]))
+    b = np.sqrt((1.0 - d[0]) / (d[1] - d[0]))
+    x = min((a * u[:, 0] + b * u[:, 1], a * u[:, 0] - b * u[:, 1]), key=lambda c: float(c @ q @ c))
+    x = _fix_sign(x)
+    mu1, mu2 = (float(m) for m in np.linalg.solve(np.column_stack([x, r @ x]), -(q @ x)))
+    lam = -mu1
+    top = float(np.trace(q) + mu2 * np.trace(r)) - lam
+    return _DualEval(mu2, lam, 0.0, 0.0, None, None, None, top, np.inf), x
 
 
 def _check_tol(tol) -> None:

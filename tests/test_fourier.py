@@ -22,6 +22,11 @@ leftover direction of energy 3; sum of energies = trace(L) = 6.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -459,3 +464,27 @@ def test_solver_columns_are_balanced_leftovers_are_fixed():
             assert abs(balance) <= 1e-6  # u^T J u = 0 for solver pairs
         else:
             assert abs(abs(balance) - 1.0) <= 1e-6  # J u = +-u for leftovers
+
+
+# Builds whose pairs end at their own start at k >= 128 and so take the
+# projected route, down to a last pair of size 2.  Run in a fresh process
+# per BLAS thread count, since OpenBLAS reads it once, at load: a k = 2
+# failure of the dual search showed at one thread count and not the other.
+_ROUTE_SCRIPT = """
+import graphfb as gf
+from graphfb.sampling import SamplingPattern
+
+lap = gf.laplacian(gf.generate("ring", 300))
+gf.compute_basis(lap, SamplingPattern.from_dict({"n": 300, "keep_low": list(range(0, 300, 2))}))
+for kind, n in [("ring", 300), ("ring", 400), ("grid", 256), ("grid", 400)]:
+    assert gf.verify_pyramid(gf.build_pyramid(gf.generate(kind, n), 3))["ok"], (kind, n)
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_large_lattices_certify_at_either_blas_thread_count(threads):
+    src = str(Path(gf.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", _ROUTE_SCRIPT], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0 and done.stdout.strip() == "ok", done.stderr

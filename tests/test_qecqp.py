@@ -254,15 +254,72 @@ def test_dual_curvature_matches_closed_form_and_finite_difference():
         assert e.dg == pytest.approx((g_plus - g_minus) / (2.0 * h), rel=1e-6)
 
 
+# -- Exact 2 x 2 solve ----------------------------------------------------------
+
+
+def test_solve_certifies_a_near_scalar_2x2_problem():
+    # Q + mu2 R has eigenvalues 1e-12 apart at mu2 = 0, within the cluster
+    # bound 1e-9 max |w|, though H there is not near zero: a dual search
+    # stopped at a kink that is not one and failed its stationarity gate.
+    # x = (1, 1) / sqrt(2), and H x = 0 gives 0.5 + mu1 + 2 mu2 = 0 and
+    # 0.5 + 1e-12 + mu1 = 0: mu1 = -(0.5 + 1e-12), mu2 = 5e-13, and the
+    # objective -mu1 - mu2 = 0.5 + 5e-13.
+    p = qecqp.QecqpProblem(np.diag([0.5, 0.5 + 1e-12]), R_20)
+    sol = qecqp.solve(p)
+    # mu2 is a difference of numbers of size 0.5, so it is pinned within a
+    # few rounding units of ||Q||, not relative to itself.
+    assert np.allclose(np.abs(sol.x), np.sqrt(0.5), rtol=0, atol=1e-15)
+    assert sol.mu1 == pytest.approx(-(0.5 + 1e-12), rel=1e-15, abs=0)
+    assert sol.mu2 == pytest.approx(5e-13, rel=0, abs=1e-15)
+    assert sol.objective == pytest.approx(0.5 + 5e-13, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("size", [1e-14, 1e-12, 1e-10])
+def test_solve_certifies_near_scalar_2x2_problems(size):
+    # Q = 0.5 I + E with symmetric ||E||_2 = size: the minimum is the lower
+    # of the two feasible pairs +-(1, +-1) / sqrt(2).
+    rng = np.random.default_rng(20261020)
+    for _ in range(100):
+        e = rng.standard_normal((2, 2))
+        e = (e + e.T) * (size / np.linalg.norm(e + e.T, 2))
+        q = 0.5 * np.eye(2) + e
+        sol = qecqp.solve(qecqp.QecqpProblem(q, R_20))
+        lower = min(float(x @ q @ x) for x in (np.array([1.0, 1.0]), np.array([1.0, -1.0]))) / 2.0
+        assert sol.objective == pytest.approx(lower, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_2x2_solve_is_the_global_minimum_and_needs_no_search(seed, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("a 2 x 2 problem ran the dual search")
+
+    monkeypatch.setattr(qecqp, "_maximize_dual", no_search)
+    p = random_problem(2, seed=300 + seed)
+    sol = qecqp.solve(p)
+    assert sol.objective <= oracle_min(p, samples=2000, seed=seed) + 1e-12
+    w = np.linalg.eigvalsh(p.q + sol.mu1 * np.eye(2) + sol.mu2 * p.r)
+    assert abs(w[0]) <= 1e-12 * w[-1]
+
+
 # -- Dual maximization, read off the solution's dual point ---------------------
+#
+# ``solve`` settles a 2 x 2 problem without a search, so the 2 x 2 closed
+# forms below check the search itself through _maximize_dual as well.
+
+
+def search(p: qecqp.QecqpProblem, tol: float = 1e-10, trace=None) -> qecqp._DualEval:
+    """The cold dual search's final evaluation, as _solve would run it."""
+    return qecqp._maximize_dual(solver_problem(p), tol, trace)
 
 
 def test_maximize_dual_smooth_maximum():
     p = qecqp.QecqpProblem(Q_PATH, R_20)
     d = qecqp.solve(p)
-    assert d.mu2 == pytest.approx(0.0, abs=1e-6)
-    assert d.fval == pytest.approx(0.0, abs=1e-12)
-    assert d.mu1 == pytest.approx(0.0, abs=1e-6)
+    e = search(p)
+    for mu1, mu2, fval in [(d.mu1, d.mu2, d.fval), (-e.lam, e.mu2, -e.mu2 + e.lam)]:
+        assert mu2 == pytest.approx(0.0, abs=1e-6)
+        assert fval == pytest.approx(0.0, abs=1e-12)
+        assert mu1 == pytest.approx(0.0, abs=1e-6)
 
 
 def test_maximize_dual_kink_maximum():
@@ -270,19 +327,22 @@ def test_maximize_dual_kink_maximum():
     # piecewise linear with the maximum f(2) = 2 at the kink.
     p = qecqp.QecqpProblem(np.diag([0.0, 4.0]), R_20)
     d = qecqp.solve(p)
-    assert d.mu2 == pytest.approx(2.0, abs=1e-6)
-    assert d.fval == pytest.approx(2.0, abs=1e-8)
-    assert d.mu1 == pytest.approx(-4.0, abs=1e-6)
+    e = search(p)
+    for mu1, mu2, fval in [(d.mu1, d.mu2, d.fval), (-e.lam, e.mu2, -e.mu2 + e.lam)]:
+        assert mu2 == pytest.approx(2.0, abs=1e-6)
+        assert fval == pytest.approx(2.0, abs=1e-8)
+        assert mu1 == pytest.approx(-4.0, abs=1e-6)
 
 
 def test_maximize_dual_mu2_within_tolerance():
     tol = 1e-10
-    d = qecqp.solve(qecqp.QecqpProblem(Q_PATH, R_20), tol=tol)
-    assert abs(d.mu2) <= tol
+    assert abs(search(qecqp.QecqpProblem(Q_PATH, R_20), tol).mu2) <= tol
     # At the kink the search stops as soon as the two eigenvalues 2 mu2 and 4
     # of Q + mu2 R cluster, i.e. |2 mu2 - 4| <= 1e-9 * 4: within 2e-9 of 2.
-    d = qecqp.solve(qecqp.QecqpProblem(np.diag([0.0, 4.0]), R_20), tol=tol)
-    assert abs(d.mu2 - 2.0) <= 2e-9
+    # The exact 2 x 2 solve lands on it within rounding.
+    p = qecqp.QecqpProblem(np.diag([0.0, 4.0]), R_20)
+    assert abs(search(p, tol).mu2 - 2.0) <= 2e-9
+    assert abs(qecqp.solve(p, tol=tol).mu2 - 2.0) <= 1e-15
 
 
 def test_maximize_dual_h_is_psd_with_zero_min():
@@ -296,11 +356,13 @@ def test_maximize_dual_h_is_psd_with_zero_min():
 
 def test_maximize_dual_trace_collects_evaluations():
     # The search starts at mu2 = 0, where this fixture has its maximum
-    # f(0) = 0 with supergradient 0: one evaluation settles it.
+    # f(0) = 0 with supergradient 0: one evaluation settles it.  The exact
+    # 2 x 2 solve records the same point as its one row.
     p = qecqp.QecqpProblem(Q_PATH, R_20)
-    trace: list[tuple[float, float]] = []
-    qecqp.solve(p, trace=trace)
-    assert trace == [(0.0, 0.0)]
+    for run in (lambda trace: search(p, trace=trace), lambda trace: qecqp.solve(p, trace=trace)):
+        trace: list[tuple[float, float]] = []
+        run(trace)
+        assert trace == [(0.0, 0.0)]
 
 
 def test_maximize_dual_trace_off_zero_maximum():
@@ -966,6 +1028,25 @@ def test_ritz_point_h_scale_is_a_lower_bound():
     for problem, e in accepted:
         top = float(np.linalg.eigvalsh(problem.q + e.mu2 * problem.r)[-1])
         assert 0.0 <= e.top - e.lam <= top - e.lam
+
+
+@pytest.mark.parametrize("below", [2, 0])
+def test_own_start_solve_hands_on_its_subspace_from_the_size_threshold(below):
+    # A ring Laplacian with an even split has its maximum at the cold start
+    # mu2 = 0: lambda_min = 0 is simple, with the constant eigenvector, whose
+    # g = 2 (k / 2) / k - 1 = 0.  Such a solve hands on its lowest
+    # eigenvectors from k = _CARRY_OWN_START_DIM on, and only its mu2 below.
+    k = qecqp._CARRY_OWN_START_DIM - below
+    q = gf.laplacian(gf.generate("ring", k))
+    r = np.diag(np.repeat([2.0, 0.0], k // 2))
+    sol, nxt = qecqp._solve(qecqp._Problem(q, r, 2.0), 1e-10, None, qecqp._COLD)
+    assert nxt.mu2 == sol.mu2 and abs(sol.mu2) <= 1e-12
+    if below:
+        assert nxt.w is None
+    else:
+        assert nxt.w.shape == (k, qecqp._CARRY_DIM)
+        lam = np.linalg.eigvalsh(q)[: qecqp._CARRY_DIM]
+        assert np.abs(q @ nxt.w - nxt.w * lam).max() <= 1e-12
 
 
 def test_carried_subspace_follows_the_deflation():
