@@ -4,9 +4,11 @@ Each pyramid level filters and splits a signal on its graph, then coarsens
 the graph to the low channel's vertices by Kron reduction (the Schur
 complement of the Laplacian onto the kept set), optionally sparsified by
 effective-resistance sampling so deeper levels stay tractable.  The
-resistances come from one inverse M = (L + 11^T/n)^-1, with no SVD: on a
-connected graph M = L^+ + 11^T/n, and the shift cancels exactly in
-R_ij = M_ii + M_jj - 2 M_ij.  Analysis
+resistances come from one inverse M^-1 with M = L + (d_max/n) 11^T, with no
+SVD: on a connected graph M^-1 = L^+ + 11^T/(n d_max), and the shift cancels
+exactly in R_ij = M^-1_ii + M^-1_jj - 2 M^-1_ij.  Both dense steps factor
+by Cholesky and invert the factor with ``_lower_inverse``, whose work is
+GEMMs.  Analysis
 cascades the low channel through the levels; synthesis inverts the cascade
 exactly when no coefficient is modified.
 
@@ -77,13 +79,41 @@ __all__ = [
 ]
 
 
+_LEAF = 64
+
+
+def _lower_inverse(g: np.ndarray) -> np.ndarray:
+    """Inverse of the non-singular lower-triangular matrix g, by halves.
+
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]: two GEMMs per
+    split, with ``np.linalg.inv`` on diagonal blocks of at most 64 rows.
+    numpy has no triangular solve; this puts the triangular work in BLAS.
+    Only the lower triangle of the result is non-zero.
+    """
+    n = g.shape[0]
+    if n <= _LEAF:
+        return np.tril(np.linalg.inv(g))
+    h = n // 2
+    out = np.zeros_like(g)
+    out[:h, :h] = _lower_inverse(g[:h, :h])
+    out[h:, h:] = _lower_inverse(g[h:, h:])
+    np.matmul(out[h:, h:], g[h:, :h] @ out[:h, :h], out=out[h:, :h])
+    np.negative(out[h:, :h], out=out[h:, :h])
+    return out
+
+
 def kron_reduce(l_matrix: np.ndarray, keep: tuple[int, ...] | list[int]) -> np.ndarray:
     """Schur complement of the Laplacian onto the kept vertex set.
 
-    The eliminated block must be invertible, which holds whenever the graph
-    is connected and ``keep`` is a non-empty proper subset.  The result is
-    again a Laplacian, of the Kron-reduced graph.  A matrix that is not
-    square or holds a nan or inf raises InputError.
+    With G the Cholesky factor of the eliminated block L_ee and
+    Y = G^-1 L_ke^T, the result is L_kk - Y^T Y, made exactly symmetric.  L
+    is taken as symmetric: L_ek and the upper triangle of L_ee are not read,
+    so for an asymmetric L this is not its Schur complement.  L_ee must be
+    positive definite, which holds whenever L is the Laplacian of a
+    connected graph and ``keep`` is a non-empty proper subset; a failed
+    factorization raises NumericalError.  The result is again a Laplacian,
+    of the Kron-reduced graph.  A matrix that is not square or holds a nan
+    or inf raises InputError.
     """
     l_matrix = _finite_square(l_matrix)
     n = l_matrix.shape[0]
@@ -99,11 +129,12 @@ def kron_reduce(l_matrix: np.ndarray, keep: tuple[int, ...] | list[int]) -> np.n
     elim = np.flatnonzero(eliminated)
     lkk = l_matrix[np.ix_(keep_idx, keep_idx)]
     lke = l_matrix[np.ix_(keep_idx, elim)]
-    lee = l_matrix[np.ix_(elim, elim)]
     try:
-        reduced = lkk - lke @ np.linalg.solve(lee, lke.T)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eliminated block is singular: {exc}") from exc
+        factor = np.linalg.cholesky(l_matrix[np.ix_(elim, elim)])
+    except np.linalg.LinAlgError:
+        raise NumericalError("eliminated block is not positive definite") from None
+    y = _lower_inverse(factor) @ lke.T
+    reduced = lkk - y.T @ y
     return 0.5 * (reduced + reduced.T)
 
 
@@ -131,10 +162,13 @@ def graph_from_laplacian(l_matrix: np.ndarray) -> Graph:
 
 def _effective_resistances(g: Graph) -> np.ndarray:
     """Effective resistance of every edge of g, as ``sparsify`` describes."""
+    shifted = laplacian(g)
+    shifted += float(np.diag(shifted).max()) / g.n
     try:
-        m = np.linalg.inv(laplacian(g) + 1.0 / g.n)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"shifted Laplacian is singular: {exc}") from exc
+        x = _lower_inverse(np.linalg.cholesky(shifted))
+    except np.linalg.LinAlgError:
+        raise NumericalError("shifted Laplacian is not positive definite") from None
+    m = x.T @ x
     d = np.diag(m)
     return d[g.lo] + d[g.hi] - 2.0 * m[g.lo, g.hi]
 
@@ -163,13 +197,15 @@ def sparsify(g: Graph, eps: float, seed=0) -> Graph:
     another type that ``np.random.default_rng`` refuses (such as -1) raises
     it when the graph is sampled.
 
-    The effective resistance of edge (i, j) is R_ij = M_ii + M_jj - 2 M_ij
-    with M the inverse of L + 11^T/n.  The graph is connected, so that
-    matrix is positive definite and its inverse is L^+ + 11^T/n; the
-    11^T/n terms cancel in R_ij, which is thus the pseudo-inverse formula
-    computed from one LU-based inverse instead of an SVD.  A failed
-    inverse raises NumericalError; an ``eps`` that is not a real number in
-    (0, 1) raises InputError.
+    The effective resistance of edge (i, j) is R_ij = N_ii + N_jj - 2 N_ij
+    with N the inverse of M = L + (d_max/n) 11^T, d_max the largest degree.
+    The graph is connected, so M is positive definite and
+    N = L^+ + 11^T/(n d_max); the 11^T terms cancel in R_ij, which is thus
+    the pseudo-inverse formula computed without an SVD.  The shift scales
+    with L, so weights times c give resistances divided by c, to rounding,
+    at any c.  N = X^T X with X the inverse of M's Cholesky factor.  A
+    failed factorization raises NumericalError; an ``eps`` that is not a
+    real number in (0, 1) raises InputError.
     """
     eps = _eps(eps)
     if isinstance(seed, (*_BOOLS, str, bytes, float, np.floating)):

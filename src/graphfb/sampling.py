@@ -99,7 +99,7 @@ def greedy_max_cut(l_matrix: np.ndarray) -> SamplingPattern:
     n = l_matrix.shape[0]
     if n < 2:
         raise InputError(f"need a Laplacian with n >= 2, got shape {l_matrix.shape}")
-    deg = np.diag(l_matrix)
+    deg = np.diag(l_matrix).copy()
     v0 = int(np.argmax(deg))
     in_low = np.zeros(n, dtype=bool)
     in_low[v0] = True
@@ -107,13 +107,18 @@ def greedy_max_cut(l_matrix: np.ndarray) -> SamplingPattern:
     # cross[v] = sum_{x in V_L} L(v, x); adding v changes the submatrix sum
     # by L(v, v) + 2 * cross[v].
     cross = l_matrix[:, v0].copy()
-    while in_low.sum() < n - 1:
-        gain = np.where(in_low, -np.inf, deg + 2.0 * cross)
+    gain = np.empty(n)
+    taken = 1
+    while taken < n - 1:
+        np.multiply(cross, 2.0, out=gain)
+        gain += deg
+        np.copyto(gain, -np.inf, where=in_low)
         v = int(np.argmax(gain))
         candidate = score + float(gain[v])
         if candidate < score:
             break
         in_low[v] = True
+        taken += 1
         score = candidate
         cross += l_matrix[:, v]
     low = tuple(int(i) for i in np.nonzero(in_low)[0])

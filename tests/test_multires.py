@@ -154,6 +154,46 @@ def test_graph_from_laplacian_and_kron_reject_non_square(shape):
         multires.kron_reduce(bad, [0])
 
 
+def _lu_schur_complement(l_matrix: np.ndarray, keep) -> np.ndarray:
+    """L_kk - L_ke L_ee^-1 L_ke^T by an LU solve, symmetrized."""
+    keep = np.asarray(keep)
+    elim = np.setdiff1d(np.arange(len(l_matrix)), keep)
+    lke = l_matrix[np.ix_(keep, elim)]
+    reduced = l_matrix[np.ix_(keep, keep)] - lke @ np.linalg.solve(l_matrix[np.ix_(elim, elim)], lke.T)
+    return 0.5 * (reduced + reduced.T)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 517])
+def test_lower_inverse_matches_inv(n):
+    # Sizes around the 64-row leaf and an odd split at 517.
+    a = np.random.default_rng(n).standard_normal((n, n))
+    g = np.linalg.cholesky(a @ a.T + n * np.eye(n))
+    got = multires._lower_inverse(g)
+    want = np.linalg.inv(g)
+    assert not np.triu(got, 1).any()
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize(
+    "kind, n", [("random_geometric", 64), ("random_geometric", 300), ("random_geometric", 1024), ("grid", 256)]
+)
+def test_kron_matches_lu_schur_complement(kind, n):
+    l_matrix = gf.laplacian(gf.generate(kind, n, seed=1))
+    keep = sampling.greedy_max_cut(l_matrix).keep_low
+    np.testing.assert_allclose(
+        multires.kron_reduce(l_matrix, keep),
+        _lu_schur_complement(l_matrix, keep),
+        rtol=0,
+        atol=1e-12 * np.abs(l_matrix).max(),
+    )
+
+
+def test_kron_rejects_an_indefinite_eliminated_block():
+    l_matrix = np.array([[2.0, 1.0, 1.0], [1.0, -1.0, 0.0], [1.0, 0.0, 1.0]])
+    with pytest.raises(NumericalError, match="eliminated block is not positive definite"):
+        multires.kron_reduce(l_matrix, [0])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_kron_rejects_non_finite(bad):
     with pytest.raises(InputError, match="non-finite"):
@@ -221,10 +261,14 @@ def test_sparsify_preserves_total_weight_roughly():
 # n - 1 in series, R_e = (n - 1)/n.
 
 
+def _weighted_tree() -> gf.Graph:
+    w = (0.5, 2.0, 3.0, 0.25, 7.0, 1.5)
+    return gf.Graph(7, ((0, 1, w[0]), (0, 2, w[1]), (1, 3, w[2]), (1, 4, w[3]), (2, 5, w[4]), (5, 6, w[5])))
+
+
 def test_effective_resistances_of_a_weighted_tree():
-    w = np.array([0.5, 2.0, 3.0, 0.25, 7.0, 1.5])
-    g = gf.Graph(7, ((0, 1, w[0]), (0, 2, w[1]), (1, 3, w[2]), (1, 4, w[3]), (2, 5, w[4]), (5, 6, w[5])))
-    np.testing.assert_allclose(multires._effective_resistances(g), 1.0 / w, rtol=1e-12, atol=0)
+    g = _weighted_tree()
+    np.testing.assert_allclose(multires._effective_resistances(g), 1.0 / g.w, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("n", [3, 10, 40])
@@ -233,6 +277,23 @@ def test_effective_resistances_of_complete_and_ring(n):
     np.testing.assert_allclose(r, np.full(n * (n - 1) // 2, 2.0 / n), rtol=1e-12, atol=0)
     r = multires._effective_resistances(gf.generate("ring", n))
     np.testing.assert_allclose(r, np.full(n, (n - 1) / n), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("c", [1e-20, 1e-14, 1e20])
+@pytest.mark.parametrize("kind", ["complete", "ring", "tree"])
+def test_resistances_and_level1_graph_do_not_depend_on_the_weight_scale(kind, c):
+    # The shift (d_max/n) 11^T scales with L.  With a unit shift 11^T/n the
+    # resistances of K40 were singular at c = 1e-20, 1.1e-5 off at c = 1e-14
+    # and 0.48 off at c = 1e20, where build_pyramid raised NumericalError.
+    g = _weighted_tree() if kind == "tree" else gf.generate(kind, 40)
+    scaled = gf.Graph.from_arrays(g.n, g.lo, g.hi, c * g.w)
+    np.testing.assert_allclose(
+        c * multires._effective_resistances(scaled), multires._effective_resistances(g), rtol=1e-12, atol=0
+    )
+    config = multires.PyramidConfig(eps=0.9)
+    unit, got = (gf.build_pyramid(h, 2, config).graphs[1] for h in (g, scaled))
+    assert np.array_equal(got.lo, unit.lo) and np.array_equal(got.hi, unit.hi)
+    np.testing.assert_allclose(got.w, c * unit.w, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("seed", [-1, [0, -1], 1.5, "x", True, np.True_, b"bytes"])
@@ -294,13 +355,16 @@ def test_reconnect_picks_most_probable_crossing():
 # The per-edge loops graph_from_laplacian, sparsify and _reconnect ran before
 # graphs held their edges as arrays.  The array code must give the same edge
 # tuples, weights bit for bit.  The sparsify loop reads its resistances entry
-# by entry from the same shifted inverse (L + 11^T/n)^-1 as the library; with
-# the pseudo-inverse L^+ instead it is the independent oracle for that
-# shortcut, which must agree to 1e-12 relative and draw the same edges.
+# by entry from the same matrix as the library: M^-1 = X^T X for
+# M = L + (d_max/n) 11^T and X the inverse of M's Cholesky factor; with the
+# pseudo-inverse L^+ instead it is the independent oracle for that shortcut,
+# which must agree to 1e-12 relative and draw the same edges.
 
 
 def _shifted_inverse(g: gf.Graph) -> np.ndarray:
-    return np.linalg.inv(gf.laplacian(g) + 1.0 / g.n)
+    lap = gf.laplacian(g)
+    x = multires._lower_inverse(np.linalg.cholesky(lap + lap.diagonal().max() / g.n))
+    return x.T @ x
 
 
 def _pseudo_inverse(g: gf.Graph) -> np.ndarray:

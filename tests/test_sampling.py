@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import graphfb as gf
-from graphfb import sampling
+from graphfb import multires, sampling
 from graphfb.errors import InputError
 from conftest import all_cut_values, brute_force_max_cut
 
@@ -57,6 +57,47 @@ def test_greedy_max_cut_rejects_non_square(shape):
 def test_greedy_max_cut_rejects_single_vertex():
     with pytest.raises(InputError, match="n >= 2"):
         sampling.greedy_max_cut(np.zeros((1, 1)))
+
+
+def _reference_greedy_low_set(l_matrix: np.ndarray) -> tuple[int, ...]:
+    """greedy_max_cut's loop as it ran when each step built a new gain array."""
+    n = l_matrix.shape[0]
+    deg = np.diag(l_matrix)
+    v0 = int(np.argmax(deg))
+    in_low = np.zeros(n, dtype=bool)
+    in_low[v0] = True
+    score = float(deg[v0])
+    cross = l_matrix[:, v0].copy()
+    while in_low.sum() < n - 1:
+        gain = np.where(in_low, -np.inf, deg + 2.0 * cross)
+        v = int(np.argmax(gain))
+        candidate = score + float(gain[v])
+        if candidate < score:
+            break
+        in_low[v] = True
+        score = candidate
+        cross += l_matrix[:, v]
+    return tuple(int(i) for i in np.flatnonzero(in_low))
+
+
+@pytest.mark.parametrize(
+    "kind, n", [("random_geometric", 64), ("random_geometric", 300), ("random_geometric", 1024), ("grid", 256)]
+)
+def test_greedy_max_cut_matches_loop_reference(kind, n):
+    # On the Laplacian and on its Kron reduction (a dense Laplacian).
+    l_matrix = gf.laplacian(gf.generate(kind, n, seed=1))
+    keep = sampling.greedy_max_cut(l_matrix).keep_low
+    assert keep == _reference_greedy_low_set(l_matrix)
+    reduced = multires.kron_reduce(l_matrix, keep)
+    assert sampling.greedy_max_cut(reduced).keep_low == _reference_greedy_low_set(reduced)
+
+
+def test_greedy_max_cut_matches_loop_reference_on_a_non_symmetric_matrix():
+    a = np.random.default_rng(3).standard_normal((60, 60))
+    a[np.diag_indices(60)] += 8.0
+    keep = sampling.greedy_max_cut(a).keep_low
+    assert 1 < len(keep) < 59
+    assert keep == _reference_greedy_low_set(a)
 
 
 def test_sign_vector_matches_partition():
