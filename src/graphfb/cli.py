@@ -169,7 +169,8 @@ def _resolve(args: argparse.Namespace) -> dict:
     if cfg.get("load"):
         return cfg  # a saved pyramid brings its own graph and config
     if not cfg.get("graph_file") and (cfg["graph"] is None or cfg["n"] is None):
-        raise InputError("either --graph-file or both --graph and --n are required")
+        need = "both --graph and --n are required"
+        raise InputError(f"either --graph-file or {need}" if "graph_file" in cfg else need)
     if "depth" in cfg:
         if cfg["depth"] < 1:
             raise InputError(f"--depth must be at least 1, got {cfg['depth']}")

@@ -115,7 +115,7 @@ def quartet(h: np.ndarray, phi: SignedPermutation) -> FilterQuartet:
     if (h < 0).any():
         raise InputError("lowpass gain must be non-negative to take its square root")
     h0 = np.sqrt(h)
-    return FilterQuartet(h0=h0, h1=phi.apply_abs(h0))
+    return FilterQuartet(h0=h0, h1=h0[phi.perm])
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,5 +223,5 @@ def verify_pr(level: FilterLevel) -> dict[str, float]:
     h0, h1 = level.quartet
     phi = level.basis.phi
     gain_sum = float(np.abs(h0 * h0 + h1 * h1 - 2.0).max())
-    gain_fold = float(np.abs(phi.apply_abs(h0) * h0 - phi.apply_abs(h1) * h1).max())
+    gain_fold = float(np.abs(h0[phi.perm] * h0 - h1[phi.perm] * h1).max())
     return {"gain_sum": gain_sum, "gain_fold": gain_fold, "operator": _orthonormality(level.analysis)}

@@ -38,7 +38,6 @@ import numpy as np
 
 from . import qecqp
 from .errors import InputError, NumericalError
-from .graphs import as_signal
 from .sampling import SamplingPattern
 
 __all__ = [
@@ -92,11 +91,6 @@ class SignedPermutation:
     def n(self) -> int:
         return len(self.perm)
 
-    def apply_abs(self, v: np.ndarray) -> np.ndarray:
-        """Product |Phi| v, the unsigned permutation."""
-        v = as_signal(v, self.n)
-        return v[self.perm]
-
 
 @dataclass(frozen=True, eq=False)
 class FourierBasis:
@@ -118,11 +112,11 @@ class FourierBasis:
         return self.u.shape[0]
 
 
-def classify_subspace(a: np.ndarray, sign: np.ndarray, tol: float = 1e-8) -> SubspaceClass:
+def classify_subspace(a: np.ndarray, sign: np.ndarray) -> SubspaceClass:
     """Classify how J = diag(sign) acts on the span of the columns of a.
 
     The span must be J-invariant, equivalently every eigenvalue of A^T J A
-    is +-1 within ``tol``.  Returns ALL_PLUS / ALL_MINUS when J fixes /
+    is +-1 within 1e-8.  Returns ALL_PLUS / ALL_MINUS when J fixes /
     negates the whole span, MIXED when both eigenvalues occur.
     """
     a = np.asarray(a, dtype=float)
@@ -130,7 +124,7 @@ def classify_subspace(a: np.ndarray, sign: np.ndarray, tol: float = 1e-8) -> Sub
         raise InputError(f"need at least one column to classify, got shape {a.shape}")
     t = a.T @ (sign[:, None] * a)
     ev = np.linalg.eigvalsh(0.5 * (t + t.T))
-    if np.abs(np.abs(ev) - 1.0).max() > tol:
+    if np.abs(np.abs(ev) - 1.0).max() > 1e-8:
         raise NumericalError("subspace is not invariant under the channel sign flip")
     if ev[0] > 0:
         return SubspaceClass.ALL_PLUS
@@ -187,15 +181,16 @@ def compute_basis(
     """Build the folding-adapted orthonormal basis for (L, pattern).
 
     Consecutive subproblems differ by one deflation, so each solve starts
-    warm from the one before: its final mu2 and the lowest 16 eigenvectors
-    (or Ritz vectors) of Q + mu2 R there, which follow Q through the same
-    block Householder reflections and row deletions.  The solve searches
-    that subspace before any k x k eigendecomposition, and may end at a
-    certified Ritz point without one (see ``qecqp``).  A solve of size
-    k < 128 that ended at its own start (within ``tol``) hands on only its
-    mu2, and the next one starts with a full evaluation there; from k = 128
-    on it hands on its subspace too, as nearly every pair of the first level
-    of a grid 256 does at mu2 = 0.  The last pair of a level, at k = 2 when
+    warm from the one before: its final mu2 and the lowest
+    ``qecqp._CARRY_DIM`` eigenvectors (or Ritz vectors) of Q + mu2 R there,
+    which follow Q through the same block Householder reflections and row
+    deletions.  The solve searches that subspace before any k x k
+    eigendecomposition, and may end at a certified Ritz point without one
+    (see ``qecqp``).  A solve of size k < ``qecqp._CARRY_OWN_START_DIM``
+    that ended at its own start (within ``tol``) hands on only its mu2, and
+    the next one starts with a full evaluation there; from that size on it
+    hands on its subspace too, as nearly every pair of the first level of a
+    grid 256 does at mu2 = 0.  The last pair of a level, at k = 2 when
     both channels end together, is solved exactly.  ``tol``, the solver
     tolerance, must lie in (0, 1e-4).
 

@@ -227,13 +227,9 @@ class Graph:
         Edge endpoints and weights, one entry per edge.
     edges : tuple of (int, int, float)
         The same edges as Python tuples, built on first access.
-    weight_matrix : ndarray
-        The dense symmetric weight matrix W, built anew on each access.
-    degrees : ndarray
-        The row sums of W (the diagonal of the Laplacian), built on first
-        access.
     coords : ndarray or None
-        Optional (n, 2) vertex coordinates used by coordinate-derived signals.
+        Optional (n, 2) finite vertex coordinates used by coordinate-derived
+        signals, held as a read-only copy of the array given.
     """
 
     def __init__(self, n: int, edges: Iterable[Edge], coords: np.ndarray | None = None) -> None:
@@ -269,9 +265,12 @@ class Graph:
         if not _all_finite(degree):
             raise InputError(f"vertex {np.argmin(np.isfinite(degree))} has a non-finite degree (sum of weights)")
         if coords is not None:
-            coords = np.asarray(coords, dtype=float)
+            coords = np.array(coords, dtype=float)
             if coords.shape != (n, 2):
                 raise InputError(f"coords must have shape ({n}, 2), got {coords.shape}")
+            if not _all_finite(coords):
+                raise InputError("coords have a non-finite entry (nan or inf)")
+            coords.flags.writeable = False
         for a in (lo, hi, w):
             a.flags.writeable = False
         for name, value in (("n", n), ("lo", lo), ("hi", hi), ("w", w), ("coords", coords)):
@@ -286,17 +285,6 @@ class Graph:
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
         return tuple(zip(self.lo.tolist(), self.hi.tolist(), self.w.tolist()))
-
-    @property
-    def weight_matrix(self) -> np.ndarray:
-        w = np.zeros((self.n, self.n))
-        w[self.lo, self.hi] = self.w
-        w[self.hi, self.lo] = self.w
-        return w
-
-    @cached_property
-    def degrees(self) -> np.ndarray:
-        return laplacian(self).diagonal().copy()
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -349,32 +337,31 @@ def as_signal(f: object, n: int) -> np.ndarray:
     return arr
 
 
-def check_laplacian(l_matrix: np.ndarray, *, tol: float = 1e-10) -> dict[str, float]:
+def check_laplacian(l_matrix: np.ndarray) -> dict[str, float]:
     """Validate Laplacian structure; returns the residuals it checked.
 
     Checks symmetry, zero row sums, non-positive off-diagonal entries, and
-    positive semidefiniteness, each against ``tol`` scaled by max|L|, with
-    no floor, so a Laplacian of small weights is held to the same relative
-    bound as one of unit weights.  Raises NumericalError on the first
-    violation, and InputError for a matrix that is empty, not square or
-    holds a nan or inf.
+    positive semidefiniteness, each against 1e-10 max|L|, with no floor, so
+    a Laplacian of small weights is held to the same relative bound as one
+    of unit weights.  Raises NumericalError on the first violation, and
+    InputError for a matrix that is empty, not square or holds a nan or inf.
     """
     l_matrix = _finite_square(l_matrix)
     if l_matrix.size == 0:
         raise InputError("Laplacian must not be empty")
-    scale = float(np.abs(l_matrix).max())
+    bound = 1e-10 * float(np.abs(l_matrix).max())
     sym = float(np.abs(l_matrix - l_matrix.T).max(initial=0.0))
-    if sym > tol * scale:
+    if sym > bound:
         raise NumericalError(f"Laplacian asymmetry {sym:.3e} exceeds tolerance")
     rowsum = float(np.abs(l_matrix.sum(axis=1)).max(initial=0.0))
-    if rowsum > tol * scale:
+    if rowsum > bound:
         raise NumericalError(f"Laplacian row sums deviate from zero by {rowsum:.3e}")
     off = l_matrix - np.diag(np.diag(l_matrix))
     offpos = float(off.max(initial=0.0))
-    if offpos > tol * scale:
+    if offpos > bound:
         raise NumericalError(f"positive off-diagonal entry {offpos:.3e} in Laplacian")
     lam_min = float(np.linalg.eigvalsh(l_matrix)[0])
-    if lam_min < -tol * scale:
+    if lam_min < -bound:
         raise NumericalError(f"Laplacian has negative eigenvalue {lam_min:.3e}")
     return {"asymmetry": sym, "row_sum": rowsum, "positive_offdiag": offpos, "lambda_min": lam_min}
 

@@ -290,10 +290,6 @@ class Pyramid:
     def depth(self) -> int:
         return len(self.levels)
 
-    @property
-    def graphs(self) -> tuple[Graph, ...]:
-        return tuple(level.graph for level in self.levels)
-
 
 @dataclass(frozen=True, eq=False)
 class CoefficientTree:
@@ -464,12 +460,12 @@ def load_pyramid(path: str | Path) -> Pyramid:
     """Rebuild a saved pyramid.  Invariants are not re-verified on load.
 
     A missing or malformed file, an array whose shape does not fit its
-    level's vertex count, a ``filters.csv`` whose synthesis columns differ
-    from its analysis columns, a manifest whose ``config`` does not name exactly
-    the PyramidConfig fields, a level size ``n`` or ``requested_depth``
-    that is not an integer (a float, integral or not, a bool or a string),
-    or a level whose size is not the low channel count of the level before
-    it, raises InputError.
+    level's vertex count or that holds a nan or inf, a ``filters.csv``
+    whose synthesis columns differ from its analysis columns, a manifest
+    whose ``config`` does not name exactly the PyramidConfig fields, a
+    level size ``n`` or ``requested_depth`` that is not an integer (a
+    float, integral or not, a bool or a string), or a level whose size is
+    not the low channel count of the level before it, raises InputError.
     """
     try:
         return _read_pyramid(Path(path))
@@ -503,16 +499,18 @@ def _read_pyramid(root: Path) -> Pyramid:
         phi_rows = np.loadtxt(d / "phi.csv", delimiter=",", dtype=int, ndmin=2)
         filt = np.loadtxt(d / "filters.csv", delimiter=",", ndmin=2)
         n = graph.n
-        for name, got, want in (
-            ("basis_u.csv", u.shape, (n, n)),
-            ("energies.csv", energies.shape, (n,)),
-            ("pair_tags.csv", pair_tags.shape, (n,)),
-            ("phi.csv", phi_rows.shape, (n, 3)),
-            ("filters.csv", filt.shape, (n, 4)),
+        for name, arr, want in (
+            ("basis_u.csv", u, (n, n)),
+            ("energies.csv", energies, (n,)),
+            ("pair_tags.csv", pair_tags, (n,)),
+            ("phi.csv", phi_rows, (n, 3)),
+            ("filters.csv", filt, (n, 4)),
         ):
-            if got != want:
-                raise InputError(f"level {idx}: {name} holds shape {got}, expected {want}")
-        if not np.array_equal(filt[:, 2:], filt[:, :2], equal_nan=True):
+            if arr.shape != want:
+                raise InputError(f"level {idx}: {name} holds shape {arr.shape}, expected {want}")
+            if not np.isfinite(arr).all():
+                raise InputError(f"level {idx}: {name} has a non-finite entry (nan or inf)")
+        if not np.array_equal(filt[:, 2:], filt[:, :2]):
             raise InputError(f"level {idx}: filters.csv synthesis gains differ from its analysis gains")
         phi = SignedPermutation(phi_rows[:, 1], phi_rows[:, 2])
         basis = FourierBasis(u=u, energies=energies, phi=phi, pair_tags=pair_tags)

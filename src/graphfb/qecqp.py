@@ -40,16 +40,18 @@ its two ends (or bisection) narrows it.  At kinks the smallest eigenvalue
 is degenerate and the supergradient is an interval; the tangent
 intersection lands on a lone kink exactly.  The search stops when the
 interval straddles zero within 1e-13 ||R||_2; when a smooth point is so
-close to the root that its null point v_0 is within 1e-2 tol of the root's;
-or when the bracket is narrower than tol |mu2| plus eps ||Q + mu2 R||_2 /
-||R||_2, the move of mu2 that changes Q + mu2 R by one rounding unit.
+close to the root that its null point v_0 is within _NEWTON_STOP tol of
+the root's; or when the bracket is narrower than tol |mu2| plus
+eps ||Q + mu2 R||_2 / ||R||_2, the move of mu2 that changes Q + mu2 R by
+one rounding unit.
 
 A cold solve, one started without a subspace, is the full search above
 from one full evaluation at its start point; the public ``solve`` is always
 cold.  A warm solve starts from a mu2 and a subspace handed on by the solve
 of a nearby problem (the basis construction hands each pair's mu2 and
-lowest 16 eigenvectors or Ritz vectors to the next, except that a pair of
-size k < 128 that ended at its own start point hands on its mu2 alone).
+lowest _CARRY_DIM eigenvectors or Ritz vectors to the next, except that a
+pair of size k < _CARRY_OWN_START_DIM that ended at its own start point
+hands on its mu2 alone).
 Below k = _WARM_MIN_DIM it too runs the full search; from that size on it
 searches a small subspace W first (Rayleigh-Ritz): W starts as the carried
 subspace, and the dual of (W^T Q W, W^T R W) is maximized with the same
@@ -58,16 +60,16 @@ provided the spectrum of W^T R W straddles 1 so that the projected dual has
 a maximizer.  At that maximizer one pass over the lowest Ritz pairs
 (theta, y) forms their residuals (Q + mu2 R) y - theta y on the full
 problem.  If those of the smallest Ritz value pass the Ritz gate,
-||(Q + mu2 R) y - theta y|| <= 1e-2 tol h + rho (h and rho below), the
-Ritz point is the answer.  Otherwise the same pass takes one shift-invert
-step (block inverse iteration; Parlett, The Symmetric Eigenvalue Problem;
-Knyazev, LOBPCG, SISC 2001): a single LU solve with Q + mu2 R - sigma I,
-sigma = theta - 1e-6 h just below the Ritz value, whose right-hand
-sides are the residuals of the lowest three Ritz pairs and
+||(Q + mu2 R) y - theta y|| <= _RITZ_GATE tol h + rho (h and rho below),
+the Ritz point is the answer.  Otherwise the same pass takes one
+shift-invert step (block inverse iteration; Parlett, The Symmetric
+Eigenvalue Problem; Knyazev, LOBPCG, SISC 2001): a single LU solve with
+Q + mu2 R - sigma I, sigma = theta - _SHIFT h just below the Ritz value,
+whose right-hand sides are the residuals of the lowest three Ritz pairs and
 (R - y^T R y) y, the direction of dv_0/dmu2; W grows by its solutions, and
 the next round maximizes again, from the same mu2, on the larger W.  After
-three steps, or when a step fails, is not finite or adds nothing to W, the
-full search takes over from one full evaluation at the last projected
+_LU_ROUNDS steps, or when a step fails, is not finite or adds nothing to W,
+the full search takes over from one full evaluation at the last projected
 maximizer.  It starts at the start mu2 instead when the carried subspace
 does not straddle 1 or would fill the space, or when its projected dual
 has no maximizer.  Every stopping rule is therefore one of the full search
@@ -77,10 +79,10 @@ H = Q + mu1 I + mu2 R is a shift of Q + mu2 R by a multiple of I, so the
 last full evaluation's eigenpairs (w - lambda_min, V) are those of H, and
 the feasible null point is read off them, or off the Ritz pairs at a Ritz
 point.  A cold solve costs one k x k symmetric eigendecomposition per
-evaluation of the full search.  A warm solve costs at most three k x k LU
-factorizations, each a small fraction of an eigendecomposition: one that
-ends at a Ritz point makes no k x k eigendecomposition, and one that does
-not adds those of the full search.  The other eigendecompositions are
+evaluation of the full search.  A warm solve costs at most _LU_ROUNDS
+k x k LU factorizations, each a small fraction of an eigendecomposition:
+one that ends at a Ritz point makes no k x k eigendecomposition, and one
+that does not adds those of the full search.  The other eigendecompositions are
 small: m x m ones of the projected duals, and one of R projected onto the
 null space of H, whose dimension is usually 1.
 Reused eigenvalues cannot certify H >= 0 (the smallest is 0 by
@@ -90,9 +92,9 @@ to O(k u ||H||) rounding; H is formed only there and, shifted, for the
 shift-invert steps, and the Cholesky factorization costs a small fraction
 of an eigendecomposition.  At a Ritz point theta only bounds
 lambda_min(Q + mu2 R) from above, and this certificate, with delta
-tightened to 1e-2 tol h + rho, is what proves that no eigenvector outside
-W lies lower.  The other residuals are explicit products with Q and R,
-H x among them as Q x + mu1 x + mu2 R x.
+tightened to _RITZ_GATE tol h + rho, is what proves that no eigenvector
+outside W lies lower.  The other residuals are explicit products with Q
+and R, H x among them as Q x + mu1 x + mu2 R x.
 
 Every threshold either has no units (g = x^T R x - 1, the unit norm,
 tol) or scales with the problem's own data, so Q times c changes nothing
@@ -405,8 +407,8 @@ class _Limits(NamedTuple):
 
 
 # Below this size a start's subspace is not searched: a projected search
-# there, on a W of 16 or more columns, costs more than the full search it
-# saves (measured with one BLAS thread).  Without the rule random_geometric
+# there, on a W of _CARRY_DIM or more columns, costs more than the full
+# search it saves (measured with one BLAS thread).  Without the rule random_geometric
 # 192 built about 2% slower, and build_level of random_geometric 128 seed 1
 # at tol 1e-14 failed its feasibility certificate with one BLAS thread
 # (residual 5.0e-10), where it passes with the rule (with two BLAS threads
@@ -624,22 +626,18 @@ def _h_matrix(problem: _Problem, mu1: float, mu2: float) -> np.ndarray:
     return h
 
 
-def _null_point_from_eigh(
-    w: np.ndarray,
-    v: np.ndarray,
-    r: np.ndarray,
-    tol_null: float,
-) -> np.ndarray:
+def _null_point_from_eigh(w: np.ndarray, v: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Feasible point from the near-null eigenvectors of H.
 
-    Starts with all eigenvectors below the null threshold and enlarges with
-    the next-smallest ones until an eigenvector of B^T R B is feasible within
-    the direct-accept band (of several, one of least energy z^T diag(w) z on
-    H), or until the eigenvalues of B^T R B straddle 1; it then interpolates
-    between the straddling pair to hit x^T R x = 1 exactly.
+    Starts with all eigenvectors below the null threshold, 1e-8 times the
+    largest eigenvalue of H, and enlarges with the next-smallest ones until
+    an eigenvector of B^T R B is feasible within the direct-accept band (of
+    several, one of least energy z^T diag(w) z on H), or until the
+    eigenvalues of B^T R B straddle 1; it then interpolates between the
+    straddling pair to hit x^T R x = 1 exactly.
     """
     dim = len(w)
-    threshold = tol_null * float(w[-1])
+    threshold = 1e-8 * float(w[-1])
     k = max(1, int(np.searchsorted(w, threshold, side="right")))
     # Direct-accept band for a single near-feasible eigenvector.  Wide enough
     # to absorb the solver's supergradient residual at a smooth dual maximum,
@@ -680,19 +678,14 @@ def _fix_sign(x: np.ndarray) -> np.ndarray:
     return -x if x[k] < 0 else x
 
 
-def solve(
-    problem: QecqpProblem,
-    tol: float = 1e-10,
-    trace: list[tuple[float, float]] | None = None,
-) -> QecqpSolution:
+def solve(problem: QecqpProblem, tol: float = 1e-10) -> QecqpSolution:
     """Globally solve the problem and certify optimality.
 
     The solve is cold: the full search of the module docstring from mu2 = 0,
-    with one k x k eigendecomposition per full-size dual evaluation, one per
-    row of ``trace``; a 2 x 2 problem is solved exactly instead, with the
-    dual value at its maximizer as the one row.  The feasible null point is
-    read off the eigenpairs of the last evaluation, shifted to those of H,
-    so no further k x k eigendecomposition is made.  Positive
+    with one k x k eigendecomposition per full-size dual evaluation; a 2 x 2
+    problem is solved exactly instead.  The feasible null point is read off
+    the eigenpairs of the last evaluation, shifted to those of H, so no
+    further k x k eigendecomposition is made.  Positive
     semidefiniteness of H is certified by a Cholesky factorization of
     H + delta I; every other residual is an explicit product with Q and R.
     Raises SolverError if any certificate fails.  At the default ``tol`` the
@@ -700,13 +693,13 @@ def solve(
     1e-6 ||H||_2 for stationarity and 1e-6 |x^T Q x| for the duality gap,
     each plus the rounding floor of the module docstring, and 1e-8 for the
     unit norm and 1e-6 for x^T R x - 1.  None depends on the scale of Q, so
-    Q times c gives the same x, with mu1, mu2, fval and ``trace`` times c.
+    Q times c gives the same x, with mu1, mu2 and fval times c.
     Raises InputError when Q is not 0 and max |Q| lies outside
     [1e-100, 1e100].
     """
     _check_tol(tol)
     _check_scale(problem.q, "Q")
-    return _solve(_Problem(problem.q, problem.r, problem.r_norm), tol, trace, _COLD)[0]
+    return _solve(_Problem(problem.q, problem.r, problem.r_norm), tol, None, _COLD)[0]
 
 
 def _solve(
@@ -715,9 +708,11 @@ def _solve(
     trace: list[tuple[float, float]] | None,
     start: _Start,
 ) -> tuple[QecqpSolution, _Start]:
-    """solve() from ``start``, also returning the start for a next problem
-    that differs from this one by a small deflation: the final mu2 with the
-    lowest _CARRY_DIM eigenvectors (or Ritz vectors) of Q + mu2 R there.
+    """solve() from ``start``, with one (mu2, f) row per full-size dual
+    evaluation appended to ``trace`` when it is a list, also returning the
+    start for a next problem that differs from this one by a small
+    deflation: the final mu2 with the lowest _CARRY_DIM eigenvectors (or
+    Ritz vectors) of Q + mu2 R there.
     Below k = _CARRY_OWN_START_DIM a solve that ended at its own start point
     (within tol relative to |mu2| plus the mu2 unit ||Q + mu2 R||_2 /
     ||R||_2) hands on its mu2 alone, since one full evaluation there is
@@ -744,16 +739,17 @@ def _solve(
         return _certify(problem, e, x, tol), _Start(e.mu2, None)
     e = _maximize_dual(problem, tol, trace, start)
     ritz = e.v.shape[1] < problem.dim
-    x = _fix_sign(_null_point_from_eigh(e.w - e.lam, e.v, problem.r, tol_null=1e-8))
+    x = _fix_sign(_null_point_from_eigh(e.w - e.lam, e.v, problem.r))
     # Carrying the subspace of a solve that ended at its own start is a size
-    # trade-off: from k = 128 on, the warm projected search it buys costs
-    # less than the k x k eigendecomposition at the handed-on mu2 that it
-    # replaces.  Measured with one BLAS thread on depth-3 builds, against
-    # handing on mu2 alone: grid 256 built 10-14% faster (level-0 full
-    # evaluations 132 -> 86), ring 200, grid 400 and ring 400 in 0.75x,
-    # 0.7x and 0.5x the time; grid 144, complete 120 and random_geometric
-    # 192 did not move.  A threshold of 64 built grid 100 1.1x slower, and
-    # carrying at every size made grid 64 1.5x and ring 64 1.2x slower.
+    # trade-off: from k = _CARRY_OWN_START_DIM on, the warm projected search
+    # it buys costs less than the k x k eigendecomposition at the handed-on
+    # mu2 that it replaces.  Measured with one BLAS thread on depth-3
+    # builds, against handing on mu2 alone: grid 256 built 10-14% faster
+    # (level-0 full evaluations 132 -> 86), ring 200, grid 400 and ring 400
+    # in 0.75x, 0.7x and 0.5x the time; grid 144, complete 120 and
+    # random_geometric 192 did not move.  A threshold of 64 built grid 100
+    # 1.1x slower, and carrying at every size made grid 64 1.5x and ring 64
+    # 1.2x slower.
     moved = abs(e.mu2 - start.mu2) > tol * (abs(start.mu2) + e.norm / problem.r_norm)
     carry = e.v[:, :_CARRY_DIM].copy() if moved or problem.dim >= _CARRY_OWN_START_DIM else None
     e = e._replace(v=None)  # frees the eigenvectors before the certificate's k x k work

@@ -84,10 +84,19 @@ def oracle_min(problem: qecqp.QecqpProblem, samples: int = 100_000, seed: int = 
     return float(vals.min())
 
 
+def dense_weights(g: gf.Graph) -> np.ndarray:
+    """The dense symmetric weight matrix W, written from the edge arrays
+    independently of ``laplacian``."""
+    w = np.zeros((g.n, g.n))
+    w[g.lo, g.hi] = g.w
+    w[g.hi, g.lo] = g.w
+    return w
+
+
 def brute_force_max_cut(g: gf.Graph) -> float:
     """Exhaustive best cut over all bipartitions with both sides non-empty."""
     best = -np.inf
-    w = g.weight_matrix
+    w = dense_weights(g)
     for bits in itertools.product((0, 1), repeat=g.n - 1):
         side = np.array((1,) + bits, dtype=bool)
         if side.all():
@@ -98,7 +107,7 @@ def brute_force_max_cut(g: gf.Graph) -> float:
 
 def all_cut_values(g: gf.Graph) -> np.ndarray:
     """Cut values of every bipartition (both sides non-empty)."""
-    w = g.weight_matrix
+    w = dense_weights(g)
     vals = []
     for bits in itertools.product((0, 1), repeat=g.n - 1):
         side = np.array((1,) + bits, dtype=bool)
@@ -120,7 +129,7 @@ def splice_level1(saved: Path, donor: Path) -> None:
 
 def dirichlet_double_sum(g: gf.Graph, f: np.ndarray) -> float:
     # Independent oracle: 1/2 sum_ij w_ij (f_i - f_j)^2 over ordered pairs.
-    w = g.weight_matrix
+    w = dense_weights(g)
     total = 0.0
     for i in range(g.n):
         for j in range(g.n):

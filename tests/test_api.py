@@ -48,10 +48,7 @@ def test_public_names_are_pinned():
 def test_solver_entry_points_are_pinned():
     # The basis construction hands warm starts between solves through a
     # private entry point; the public signatures stay as they are.
-    assert str(inspect.signature(qecqp.solve)) == (
-        "(problem: 'QecqpProblem', tol: 'float' = 1e-10, "
-        "trace: 'list[tuple[float, float]] | None' = None) -> 'QecqpSolution'"
-    )
+    assert str(inspect.signature(qecqp.solve)) == "(problem: 'QecqpProblem', tol: 'float' = 1e-10) -> 'QecqpSolution'"
     params = inspect.signature(fourier.compute_basis).parameters
     positional = [name for name, p in params.items() if p.kind is p.POSITIONAL_OR_KEYWORD]
     assert positional == ["l_matrix", "pattern"]

@@ -52,6 +52,18 @@ def test_graph_without_n(tmp_path):
     assert run("basis", "--graph", "ring", "--out", tmp_path / "o") == 2
 
 
+def test_verify_without_a_graph_names_only_its_own_options(tmp_path, capsys):
+    # verify takes no --graph-file, so the message must not offer it.
+    assert run("verify", "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert "both --graph and --n are required" in err and "--graph-file" not in err
+
+
+def test_roundtrip_without_a_graph_names_graph_file(tmp_path, capsys):
+    assert run("roundtrip", "--out", tmp_path / "o") == 2
+    assert "either --graph-file or both --graph and --n are required" in capsys.readouterr().err
+
+
 def test_malformed_graph_file(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 one 1.0\n", encoding="utf-8")
@@ -564,6 +576,22 @@ def test_verify_load_rejects_basis_with_a_column_dropped(tmp_path, capsys):
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     assert run("verify", "--load", pyr, "--out", tmp_path / "b") == 2
     assert "basis_u.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["basis_u.csv", "filters.csv"])
+def test_verify_load_rejects_a_nan_entry(tmp_path, capsys, name):
+    # A NaN in basis_u.csv used to exit 3 with bare NaN tokens, which are
+    # not JSON, in report.json; a NaN in both h0 and g0 of one row of
+    # filters.csv exited 2 with a message about a signal.
+    pyr = _saved_cli_pyramid(tmp_path)
+    path = pyr / "level0" / name
+    a = np.loadtxt(path, delimiter=",", ndmin=2)
+    a[0, ::2] = np.nan
+    np.savetxt(path, a, fmt="%.17g", delimiter=",")
+    out = tmp_path / "b"
+    assert run("verify", "--load", pyr, "--out", out) == 2
+    assert f"level 0: {name} has a non-finite entry" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_verify_load_rejects_tampered_energies(tmp_path):

@@ -336,7 +336,6 @@ def test_signed_permutation_apply():
     sp = fourier.SignedPermutation(perm=np.array([1, 0]), signs=np.array([-1.0, -1.0]))
     v = np.array([3.0, 4.0])
     np.testing.assert_allclose(sp.signs * v[sp.perm], [-4.0, -3.0])
-    np.testing.assert_allclose(sp.apply_abs(v), [4.0, 3.0])
 
 
 def test_signed_permutation_rejects_non_involution():

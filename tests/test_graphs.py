@@ -13,7 +13,7 @@ import graphfb as gf
 from graphfb import multires, sampling
 from graphfb.errors import InputError, NumericalError
 from graphfb.graphs import _components, as_signal
-from conftest import dirichlet_double_sum
+from conftest import dense_weights, dirichlet_double_sum
 
 PATH3_LAPLACIAN = np.array(
     [
@@ -35,7 +35,7 @@ def test_laplacian_complete4():
 
 
 def _dense_laplacian(g: gf.Graph) -> np.ndarray:
-    w = g.weight_matrix
+    w = dense_weights(g)
     return np.diag(w.sum(axis=1)) - w
 
 
@@ -65,7 +65,6 @@ def test_laplacian_equals_dense_formula_bit_for_bit(make):
     got, want = gf.laplacian(g), _dense_laplacian(g)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
-    assert np.array_equal(g.degrees, want.diagonal())
 
 
 def test_graph_holds_no_dense_matrix_after_laplacian():
@@ -75,14 +74,12 @@ def test_graph_holds_no_dense_matrix_after_laplacian():
     try:
         before = tracemalloc.get_traced_memory()[0]
         lap = gf.laplacian(g)
-        assert g.weight_matrix.shape == (n, n)
         del lap
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert held < 1e6  # a kept W alone would be 8.4 MB
     assert not any(isinstance(v, np.ndarray) and v.shape == (n, n) for v in vars(g).values())
-    assert g.weight_matrix is not g.weight_matrix
 
 
 def test_laplacian_row_sums_zero():
@@ -210,7 +207,7 @@ def test_graph_rejects_a_degree_past_the_float_range():
         gf.Graph(3, ((0, 1, 1e308), (1, 2, 1e308)))
     with pytest.raises(InputError, match="vertex 1 has a non-finite degree"):
         gf.Graph.from_arrays(3, np.array([0, 1]), np.array([1, 2]), np.array([1e308, 1e308]))
-    assert gf.Graph(3, ((0, 1, 1e308), (1, 2, 1.0))).degrees[1] == 1e308
+    assert gf.laplacian(gf.Graph(3, ((0, 1, 1e308), (1, 2, 1.0)))).diagonal()[1] == 1e308
 
 
 def _reference_edges(n: int, edges) -> tuple:
@@ -385,17 +382,28 @@ def test_graph_is_immutable():
     assert g.edges == ((0, 1, 2.0), (1, 2, 0.5))
 
 
-def test_weight_matrix_symmetric():
-    g = gf.Graph(3, ((0, 1, 2.0), (1, 2, 0.5)))
-    w = g.weight_matrix
-    assert w[0, 1] == w[1, 0] == 2.0
-    assert w[1, 2] == w[2, 1] == 0.5
-    assert w[0, 2] == 0.0
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_graph_rejects_non_finite_coords(bad):
+    edges = [(0, 1, 1.0), (1, 2, 1.0)]
+    coords = [[0.0, 0.0], [1.0, bad], [2.0, 0.0]]
+    with pytest.raises(InputError, match="coords have a non-finite entry"):
+        gf.Graph(3, edges, coords=coords)
+    with pytest.raises(InputError, match="coords have a non-finite entry"):
+        gf.Graph.from_arrays(3, [0, 1], [1, 2], [1.0, 1.0], coords)
 
 
-def test_degrees():
-    g = gf.Graph(3, ((0, 1, 2.0), (1, 2, 0.5)))
-    np.testing.assert_allclose(g.degrees, [2.0, 2.5, 0.5])
+def test_graph_coords_are_read_only():
+    g = gf.generate("ring", 5)
+    with pytest.raises(ValueError):
+        g.coords[0, 0] = 5.0
+
+
+def test_graph_coords_are_a_copy_of_the_array_given():
+    coords = np.zeros((3, 2))
+    g = gf.Graph(3, ((0, 1, 1.0), (1, 2, 1.0)), coords=coords)
+    coords[0, 0] = 5.0
+    assert g.coords[0, 0] == 0.0
+    assert coords.flags.writeable
 
 
 # -- Generators --------------------------------------------------------------

@@ -165,7 +165,7 @@ def test_solve_is_invariant_to_the_scale_of_q(c):
     r = np.diag(np.repeat([2.0, 0.0], [25, 35]))
     ref = qecqp.solve(qecqp.QecqpProblem(z @ z.T, r))
     trace: list[tuple[float, float]] = []
-    sol = qecqp.solve(qecqp.QecqpProblem(c * (z @ z.T), r), trace=trace)
+    sol = cold_solve(qecqp.QecqpProblem(c * (z @ z.T), r), trace)
     assert sol.objective / c == pytest.approx(ref.objective, rel=1e-9)
     assert sol.fval / c == pytest.approx(ref.fval, rel=1e-9)
     assert sol.mu1 / c == pytest.approx(ref.mu1, rel=1e-6)
@@ -201,6 +201,12 @@ def test_solve_refuses_q_outside_the_certified_range(c):
 def solver_problem(p: qecqp.QecqpProblem) -> qecqp._Problem:
     """The record the solver works on, built as ``solve`` builds it."""
     return qecqp._Problem(p.q, p.r, p.r_norm)
+
+
+def cold_solve(p: qecqp.QecqpProblem, trace: list[tuple[float, float]]) -> qecqp.QecqpSolution:
+    """solve(p), run as solve runs it, with one (mu2, f) row in ``trace``
+    per full-size dual evaluation."""
+    return qecqp._solve(solver_problem(p), 1e-10, trace, qecqp._COLD)[0]
 
 
 def dual_value(p: qecqp.QecqpProblem, mu2: float) -> float:
@@ -359,7 +365,7 @@ def test_maximize_dual_trace_collects_evaluations():
     # f(0) = 0 with supergradient 0: one evaluation settles it.  The exact
     # 2 x 2 solve records the same point as its one row.
     p = qecqp.QecqpProblem(Q_PATH, R_20)
-    for run in (lambda trace: search(p, trace=trace), lambda trace: qecqp.solve(p, trace=trace)):
+    for run in (lambda trace: search(p, trace=trace), lambda trace: cold_solve(p, trace)):
         trace: list[tuple[float, float]] = []
         run(trace)
         assert trace == [(0.0, 0.0)]
@@ -368,7 +374,7 @@ def test_maximize_dual_trace_collects_evaluations():
 def test_maximize_dual_trace_off_zero_maximum():
     p = random_problem(6, seed=3)
     trace: list[tuple[float, float]] = []
-    d = qecqp.solve(p, trace=trace)
+    d = cold_solve(p, trace)
     assert abs(d.mu2) > 1e-3  # the maximum is not at the starting point
     assert trace[0][0] == 0.0
     assert len(trace) >= 2
@@ -413,7 +419,7 @@ def test_translation_shifts_mu1_only():
 def null_point(h: np.ndarray, r: np.ndarray) -> np.ndarray:
     """The feasible point solve reads off the eigenpairs of H."""
     w, v = np.linalg.eigh(h)
-    return qecqp._null_point_from_eigh(w, v, r, tol_null=1e-8)
+    return qecqp._null_point_from_eigh(w, v, r)
 
 
 def test_feasible_null_point_direct():
@@ -460,12 +466,12 @@ def test_feasible_null_point_does_not_depend_on_eigenvector_signs():
     v = np.linalg.qr(rng.standard_normal((5, 5)))[0]
     w = np.array([0.0, 0.0, 1.0, 2.0, 3.0])
     r = np.diag([2.0, 2.0, 0.0, 0.0, 0.0])
-    x = qecqp._fix_sign(qecqp._null_point_from_eigh(w, v, r, tol_null=1e-8))
+    x = qecqp._fix_sign(qecqp._null_point_from_eigh(w, v, r))
     assert abs(float(x @ r @ x) - 1.0) <= 1e-12
     for j in (0, 1):
         flipped = v.copy()
         flipped[:, j] *= -1.0
-        y = qecqp._fix_sign(qecqp._null_point_from_eigh(w, flipped, r, tol_null=1e-8))
+        y = qecqp._fix_sign(qecqp._null_point_from_eigh(w, flipped, r))
         np.testing.assert_allclose(y, x, atol=1e-14)
 
 
@@ -534,7 +540,7 @@ def test_solve_decomposes_once_per_dual_evaluation(monkeypatch):
         p = random_problem(8, seed=200 + seed)
         sizes.clear()
         trace: list[tuple[float, float]] = []
-        qecqp.solve(p, trace=trace)
+        cold_solve(p, trace)
         assert sizes.count(p.dim) == len(trace)
         assert sorted(s for s in sizes if s != p.dim) == [1]
 
@@ -615,10 +621,7 @@ def solve_recorded(problem: qecqp._Problem, start: qecqp._Start | None = None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qecqp, "_eigh", counting_eigh)
         mp.setattr(qecqp, "_certify", recording)
-        if start is None:
-            sol = qecqp.solve(problem, trace=trace)
-        else:
-            sol, _ = qecqp._solve(problem, 1e-10, trace, start)
+        sol, _ = qecqp._solve(problem, 1e-10, trace, qecqp._COLD if start is None else start)
     return sol, trace, sizes, calls
 
 
