@@ -13,7 +13,9 @@ Each option is declared once, in ``_OPTIONS``, and each command's handler
 and defaults once, in ``_COMMANDS``; the parser, ``--help``, the merge
 with a ``--config`` file and every check read those two tables.  Every
 value a run reads is checked before ``runconfig.json`` is written or any
-graph is read or generated.
+graph is read or generated, but for ``--keep`` against the vertex count of
+a ``--graph-file``, which is checked once the file is read, before any
+pyramid is built.
 Exit codes: 0 on success, 2 for invalid inputs (one too large to fit in
 memory, or an output path that cannot be written, among them), 3 for
 numerical failures.
@@ -89,7 +91,7 @@ _OPTIONS = {
     "seed": _Option(int, "master seed", lambda v: v >= 0, "non-negative"),
     "radius": _Option(float, "radius for random_geometric"),
     "graph_file": _Option(str, "edge-list file instead of --graph"),
-    "depth": _Option(int, "number of pyramid levels"),
+    "depth": _Option(int, "number of pyramid levels", lambda v: v >= 1, "at least 1"),
     "design": _Option(_DESIGNS, "filter design"),
     "hstar": _Option(float, "constant h* in [0, 2] for the hstar design"),
     "eps": _Option(float, "sparsifier accuracy in (0, 1)"),
@@ -171,9 +173,9 @@ def _resolve(args: argparse.Namespace) -> dict:
     if not cfg.get("graph_file") and (cfg["graph"] is None or cfg["n"] is None):
         need = "both --graph and --n are required"
         raise InputError(f"either --graph-file or {need}" if "graph_file" in cfg else need)
+    if "keep" in cfg and not cfg.get("graph_file"):
+        _check_keep(cfg["keep"], cfg["n"])  # a graph file is checked once read
     if "depth" in cfg:
-        if cfg["depth"] < 1:
-            raise InputError(f"--depth must be at least 1, got {cfg['depth']}")
         _pyramid_config(cfg)  # the library's own checks of eps, hstar, tol and design
     elif "tol" in cfg:
         _check_tol(cfg["tol"])
@@ -203,6 +205,14 @@ def _check(key: str, val) -> None:
             float(val)  # a config file's integer may not fit
         except OverflowError:
             raise InputError(f"--{key.replace('_', '-')} is too large for a float") from None
+
+
+def _check_keep(keep: str, n: int) -> None:
+    """InputError when --keep asks for more coefficients than the n the
+    graph has; its lower bound, the size of the coarsest level, is known
+    only once the pyramid is built."""
+    if keep not in ("all", "lows") and int(keep) > n:
+        raise InputError(f"--keep must be at most the vertex count {n}, got {keep!r}")
 
 
 def _load_graph(cfg: dict) -> tuple[Graph, np.ndarray | None]:
@@ -293,6 +303,7 @@ def _cmd_basis(cfg: dict, out: Path) -> None:
 def _cmd_roundtrip(cfg: dict, out: Path) -> None:
     """measure analysis/synthesis reconstruction error"""
     g, signal = _load_graph(cfg)
+    _check_keep(cfg["keep"], g.n)
     pyramid = build_pyramid(g, cfg["depth"], _pyramid_config(cfg))
     if signal is not None:
         signals = [signal]

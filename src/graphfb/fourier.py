@@ -201,10 +201,10 @@ def compute_basis(
     symmetric, and each pair's R is a window of the level's, so the pairs
     are solved unchecked.
 
-    ``trace_hook``, if given, is called as trace_hook(step, trace) with the
-    trace of the solve for the subproblem of each step: one (mu2, f) row
-    per full-size dual evaluation, so none for a step that ended at a Ritz
-    point, and one, its dual value, for an exactly solved 2 x 2 step.
+    ``trace_hook``, if given, is called as trace_hook(step, rows) with the
+    rows the solve for the subproblem of each step returns: one (mu2, f)
+    row per full-size dual evaluation, so none for a step that ended at a
+    Ritz point, and one, its dual value, for an exactly solved 2 x 2 step.
     """
     qecqp._check_tol(tol)
     l_matrix = np.asarray(l_matrix, dtype=float)
@@ -231,10 +231,9 @@ def compute_basis(
     start = qecqp._COLD
     while b_lo.shape[1] and b_hi.shape[1]:
         k_lo, k = b_lo.shape[1], q.shape[0]
-        trace: list | None = [] if trace_hook is not None else None
-        sol, start = qecqp._solve(qecqp._Problem(q, r[step : n - step, step : n - step], 2.0), tol, trace, start)
+        sol, start, rows = qecqp._solve(qecqp._Problem(q, r[step : n - step, step : n - step], 2.0), tol, start)
         if trace_hook is not None:
-            trace_hook(step, trace)
+            trace_hook(step, rows)
         u = np.zeros(n)
         u[low], b_lo, v_lo = _split_off(b_lo, sol.x[:k_lo])
         u[high], b_hi, v_hi = _split_off(b_hi, sol.x[k_lo:])

@@ -504,7 +504,8 @@ def parse_graph(text: str) -> tuple[Graph, np.ndarray | None]:
     weights merge; conflicting weights are an error.  An optional block after
     a ``%signal`` line holds ``i value`` rows and becomes a signal vector
     (unlisted vertices default to 0); its values must be finite.  The vertex
-    count is one plus the largest index mentioned.
+    count is one plus the largest index mentioned.  ``Graph`` checks the
+    edges, so a self-loop or a negative index raises its InputError.
     """
     edge_rows: list[tuple[int, int, float]] = []
     signal_rows: list[tuple[int, int, float]] = []
@@ -537,17 +538,15 @@ def parse_graph(text: str) -> tuple[Graph, np.ndarray | None]:
         raise InputError("no edges found")
     merged: dict[tuple[int, int], float] = {}
     for i, j, w in edge_rows:
-        if i == j:
-            raise InputError(f"self-loop at vertex {i}")
-        if i < 0 or j < 0:
-            raise InputError(f"negative vertex index in edge ({i}, {j})")
         key = (min(i, j), max(i, j))
         if key in merged:
             if merged[key] != w:
                 raise InputError(f"conflicting weights for edge {key}: {merged[key]} vs {w}")
         else:
             merged[key] = w
-    n = max(max(i, j) for i, j in merged) + 1
+    # Graph refuses a self-loop, and a negative index as out of range.
+    n = 1 + max(0, *(j for _, j in merged))
+    g = Graph(n, tuple((i, j, w) for (i, j), w in sorted(merged.items())))
     signal = None
     if in_signal:
         signal = np.zeros(n)
@@ -557,7 +556,6 @@ def parse_graph(text: str) -> tuple[Graph, np.ndarray | None]:
             if not math.isfinite(val):
                 raise InputError(f"line {lineno}: signal value {val} is not finite")
             signal[i] = val
-    g = Graph(n, tuple((i, j, w) for (i, j), w in sorted(merged.items())))
     return g, signal
 
 

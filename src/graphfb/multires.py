@@ -141,22 +141,26 @@ def kron_reduce(l_matrix: np.ndarray, keep: tuple[int, ...] | list[int]) -> np.n
 def graph_from_laplacian(l_matrix: np.ndarray) -> Graph:
     """Recover the weighted graph of a Laplacian, dropping negligible edges.
 
-    Scans the strict upper triangle as arrays: off-diagonal entries of
-    magnitude below 1e-12 * max|L| are treated as zero, the rest become
-    edges (i, j, -L[i, j]) in row-major order, which go to
+    Scans the strict upper triangle as arrays.  Each off-diagonal entry is
+    measured against its own endpoints: one of magnitude at most
+    1e-12 * sqrt(|L_ii| |L_jj|) is treated as zero, so a weak edge between
+    vertices of small degree survives next to much heavier ones elsewhere.
+    The rest become edges (i, j, -L[i, j]) in row-major order, which go to
     ``Graph.from_arrays`` without a tuple round trip.  A positive
-    off-diagonal entry beyond the tolerance raises NumericalError naming
-    the first one in row-major order; a matrix that is not square or holds
-    a nan or inf raises InputError.
+    off-diagonal entry beyond its bound raises NumericalError naming the
+    first one in row-major order; a matrix that is not square or holds a
+    nan or inf raises InputError.
     """
     l_matrix = _finite_square(l_matrix)
     n = l_matrix.shape[0]
-    tol = 1e-12 * max(1e-300, float(np.abs(l_matrix).max(initial=0.0)))
-    positive = np.argwhere(np.triu(l_matrix > tol, 1))
+    d = np.sqrt(np.abs(l_matrix.diagonal()))
+    bound = np.outer(1e-12 * d, d)
+    positive = np.argwhere(np.triu(l_matrix > bound, 1))
     if len(positive):
         i, j = positive[0]
         raise NumericalError(f"positive off-diagonal entry {l_matrix[i, j]:.3e} at ({i}, {j})")
-    lo, hi = np.nonzero(np.triu(l_matrix < -tol, 1))
+    bound *= -1.0
+    lo, hi = np.nonzero(np.triu(l_matrix < bound, 1))
     return Graph.from_arrays(n, lo, hi, -l_matrix[lo, hi])
 
 

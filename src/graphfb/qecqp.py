@@ -278,6 +278,7 @@ class _DualEval(NamedTuple):
     dg: float | None  # g'(mu2) when lambda_min is simple, else None
     w: np.ndarray | None  # eigenpairs of Q + mu2 R, ascending
     v: np.ndarray | None
+    cluster: int  # eigenvalues within rounding of lambda_min (0 without eigenpairs)
     top: float  # lambda_max(Q + mu2 R), or a lower bound on it at a Ritz point
     dv: float  # ||dv_0/dmu2|| when lambda_min is simple, else inf
 
@@ -287,28 +288,23 @@ class _DualEval(NamedTuple):
         return max(-self.lam, self.top)
 
 
-def _cluster_size(w: np.ndarray) -> int:
-    """Number of eigenvalues within rounding of the smallest one."""
-    tol = 1e-9 * float(np.abs(w).max())
-    return int(np.searchsorted(w, w[0] + tol, side="right"))
-
-
 def _dual_eval(q: np.ndarray, r: np.ndarray, mu2: float) -> _DualEval:
     """Smallest eigenvalue and supergradient interval at mu2, plus the
     curvature g'(mu2) of the module docstring when the smallest eigenvalue is
-    simple, and the eigenpairs they came from."""
-    w, v = _eigh(q + mu2 * r)
+    simple, and the eigenpairs they came from.  The cluster of the smallest
+    eigenvalue holds the eigenvalues within 1e-9 max |w| of it."""
+    w, v = _eigh(_h_matrix(q, r, 0.0, mu2))
     lam, top = float(w[0]), float(w[-1])
-    k = _cluster_size(w)
+    k = int(np.searchsorted(w, w[0] + 1e-9 * float(np.abs(w).max()), side="right"))
     if k == 1:
         c = v.T @ (r @ v[:, 0])
         g = float(c[0]) - 1.0
         coef = c[1:] / (lam - w[1:])
         dg = 2.0 * float(c[1:] @ coef)
-        return _DualEval(mu2, lam, g, g, dg, w, v, top, float(np.linalg.norm(coef)))
+        return _DualEval(mu2, lam, g, g, dg, w, v, k, top, float(np.linalg.norm(coef)))
     vc = v[:, :k]
     d = np.linalg.eigvalsh(_sym(vc.T @ r @ vc))
-    return _DualEval(mu2, lam, float(d[0]) - 1.0, float(d[-1]) - 1.0, None, w, v, top, np.inf)
+    return _DualEval(mu2, lam, float(d[0]) - 1.0, float(d[-1]) - 1.0, None, w, v, k, top, np.inf)
 
 
 class _Start(NamedTuple):
@@ -322,48 +318,6 @@ class _Start(NamedTuple):
 
 
 _COLD = _Start(0.0, None)
-
-
-def _maximize_dual(
-    problem: _Problem,
-    tol: float,
-    trace: list[tuple[float, float]] | None,
-    start: _Start = _COLD,
-) -> _DualEval:
-    """Maximize the concave dual by safeguarded Newton steps on the
-    supergradient; returns the evaluation at the maximizer with its
-    eigenpairs: a Ritz point of the projected search (see _ritz_round), or
-    the last full-size evaluation, the only one that keeps them.
-
-    A start with a subspace, for k >= _WARM_MIN_DIM, runs _projected_search
-    from that subspace at start.mu2 first; it ends at a Ritz point or names
-    the mu2 the full search starts from.  The full search takes one full
-    evaluation there, at start.mu2 for any other start, and runs _search.
-    Convergence is declared by _Limits.done (an interval that straddles
-    zero within a small band, or a smooth point whose null vector is as
-    good as the root's), or when the bracket is narrower than _mu2_tol with
-    a supergradient small enough that a near-feasible null vector exists.
-
-    ``trace``, if given, collects one (mu2, f(mu2)) row per full-size
-    evaluation, in order; the subspace evaluations and the shift-invert
-    steps are not recorded.
-    """
-    q, r = problem.q, problem.r
-    lim = _Limits(tol, problem.r_norm)
-    mu2 = start.mu2
-    if start.w is not None and problem.dim >= _WARM_MIN_DIM:
-        found = _projected_search(problem, mu2, start.w, lim)
-        if isinstance(found, _DualEval):
-            return found
-        mu2 = found
-
-    def ev(m: float) -> _DualEval:
-        e = _dual_eval(q, r, m)
-        if trace is not None:
-            trace.append((m, -m + e.lam))
-        return e
-
-    return _search(ev, ev(mu2), lim)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -490,9 +444,10 @@ def _ritz_round(
 ) -> _DualEval | np.ndarray | None:
     """One round's check and refinement at the projected maximizer p, in
     one pass over the lowest max(c, 3) Ritz pairs (theta_i, y_i = W z_i) of
-    A = Q + mu2 R, c the size of the cluster of theta_0: y_i, R y_i and the
-    residuals A y_i - theta_i y_i come from the products qw = Q W and
-    rw = R W, and h = top - theta_0, a lower bound of ||H||_2, from
+    A = Q + mu2 R, c = p.cluster the size of the cluster of theta_0 that
+    the projected evaluation counted: y_i, R y_i and the residuals
+    A y_i - theta_i y_i come from the products qw = Q W and rw = R W, and
+    h = top - theta_0, a lower bound of ||H||_2, from
     top = max(theta_max, max_j A_jj) <= lambda_max(A).
 
     Returns p lifted to the full problem (``v`` = W z, and ``top``) when p
@@ -516,19 +471,19 @@ def _ritz_round(
     d = problem.q.diagonal() + p.mu2 * problem.r.diagonal()
     lifted = p._replace(top=max(float(p.w[-1]), float(d.max())))
     h = lifted.top - p.lam
-    c = _cluster_size(p.w)
-    z = p.v[:, : max(c, 3)]
+    z = p.v[:, : max(p.cluster, 3)]
     y = w @ z
     ry = rw @ z
     res = qw @ z + p.mu2 * ry - y * p.w[: z.shape[1]]
     gate = _RITZ_GATE * lim.tol * h + _rounding(problem, lifted)
-    if done and float(np.linalg.norm(res[:, :c], axis=0).max()) <= gate:
+    if done and float(np.linalg.norm(res[:, : p.cluster], axis=0).max()) <= gate:
         return lifted._replace(v=w @ p.v)
     if not step:
         return None
     dv = ry[:, 0] - float(y[:, 0] @ ry[:, 0]) * y[:, 0]
     try:
-        x = np.linalg.solve(_h_matrix(problem, _SHIFT * h - p.lam, p.mu2), np.column_stack([res[:, :3], dv]))
+        h_shifted = _h_matrix(problem.q, problem.r, _SHIFT * h - p.lam, p.mu2)
+        x = np.linalg.solve(h_shifted, np.column_stack([res[:, :3], dv]))
     except np.linalg.LinAlgError:
         return None
     return x if np.isfinite(x).all() else None
@@ -617,12 +572,13 @@ def _search(ev, e: _DualEval, lim: _Limits) -> _DualEval:
     raise SolverError("dual root finding failed to converge")
 
 
-def _h_matrix(problem: _Problem, mu1: float, mu2: float) -> np.ndarray:
+def _h_matrix(q: np.ndarray, r: np.ndarray, mu1: float, mu2: float) -> np.ndarray:
     """Q + mu1 I + mu2 R, built in place to keep the peak of temporaries low;
-    exactly symmetric because Q and R are."""
-    h = problem.q.copy()
-    h.flat[:: problem.dim + 1] += mu1
-    h += mu2 * problem.r
+    exactly symmetric because Q and R are.  With mu1 = 0 it is the
+    Q + mu2 R of a dual evaluation."""
+    h = q.copy()
+    h.flat[:: q.shape[0] + 1] += mu1
+    h += mu2 * r
     return h
 
 
@@ -699,26 +655,34 @@ def solve(problem: QecqpProblem, tol: float = 1e-10) -> QecqpSolution:
     """
     _check_tol(tol)
     _check_scale(problem.q, "Q")
-    return _solve(_Problem(problem.q, problem.r, problem.r_norm), tol, None, _COLD)[0]
+    return _solve(_Problem(problem.q, problem.r, problem.r_norm), tol, _COLD)[0]
 
 
-def _solve(
-    problem: _Problem,
-    tol: float,
-    trace: list[tuple[float, float]] | None,
-    start: _Start,
-) -> tuple[QecqpSolution, _Start]:
-    """solve() from ``start``, with one (mu2, f) row per full-size dual
-    evaluation appended to ``trace`` when it is a list, also returning the
-    start for a next problem that differs from this one by a small
-    deflation: the final mu2 with the lowest _CARRY_DIM eigenvectors (or
-    Ritz vectors) of Q + mu2 R there.
-    Below k = _CARRY_OWN_START_DIM a solve that ended at its own start point
+def _solve(problem: _Problem, tol: float, start: _Start) -> tuple[QecqpSolution, _Start, list[tuple[float, float]]]:
+    """solve() from ``start``.  Returns the solution, the start for a next
+    problem that differs from this one by a small deflation, and one
+    (mu2, f(mu2)) row per full-size dual evaluation, in order; the subspace
+    evaluations and the shift-invert steps are not recorded.
+
+    The route: a 2 x 2 problem is solved exactly (_solve_2d), with one row,
+    and hands on its mu2 alone.  A start with a subspace, for
+    k >= _WARM_MIN_DIM, runs _projected_search from that subspace at
+    start.mu2 first; it ends at a Ritz point or names the mu2 the full
+    search starts from.  The full search takes one full evaluation there, at
+    start.mu2 for any other start, and maximizes the concave dual by
+    safeguarded Newton steps on the supergradient (_search).  Convergence is
+    declared by _Limits.done (an interval that straddles zero within a small
+    band, or a smooth point whose null vector is as good as the root's), or
+    when the bracket is narrower than _mu2_tol with a supergradient small
+    enough that a near-feasible null vector exists.
+
+    The start handed on is the final mu2 with the lowest _CARRY_DIM
+    eigenvectors (or Ritz vectors) of Q + mu2 R there.  Below
+    k = _CARRY_OWN_START_DIM a solve that ended at its own start point
     (within tol relative to |mu2| plus the mu2 unit ||Q + mu2 R||_2 /
     ||R||_2) hands on its mu2 alone, since one full evaluation there is
     likely to settle the next problem too; from that size on the projected
-    search on the handed-on subspace costs less.  A 2 x 2 problem is solved
-    exactly (_solve_2d), with one trace row, and hands on its mu2 alone.
+    search on the handed-on subspace costs less.
 
     A start without a subspace is a cold solve, certified as solve() is.  A
     start with one is warm, and its solution may come from a Ritz point of
@@ -729,17 +693,31 @@ def _solve(
     subspace lies below the Ritz value by more than delta; h and the floor
     there are lower bounds of the full-evaluation path's, which makes every
     gate at least as tight as on that path.  If any certificate fails
-    there, the solve starts over cold at that mu2.  The problem enters
-    validated, and tol is checked by the caller.
+    there, the solve starts over cold at that mu2 and returns the rows of
+    that restart, the Ritz attempt having made no full evaluation.  The
+    problem enters validated, and tol is checked by the caller.
     """
     if problem.dim == 2:
         e, x = _solve_2d(problem)
-        if trace is not None:
-            trace.append((e.mu2, -e.mu2 + e.lam))
-        return _certify(problem, e, x, tol), _Start(e.mu2, None)
-    e = _maximize_dual(problem, tol, trace, start)
+        return _certify(problem, e, x, tol), _Start(e.mu2, None), [(e.mu2, -e.mu2 + e.lam)]
+    q, r = problem.q, problem.r
+    lim = _Limits(tol, problem.r_norm)
+    rows: list[tuple[float, float]] = []
+    found = start.mu2
+    if start.w is not None and problem.dim >= _WARM_MIN_DIM:
+        found = _projected_search(problem, found, start.w, lim)
+    if isinstance(found, _DualEval):
+        e = found
+    else:
+
+        def ev(m: float) -> _DualEval:
+            d = _dual_eval(q, r, m)
+            rows.append((m, -m + d.lam))
+            return d
+
+        e = _search(ev, ev(found), lim)
     ritz = e.v.shape[1] < problem.dim
-    x = _fix_sign(_null_point_from_eigh(e.w - e.lam, e.v, problem.r))
+    x = _fix_sign(_null_point_from_eigh(e.w - e.lam, e.v, r))
     # Carrying the subspace of a solve that ended at its own start is a size
     # trade-off: from k = _CARRY_OWN_START_DIM on, the warm projected search
     # it buys costs less than the k x k eigendecomposition at the handed-on
@@ -758,8 +736,8 @@ def _solve(
     except SolverError:
         if not ritz:
             raise
-        return _solve(problem, tol, trace, _Start(e.mu2, None))
-    return sol, _Start(e.mu2, carry)
+        return _solve(problem, tol, _Start(e.mu2, None))
+    return sol, _Start(e.mu2, carry), rows
 
 
 def _solve_2d(problem: _Problem) -> tuple[_DualEval, np.ndarray]:
@@ -784,7 +762,7 @@ def _solve_2d(problem: _Problem) -> tuple[_DualEval, np.ndarray]:
     mu1, mu2 = (float(m) for m in np.linalg.solve(np.column_stack([x, r @ x]), -(q @ x)))
     lam = -mu1
     top = float(np.trace(q) + mu2 * np.trace(r)) - lam
-    return _DualEval(mu2, lam, 0.0, 0.0, None, None, None, top, np.inf), x
+    return _DualEval(mu2, lam, 0.0, 0.0, None, None, None, 0, top, np.inf), x
 
 
 def _check_tol(tol) -> None:
@@ -817,7 +795,7 @@ def _certify(problem: _Problem, e: _DualEval, x: np.ndarray, tol: float, tight: 
     c_psd, c_stat = (_RITZ_GATE, _RITZ_GATE) if tight else (1e3, 1e4)
     delta, stat_tol = c_psd * tol * h + floor, c_stat * tol * h + floor
     try:
-        np.linalg.cholesky(_h_matrix(problem, delta - e.lam, e.mu2))
+        np.linalg.cholesky(_h_matrix(problem.q, problem.r, delta - e.lam, e.mu2))
         psd = True
     except np.linalg.LinAlgError:
         psd = False

@@ -247,8 +247,9 @@ def test_bad_value_is_refused_before_any_graph_is_made(tmp_path, monkeypatch, so
 
 @pytest.mark.parametrize("cmd, shown", [
     ("locality", ["graph kind (default ring)", "--n N vertex count for generated graphs (default 400)",
-                  "--depth DEPTH number of pyramid levels (default 3)"]),
-    ("denoise", ["graph kind (default random_geometric)", "--depth DEPTH number of pyramid levels (default 3)"]),
+                  "--depth DEPTH number of pyramid levels: at least 1 (default 3)"]),
+    ("denoise", ["graph kind (default random_geometric)",
+                 "--depth DEPTH number of pyramid levels: at least 1 (default 3)"]),
 ])
 def test_help_shows_the_commands_defaults(capsys, cmd, shown):
     with pytest.raises(SystemExit) as exc:
@@ -545,9 +546,61 @@ def _saved_cli_pyramid(tmp_path: Path) -> Path:
 
 
 def test_verify_load_reads_no_build_flags(tmp_path):
-    # A loaded pyramid brings its own config, so --tol and --depth go unread.
+    # A loaded pyramid brings its own config, so --tol and --depth go unread:
+    # the saved depth-2 pyramid is verified as it is.
     pyr = _saved_cli_pyramid(tmp_path)
-    assert run("verify", "--load", pyr, "--tol", "nan", "--depth", 0, "--out", tmp_path / "b") == 0
+    assert run("verify", "--load", pyr, "--tol", "nan", "--depth", 5, "--out", tmp_path / "b") == 0
+    assert len(report(tmp_path / "b")["levels"]) == 2
+
+
+@pytest.mark.parametrize("load", [False, True])
+def test_depth_below_one_is_refused_before_any_work(tmp_path, capsys, load):
+    # --depth declares its domain in the option table, so every command
+    # that takes it refuses 0, a --load run included.
+    out = tmp_path / "o"
+    source = ["--load", _saved_cli_pyramid(tmp_path)] if load else ["--graph", "ring", "--n", 8]
+    assert run("verify", *source, "--depth", 0, "--out", out) == 2
+    assert "--depth must be at least 1, got 0" in capsys.readouterr().err
+    assert not (out / "runconfig.json").exists()
+
+
+def write_wide_path(path: Path) -> Path:
+    """Path 0-1-2-3 with weights 1e-20, 1e20 and 1: its Kron reduction onto
+    {0, 1, 3} holds the 1e-20 edge next to entries of size 1."""
+    path.write_text("0 1 1e-20\n1 2 1e20\n2 3 1\n", encoding="utf-8")
+    return path
+
+
+def test_roundtrip_of_a_wide_weight_path(tmp_path):
+    # The coarse graph keeps its 1e-20 edge: measured against max |L| it
+    # was dropped as dust, and the run exited 2 with "graph is disconnected".
+    out = tmp_path / "o"
+    assert run("roundtrip", "--graph-file", write_wide_path(tmp_path / "g.txt"), "--depth", 2, "--out", out) == 0
+    rep = report(out)
+    assert rep["depth"] == 2 and rep["level_sizes"] == [4, 3]
+    assert rep["max_relative_error"] <= 1e-12
+
+
+def test_keep_past_the_vertex_count_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was generated")
+
+    monkeypatch.setattr("graphfb.cli.generate", no_graph)
+    out = tmp_path / "o"
+    assert run("roundtrip", "--graph", "random_geometric", "--n", 192, "--keep", 500, "--out", out) == 2
+    assert "--keep must be at most the vertex count 192, got '500'" in capsys.readouterr().err
+    assert not (out / "runconfig.json").exists()
+
+
+def test_keep_past_a_graph_files_vertex_count_is_refused_before_the_build(tmp_path, monkeypatch, capsys):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a pyramid was built")
+
+    monkeypatch.setattr("graphfb.cli.build_pyramid", no_build)
+    out = tmp_path / "o"
+    assert run("roundtrip", "--graph-file", write_path4(tmp_path / "g.txt"), "--keep", 5, "--out", out) == 2
+    assert "--keep must be at most the vertex count 4, got '5'" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_verify_load_rejects_level_sizes_that_do_not_chain(tmp_path, capsys):

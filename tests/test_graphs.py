@@ -631,6 +631,16 @@ def test_parse_graph_rejects_empty():
         gf.parse_graph("")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0 1\n2 2\n", "self-loop at vertex 2"),
+    ("0 1\n1 -3 2\n", r"edge \(-3, 1\) has a vertex index out of range for n=2"),
+    ("-1 -2\n", r"edge \(-2, -1\) has a vertex index out of range for n=1"),
+])
+def test_parse_graph_leaves_loops_and_negative_indices_to_graph(text, message):
+    with pytest.raises(InputError, match=message):
+        gf.parse_graph(text)
+
+
 def test_read_write_graph_file(tmp_path):
     g = gf.generate("random_geometric", 12, seed=2)
     path = tmp_path / "g.txt"

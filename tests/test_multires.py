@@ -130,6 +130,33 @@ def test_graph_from_laplacian_drops_numerical_dust():
     assert (0, 3) not in {(i, j) for i, j, _ in g.edges}
 
 
+def wide_path() -> gf.Graph:
+    return gf.Graph(4, ((0, 1, 1e-20), (1, 2, 1e20), (2, 3, 1.0)))
+
+
+def test_graph_from_laplacian_keeps_a_weak_edge_of_a_wide_weight_path():
+    # Reduced onto {0, 1, 3}, the 1e-20 edge sits next to entries of size 1
+    # and a cancelled L_11 = 0.  Measured against max |L| it was dropped as
+    # dust and the coarse graph came out disconnected; against its own
+    # endpoints it stays, and the pyramid builds.
+    g = wide_path()
+    h = multires.graph_from_laplacian(multires.kron_reduce(gf.laplacian(g), [0, 1, 3]))
+    assert h.edges[0] == (0, 1, 1e-20)
+    p = gf.build_pyramid(g, 2)
+    assert [level.n for level in p.levels] == [4, 3]
+    f = np.array([1.0, -2.0, 0.5, 3.0])
+    assert np.abs(gf.pyramid_synthesize(p, gf.pyramid_analyze(p, f)) - f).max() <= 1e-12
+
+
+def test_graph_from_laplacian_refuses_a_positive_entry_past_its_own_bound():
+    # A positive entry far below 1e-12 max |L| = 2e8, but above the bound of
+    # its endpoints, 1e-12 sqrt(1e-20 * 1) = 1e-22, is refused, not dropped.
+    l_matrix = gf.laplacian(wide_path()).copy()
+    l_matrix[0, 3] = l_matrix[3, 0] = 1e-15
+    with pytest.raises(NumericalError, match=r"positive off-diagonal entry 1.000e-15 at \(0, 3\)"):
+        multires.graph_from_laplacian(l_matrix)
+
+
 def test_graph_from_laplacian_rejects_invalid():
     with pytest.raises(NumericalError):
         multires.graph_from_laplacian(np.array([[1.0, 1.0], [1.0, 1.0]]))

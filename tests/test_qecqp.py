@@ -164,8 +164,7 @@ def test_solve_is_invariant_to_the_scale_of_q(c):
     z = np.random.default_rng(3).standard_normal((60, 60))
     r = np.diag(np.repeat([2.0, 0.0], [25, 35]))
     ref = qecqp.solve(qecqp.QecqpProblem(z @ z.T, r))
-    trace: list[tuple[float, float]] = []
-    sol = cold_solve(qecqp.QecqpProblem(c * (z @ z.T), r), trace)
+    sol, trace = cold_solve(qecqp.QecqpProblem(c * (z @ z.T), r))
     assert sol.objective / c == pytest.approx(ref.objective, rel=1e-9)
     assert sol.fval / c == pytest.approx(ref.fval, rel=1e-9)
     assert sol.mu1 / c == pytest.approx(ref.mu1, rel=1e-6)
@@ -203,10 +202,11 @@ def solver_problem(p: qecqp.QecqpProblem) -> qecqp._Problem:
     return qecqp._Problem(p.q, p.r, p.r_norm)
 
 
-def cold_solve(p: qecqp.QecqpProblem, trace: list[tuple[float, float]]) -> qecqp.QecqpSolution:
-    """solve(p), run as solve runs it, with one (mu2, f) row in ``trace``
-    per full-size dual evaluation."""
-    return qecqp._solve(solver_problem(p), 1e-10, trace, qecqp._COLD)[0]
+def cold_solve(p: qecqp.QecqpProblem) -> tuple[qecqp.QecqpSolution, list[tuple[float, float]]]:
+    """solve(p), run as solve runs it, with the (mu2, f) rows it returns,
+    one per full-size dual evaluation."""
+    sol, _, rows = qecqp._solve(solver_problem(p), 1e-10, qecqp._COLD)
+    return sol, rows
 
 
 def dual_value(p: qecqp.QecqpProblem, mu2: float) -> float:
@@ -299,7 +299,8 @@ def test_2x2_solve_is_the_global_minimum_and_needs_no_search(seed, monkeypatch):
     def no_search(*args):
         raise AssertionError("a 2 x 2 problem ran the dual search")
 
-    monkeypatch.setattr(qecqp, "_maximize_dual", no_search)
+    monkeypatch.setattr(qecqp, "_search", no_search)
+    monkeypatch.setattr(qecqp, "_dual_eval", no_search)
     p = random_problem(2, seed=300 + seed)
     sol = qecqp.solve(p)
     assert sol.objective <= oracle_min(p, samples=2000, seed=seed) + 1e-12
@@ -310,12 +311,21 @@ def test_2x2_solve_is_the_global_minimum_and_needs_no_search(seed, monkeypatch):
 # -- Dual maximization, read off the solution's dual point ---------------------
 #
 # ``solve`` settles a 2 x 2 problem without a search, so the 2 x 2 closed
-# forms below check the search itself through _maximize_dual as well.
+# forms below check the search itself through _search as well.
 
 
 def search(p: qecqp.QecqpProblem, tol: float = 1e-10, trace=None) -> qecqp._DualEval:
-    """The cold dual search's final evaluation, as _solve would run it."""
-    return qecqp._maximize_dual(solver_problem(p), tol, trace)
+    """The cold dual search's final evaluation, as _solve runs it: _search
+    from one full evaluation at mu2 = 0, with one (mu2, f) row per full
+    evaluation appended to ``trace`` when it is a list."""
+    rows = [] if trace is None else trace
+
+    def ev(m: float) -> qecqp._DualEval:
+        e = qecqp._dual_eval(p.q, p.r, m)
+        rows.append((m, -m + e.lam))
+        return e
+
+    return qecqp._search(ev, ev(0.0), qecqp._Limits(tol, p.r_norm))
 
 
 def test_maximize_dual_smooth_maximum():
@@ -365,16 +375,15 @@ def test_maximize_dual_trace_collects_evaluations():
     # f(0) = 0 with supergradient 0: one evaluation settles it.  The exact
     # 2 x 2 solve records the same point as its one row.
     p = qecqp.QecqpProblem(Q_PATH, R_20)
-    for run in (lambda trace: search(p, trace=trace), lambda trace: cold_solve(p, trace)):
-        trace: list[tuple[float, float]] = []
-        run(trace)
-        assert trace == [(0.0, 0.0)]
+    trace: list[tuple[float, float]] = []
+    search(p, trace=trace)
+    assert trace == [(0.0, 0.0)]
+    assert cold_solve(p)[1] == [(0.0, 0.0)]
 
 
 def test_maximize_dual_trace_off_zero_maximum():
     p = random_problem(6, seed=3)
-    trace: list[tuple[float, float]] = []
-    d = cold_solve(p, trace)
+    d, trace = cold_solve(p)
     assert abs(d.mu2) > 1e-3  # the maximum is not at the starting point
     assert trace[0][0] == 0.0
     assert len(trace) >= 2
@@ -539,8 +548,7 @@ def test_solve_decomposes_once_per_dual_evaluation(monkeypatch):
     for seed in range(5):
         p = random_problem(8, seed=200 + seed)
         sizes.clear()
-        trace: list[tuple[float, float]] = []
-        cold_solve(p, trace)
+        _, trace = cold_solve(p)
         assert sizes.count(p.dim) == len(trace)
         assert sorted(s for s in sizes if s != p.dim) == [1]
 
@@ -552,7 +560,7 @@ def test_psd_certificate_rejects_lowered_mu1():
     tol = 1e-10
     p = solver_problem(random_problem(6, seed=3))
     x = qecqp.solve(p, tol=tol).x
-    e = qecqp._maximize_dual(p, tol, None)
+    e = search(p, tol)
     assert qecqp._certify(p, e, x, tol).objective == pytest.approx(e.lam - e.mu2, abs=1e-8)
     delta = 1e3 * tol * float(e.w[-1] - e.w[0]) + qecqp._rounding(p, e)
     qecqp._certify(p, e._replace(lam=e.lam + 0.5 * delta), x, tol)
@@ -573,11 +581,11 @@ def basis_subproblems(l_matrix: np.ndarray, steps: int) -> list[tuple[qecqp._Pro
     problems: list[tuple[qecqp._Problem, qecqp._Start]] = []
     solve = qecqp._solve
 
-    def record(problem, tol, trace, start):
+    def record(problem, tol, start):
         problems.append((problem, start))
         if len(problems) == steps:
             raise _Enough
-        return solve(problem, tol, trace, start)
+        return solve(problem, tol, start)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qecqp, "_solve", record)
@@ -597,10 +605,9 @@ def rgg_subproblem(n: int, seed: int, step: int) -> tuple[qecqp._Problem, qecqp.
 
 
 def solve_recorded(problem: qecqp._Problem, start: qecqp._Start | None = None):
-    """solve(), or _solve from ``start``, returning the solution, the trace,
-    the sizes of every eigendecomposition and every _certify call as
-    (tight, passed)."""
-    trace: list[tuple[float, float]] = []
+    """solve(), or _solve from ``start``, returning the solution, the rows
+    it returns, the sizes of every eigendecomposition and every _certify
+    call as (tight, passed)."""
     sizes: list[int] = []
     calls: list[tuple[bool, bool]] = []
     eigh, certify = qecqp._eigh, qecqp._certify
@@ -621,7 +628,7 @@ def solve_recorded(problem: qecqp._Problem, start: qecqp._Start | None = None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qecqp, "_eigh", counting_eigh)
         mp.setattr(qecqp, "_certify", recording)
-        sol, _ = qecqp._solve(problem, 1e-10, trace, qecqp._COLD if start is None else start)
+        sol, _, trace = qecqp._solve(problem, 1e-10, qecqp._COLD if start is None else start)
     return sol, trace, sizes, calls
 
 
@@ -1042,7 +1049,7 @@ def test_own_start_solve_hands_on_its_subspace_from_the_size_threshold(below):
     k = qecqp._CARRY_OWN_START_DIM - below
     q = gf.laplacian(gf.generate("ring", k))
     r = np.diag(np.repeat([2.0, 0.0], k // 2))
-    sol, nxt = qecqp._solve(qecqp._Problem(q, r, 2.0), 1e-10, None, qecqp._COLD)
+    sol, nxt, _ = qecqp._solve(qecqp._Problem(q, r, 2.0), 1e-10, qecqp._COLD)
     assert nxt.mu2 == sol.mu2 and abs(sol.mu2) <= 1e-12
     if below:
         assert nxt.w is None
@@ -1063,10 +1070,10 @@ def test_carried_subspace_follows_the_deflation():
     calls: list[tuple] = []
     solve = qecqp._solve
 
-    def recording(problem, tol, trace, start):
-        sol, nxt = solve(problem, tol, trace, start)
+    def recording(problem, tol, start):
+        sol, nxt, rows = solve(problem, tol, start)
         calls.append((problem, start, nxt))
-        return sol, nxt
+        return sol, nxt, rows
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qecqp, "_solve", recording)
@@ -1096,10 +1103,10 @@ def test_basis_uses_few_full_decompositions_per_large_pair():
     full: list[int] = []
     solve, eigh = qecqp._solve, qecqp._eigh
 
-    def recording_solve(problem, tol, trace, start):
+    def recording_solve(problem, tol, start):
         dims.append(problem.dim)
         full.append(0)
-        return solve(problem, tol, trace, start)
+        return solve(problem, tol, start)
 
     def counting_eigh(m):
         if m.shape[0] == dims[-1]:

@@ -204,6 +204,14 @@ def test_pattern_from_dict_rejects_non_integer_size(n):
         sampling.SamplingPattern.from_dict({"n": n, "keep_low": [0, 2]})
 
 
+@pytest.mark.parametrize("keep_low", [[-1], [4], [1, 4]])
+def test_pattern_from_dict_rejects_an_index_out_of_range(keep_low):
+    # [1, 4] with n = 4 leaves the high channel (0, 2, 3), and the two
+    # together partition 0..4: only the range check holds the pattern to n.
+    with pytest.raises(InputError, match="keep_low index out of range"):
+        sampling.SamplingPattern.from_dict({"n": 4, "keep_low": keep_low})
+
+
 @pytest.mark.parametrize("keep_low", [[2, 0], (0, 2), np.array([2, 0]), np.array([0, 2], dtype=np.uint8)])
 def test_pattern_from_dict_accepts_integer_indices(keep_low):
     pat = sampling.SamplingPattern.from_dict({"n": 4, "keep_low": keep_low})
