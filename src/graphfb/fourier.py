@@ -38,6 +38,7 @@ import numpy as np
 
 from . import qecqp
 from .errors import InputError, NumericalError
+from .graphs import _finite_square, _real_array, _vertex_indices
 from .sampling import SamplingPattern
 
 __all__ = [
@@ -64,17 +65,19 @@ class SignedPermutation:
     """Symmetric signed involution: entry signs[i] at (i, perm[i]).
 
     perm is an involution and signs are +-1 with signs[perm] == signs, which
-    makes the matrix symmetric and equal to its own inverse.
+    makes the matrix symmetric and equal to its own inverse.  perm must hold
+    integers (a bool or a float, integral or not, raises InputError rather
+    than being truncated); signs may be integral floats.
     """
 
     perm: np.ndarray
     signs: np.ndarray
 
     def __post_init__(self) -> None:
-        perm = np.asarray(self.perm, dtype=int)
-        signs = np.asarray(self.signs, dtype=int)
+        perm = _vertex_indices(self.perm, "perm")
+        signs = _real_array(self.signs, "signs")
         n = perm.shape[0]
-        if perm.ndim != 1 or signs.shape != (n,):
+        if signs.shape != (n,):
             raise InputError("perm and signs must be vectors of equal length")
         if sorted(perm.tolist()) != list(range(n)):
             raise InputError("perm is not a permutation")
@@ -85,7 +88,7 @@ class SignedPermutation:
         if not np.array_equal(signs[perm], signs):
             raise InputError("signs must agree across each pair")
         object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "signs", signs.astype(int))
 
     @property
     def n(self) -> int:
@@ -119,7 +122,7 @@ def classify_subspace(a: np.ndarray, sign: np.ndarray) -> SubspaceClass:
     is +-1 within 1e-8.  Returns ALL_PLUS / ALL_MINUS when J fixes /
     negates the whole span, MIXED when both eigenvalues occur.
     """
-    a = np.asarray(a, dtype=float)
+    a = _real_array(a, "subspace basis")
     if a.ndim != 2 or a.shape[1] < 1:
         raise InputError(f"need at least one column to classify, got shape {a.shape}")
     t = a.T @ (sign[:, None] * a)
@@ -181,14 +184,13 @@ def compute_basis(
     """Build the folding-adapted orthonormal basis for (L, pattern).
 
     Consecutive subproblems differ by one deflation, so each solve starts
-    warm from the one before: its final mu2 and the lowest
-    ``qecqp._CARRY_DIM`` eigenvectors (or Ritz vectors) of Q + mu2 R there,
-    which follow Q through the same block Householder reflections and row
-    deletions.  The solve searches that subspace before any k x k
-    eigendecomposition, and may end at a certified Ritz point without one
-    (see ``qecqp``).  A solve of size k < ``qecqp._CARRY_OWN_START_DIM``
-    that ended at its own start (within ``tol``) hands on only its mu2, and
-    the next one starts with a full evaluation there; from that size on it
+    warm from the one before: its final mu2 and a few of the lowest
+    eigenvectors (or Ritz vectors) of Q + mu2 R there, which follow Q
+    through the same block Householder reflections and row deletions.  The
+    solve searches that subspace before any k x k eigendecomposition, and
+    may end at a certified Ritz point without one (see ``qecqp``).  A small
+    solve that ended at its own start (within ``tol``) hands on only its
+    mu2, and the next one starts with a full evaluation there; a large one
     hands on its subspace too, as nearly every pair of the first level of a
     grid 256 does at mu2 = 0.  The last pair of a level, at k = 2 when
     both channels end together, is solved exactly.  ``tol``, the solver
@@ -207,15 +209,13 @@ def compute_basis(
     Ritz point, and one, its dual value, for an exactly solved 2 x 2 step.
     """
     qecqp._check_tol(tol)
-    l_matrix = np.asarray(l_matrix, dtype=float)
+    l_matrix = _finite_square(l_matrix)
     n = l_matrix.shape[0]
-    if l_matrix.ndim != 2 or l_matrix.shape != (n, n):
-        raise InputError(f"Laplacian must be square, got shape {l_matrix.shape}")
     if pattern.n != n:
         raise InputError(f"pattern size {pattern.n} does not match Laplacian size {n}")
     s = pattern.sign
     low, high = list(pattern.keep_low), list(pattern.keep_high)
-    perm = np.asarray(low + high)
+    perm = low + high
     r = np.diag(np.repeat([2.0, 0.0], [len(low), len(high)]))
     q = qecqp._checked_q(l_matrix[np.ix_(perm, perm)])
     qecqp._check_scale(q, "L")

@@ -79,7 +79,7 @@ def _checked_edges(
     offending edge in input order and the first check it fails.
     Connectivity is left to the caller.
     """
-    w = np.array(w, dtype=np.float64)
+    w = w.copy()
     checks = (
         (~(_integral(i) & _integral(j)) | given_bool, "integer"),
         (i == j, "loop"),
@@ -136,13 +136,14 @@ def _bool_entries(raw: object, col: np.ndarray) -> np.ndarray:
     """
     if col.dtype.kind == "b":
         return np.ones(len(col), dtype=bool)
-    if isinstance(raw, np.ndarray) or col.dtype.kind not in "iuf" or set(map(type, raw)).isdisjoint(_BOOLS):
+    if isinstance(raw, np.ndarray) or set(map(type, raw)).isdisjoint(_BOOLS):
         return np.zeros(len(col), dtype=bool)
     return np.fromiter((type(v) in _BOOLS for v in raw), dtype=bool, count=len(col))
 
 
-def _vertex_indices(keep) -> np.ndarray:
-    """``keep`` as a 1-d integer array; InputError for any other entry.
+def _vertex_indices(keep: object, name: str) -> np.ndarray:
+    """``keep`` as a 1-d integer array; InputError naming it ``name`` for
+    any other entry.
 
     A bool is not taken as an index (``[True, 2]`` would silently mean
     vertices 1 and 2) and neither is a float, integral or not.
@@ -151,7 +152,7 @@ def _vertex_indices(keep) -> np.ndarray:
     if idx.size == 0:
         return np.zeros(0, dtype=np.int64)
     if idx.ndim != 1 or idx.dtype.kind not in "iu" or _bool_entries(keep, idx).any():
-        raise InputError(f"kept vertex indices must be a 1-d sequence of integers, got {keep!r}")
+        raise InputError(f"{name} must be a 1-d sequence of integers, got {keep!r}")
     return idx.astype(np.int64, copy=False)
 
 
@@ -177,6 +178,22 @@ def _real(value, what: str) -> float:
         raise InputError(f"{what} is too large for a float") from exc
 
 
+def _real_array(x: object, name: str) -> np.ndarray:
+    """``x`` as a float64 array: float64 input comes back as is, and bool,
+    integer, float and object input is converted.  InputError for complex
+    input, whose imaginary part a float conversion silently drops, and for
+    text or ragged input."""
+    try:
+        arr = np.asarray(x)
+        if arr.dtype == float:
+            return arr
+        if arr.dtype.kind in "biufO":
+            return arr.astype(np.float64)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InputError(f"{name} must hold real numbers")
+
+
 def _edge_columns(n: int, edges: Sequence) -> tuple[np.ndarray, ...]:
     """Columns i, j, w of a sequence of (i, j, w) triples, and the mask of
     the triples whose i or j is a bool.
@@ -184,12 +201,10 @@ def _edge_columns(n: int, edges: Sequence) -> tuple[np.ndarray, ...]:
     A row that is not a triple of numbers is reported after the rows before
     it have passed ``_checked_edges``, so the first offending edge still wins.
     """
-    rows = np.empty((0, 3))
-    if len(edges):
-        try:
-            rows = np.array(edges, dtype=np.float64)
-        except (TypeError, ValueError):
-            rows = None
+    try:
+        rows = _real_array(edges, "edges") if len(edges) else np.empty((0, 3))
+    except InputError:
+        rows = None
     if rows is None or rows.shape != (len(edges), 3):
         k = next((k for k, e in enumerate(edges) if not _is_triple(e)), None)
         if k is None:
@@ -202,8 +217,8 @@ def _edge_columns(n: int, edges: Sequence) -> tuple[np.ndarray, ...]:
 
 def _is_triple(e: object) -> bool:
     try:
-        return np.shape(np.asarray(e, dtype=np.float64)) == (3,)
-    except (TypeError, ValueError):
+        return _real_array(e, "edge").shape == (3,)
+    except InputError:
         return False
 
 
@@ -244,14 +259,15 @@ class Graph:
     ) -> Graph:
         """Graph with the edges (i[k], j[k], w[k]); the same checks as the constructor."""
         _check_vertex_count(n)
-        i_raw, j_raw = i, j
-        i, j, w = np.asarray(i), np.asarray(j), np.asarray(w)
-        if not (i.ndim == j.ndim == w.ndim == 1 and len(i) == len(j) == len(w)):
-            shapes = f"{i.shape}, {j.shape}, {w.shape}"
+        icol, jcol, w = np.asarray(i), np.asarray(j), _real_array(w, "weights")
+        if icol.dtype.kind not in "biuf" or jcol.dtype.kind not in "biuf":  # text, complex: no entry is an index
+            raise InputError(f"edge columns of dtypes {icol.dtype} and {jcol.dtype} have a non-integer vertex index")
+        if not (icol.ndim == jcol.ndim == w.ndim == 1 and len(icol) == len(jcol) == len(w)):
+            shapes = f"{icol.shape}, {jcol.shape}, {w.shape}"
             raise InputError(f"edge columns must be 1-d and of equal length, got shapes {shapes}")
-        given_bool = _bool_entries(i_raw, i) | _bool_entries(j_raw, j)
+        given_bool = _bool_entries(i, icol) | _bool_entries(j, jcol)
         g = cls.__new__(cls)
-        g._validate(n, i, j, w, given_bool, coords)
+        g._validate(n, icol, jcol, w, given_bool, coords)
         return g
 
     def _validate(
@@ -265,7 +281,7 @@ class Graph:
         if not _all_finite(degree):
             raise InputError(f"vertex {np.argmin(np.isfinite(degree))} has a non-finite degree (sum of weights)")
         if coords is not None:
-            coords = np.array(coords, dtype=float)
+            coords = _real_array(coords, "coords").copy()
             if coords.shape != (n, 2):
                 raise InputError(f"coords must have shape ({n}, 2), got {coords.shape}")
             if not _all_finite(coords):
@@ -305,19 +321,21 @@ def laplacian(g: Graph) -> np.ndarray:
     return lap
 
 
-def _finite_square(l_matrix: object) -> np.ndarray:
-    """``l_matrix`` as a float array; InputError unless square and finite."""
-    l_matrix = np.asarray(l_matrix, dtype=float)
+def _finite_square(l_matrix: object, name: str = "Laplacian") -> np.ndarray:
+    """``l_matrix`` as a float array (``_real_array``); InputError naming it
+    ``name`` unless square and finite."""
+    l_matrix = _real_array(l_matrix, name)
     if l_matrix.ndim != 2 or l_matrix.shape[0] != l_matrix.shape[1]:
-        raise InputError(f"Laplacian must be square, got shape {l_matrix.shape}")
+        raise InputError(f"{name} must be square, got shape {l_matrix.shape}")
     if not np.isfinite(l_matrix).all():
-        raise InputError("Laplacian has a non-finite entry (nan or inf)")
+        raise InputError(f"{name} has a non-finite entry (nan or inf)")
     return l_matrix
 
 
 def _vector(f: object, n: int) -> np.ndarray:
-    """f as a float vector of length n; InputError for any other shape."""
-    arr = np.asarray(f, dtype=float)
+    """f as a float vector of length n (``_real_array``); InputError for any
+    other shape."""
+    arr = _real_array(f, "signal")
     if arr.shape != (n,):
         raise InputError(f"signal must be a length-{n} vector, got shape {arr.shape}")
     return arr
@@ -410,10 +428,9 @@ def _grid(n: int) -> Graph:
 
 
 def _rng(seed: object, what: str) -> np.random.Generator:
-    """``np.random.default_rng(seed)``; InputError for a bool (not read as
-    0 or 1) or any seed numpy refuses."""
-    if isinstance(seed, _BOOLS):
-        raise InputError(f"invalid {what} seed {seed!r}: a bool is not a seed")
+    """``np.random.default_rng(seed)``; InputError for any seed numpy
+    refuses.  Numpy reads a bool as 0 or 1, so both callers, ``generate``
+    and ``sparsify``, refuse a bool seed before they get here."""
     try:
         return np.random.default_rng(seed)
     except (TypeError, ValueError) as exc:
@@ -476,11 +493,15 @@ def generate(kind: str, n: int, *, seed: int = 0, radius: float = 0.3) -> Graph:
     Their pairs are scanned in blocks of rows, so memory is
     O(block * n + edges) rather than O(n^2); each growth of the radius scans
     again.
-    The same arguments always produce the same graph.  An ``n`` that is not
-    an integer, or so large that an n x n float64 array (a Laplacian) could
-    not be addressed, a ``radius`` that is not a real number, and a bool
-    seed or one ``np.random.default_rng`` refuses raise InputError.
+    The same arguments always produce the same graph.  A ``kind`` that is
+    not one of these names, an ``n`` that is not an integer, or so large
+    that an n x n float64 array (a Laplacian) could not be addressed, and a
+    bool seed raise InputError for every kind; for a random geometric graph
+    so do a seed ``np.random.default_rng`` refuses and a ``radius`` that is
+    not a real number in (0, sqrt(2)].
     """
+    if isinstance(seed, _BOOLS):
+        raise InputError(f"invalid seed {seed!r}: a bool is not a seed")
     builders = {
         "ring": _ring,
         "path": _path,
@@ -488,7 +509,7 @@ def generate(kind: str, n: int, *, seed: int = 0, radius: float = 0.3) -> Graph:
         "grid": _grid,
         "random_geometric": lambda n: _random_geometric(n, seed, radius),
     }
-    if kind not in builders:
+    if not isinstance(kind, str) or kind not in builders:
         raise InputError(f"unknown graph kind {kind!r}; expected one of {sorted(builders)}")
     n = _integer(n, "vertex count")
     if n > _MAX_VERTICES:

@@ -50,6 +50,7 @@ from .graphs import (
     _finite_square,
     _integer,
     _real,
+    _real_array,
     _rng,
     _vector,
     _vertex_indices,
@@ -117,7 +118,7 @@ def kron_reduce(l_matrix: np.ndarray, keep: tuple[int, ...] | list[int]) -> np.n
     """
     l_matrix = _finite_square(l_matrix)
     n = l_matrix.shape[0]
-    keep_idx = np.sort(_vertex_indices(keep))
+    keep_idx = np.sort(_vertex_indices(keep, "kept vertex indices"))
     if (keep_idx[1:] == keep_idx[:-1]).any():
         raise InputError("kept vertex set has duplicates")
     if keep_idx.size and (keep_idx[0] < 0 or keep_idx[-1] >= n):
@@ -372,8 +373,18 @@ def pyramid_synthesize(p: Pyramid, tree: CoefficientTree) -> np.ndarray:
 
 
 def _flat(tree: CoefficientTree) -> np.ndarray:
-    """A float copy of the tree's channels end to end, [lows | high_0 | ... | high_{L-1}]."""
-    return np.concatenate([tree.lows, *tree.highs], dtype=float)
+    """A float copy of the tree's channels end to end, [lows | high_0 | ... | high_{L-1}].
+
+    The copy is checked once: a float64 one as it stands, any other by
+    ``_real_array``, and channels that do not join (text among numbers, or
+    of different dimensions) raise its InputError.  Skipping the helper's
+    call on the float64 path keeps ``threshold_highpass`` as fast as a
+    plain concatenation."""
+    try:
+        flat = np.concatenate([tree.lows, *tree.highs])
+    except (TypeError, ValueError):
+        raise InputError("coefficient tree must hold real numbers") from None
+    return flat if flat.dtype == float else _real_array(flat, "coefficient tree")
 
 
 def _tree_like(tree: CoefficientTree, flat: np.ndarray) -> CoefficientTree:

@@ -134,7 +134,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EigensolverError, InputError, SolverError
-from .graphs import _real
+from .graphs import _finite_square, _real
 
 __all__ = [
     "QecqpProblem",
@@ -171,14 +171,13 @@ class QecqpProblem:
     r_norm: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        q = np.asarray(self.q, dtype=float)
-        r = np.asarray(self.r, dtype=float)
-        if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape != r.shape:
-            raise InputError(f"Q and R must be square with equal shapes, got {q.shape} and {r.shape}")
+        q, r = _finite_square(self.q, "Q"), _finite_square(self.r, "R")
+        if q.shape != r.shape:
+            raise InputError(f"Q and R must have equal shapes, got {q.shape} and {r.shape}")
         if q.size == 0:
             raise InputError("Q and R must not be empty")
         q = _checked_q(q)
-        rs = max(1.0, _finite_max(r))
+        rs = max(1.0, float(np.abs(r).max()))
         r = _symmetric(r, rs, "R")
         ev = np.linalg.eigvalsh(r)
         if ev[0] < -1e-10 * rs:
@@ -197,14 +196,6 @@ class QecqpProblem:
         return self.q.shape[0]
 
 
-def _finite_max(m: np.ndarray) -> float:
-    """max |m|, which is NaN or inf exactly when an entry is."""
-    m_max = float(np.abs(m).max())
-    if not np.isfinite(m_max):
-        raise InputError("Q and R must be finite")
-    return m_max
-
-
 def _symmetric(m: np.ndarray, scale: float, name: str) -> np.ndarray:
     """The symmetric part of m, provided m is symmetric within
     _SYM_TOL * scale.  An exactly symmetric m comes back unchanged, but for
@@ -220,7 +211,7 @@ def _checked_q(q: np.ndarray) -> np.ndarray:
     with no floor, so a small Q is held to the same relative bound as a
     large one.  The basis construction runs this check once per level, on
     the scaled Q, and solves the deflated problems of that level unchecked."""
-    return _symmetric(q, _finite_max(q), "Q")
+    return _symmetric(q, float(np.abs(q).max()), "Q")
 
 
 def _check_scale(q: np.ndarray, name: str) -> None:
@@ -518,9 +509,6 @@ def _search(ev, e: _DualEval, lim: _Limits) -> _DualEval:
       inside the bracket, is at most half the step before last (so an
       oscillating Newton iteration is cut off) and, while the bracket is
       open, at most ``width``;
-    * a probe just past the Newton point, when Newton has stalled at
-      rounding level with a supergradient _Limits.accepts and the Newton
-      step within half of _mu2_tol, so that the bracket closes within it;
     * on an open bracket, the far end ``width`` past its finite end, with
       width doubling each time;
     * on a closed bracket, the intersection of the tangent lines of f at
@@ -541,9 +529,8 @@ def _search(ev, e: _DualEval, lim: _Limits) -> _DualEval:
         a = lo[0] if lo else -np.inf
         b = hi[0] if hi else np.inf
         closed = lo is not None and hi is not None
-        tol_abs = _mu2_tol(lim.tol, e.mu2, e, lim.r_norm)
         if closed:
-            if lim.accepts(e) and b - a <= tol_abs:
+            if lim.accepts(e) and b - a <= _mu2_tol(lim.tol, e.mu2, e, lim.r_norm):
                 return e
             mu2 = 0.5 * (a + b)
             if b - a <= _mu2_tol(16.0 * _EPS, mu2, e, lim.r_norm):
@@ -552,9 +539,6 @@ def _search(ev, e: _DualEval, lim: _Limits) -> _DualEval:
         step = abs(newton - e.mu2)
         if a < newton < b and step <= 0.5 * abs(prev_step) and (closed or step <= width):
             mu2 = newton
-        elif a < newton < b and step <= 0.5 * tol_abs and lim.accepts(e):
-            # Past the Newton point, so the bracket closes within tol_abs.
-            mu2 = newton + np.copysign(0.1 * tol_abs, newton - e.mu2)
         elif closed:
             (_, fa, ga), (_, fb, gb) = lo, hi
             cut = (fb - fa + ga * a - gb * b) / (ga - gb)

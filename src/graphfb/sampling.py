@@ -45,8 +45,8 @@ class SamplingPattern:
     sign: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        low = tuple(_vertex_indices(self.keep_low).tolist())
-        high = tuple(_vertex_indices(self.keep_high).tolist())
+        low = tuple(_vertex_indices(self.keep_low, "keep_low").tolist())
+        high = tuple(_vertex_indices(self.keep_high, "keep_high").tolist())
         n = len(low) + len(high)
         if not low or not high:
             raise InputError("both channels of a sampling pattern must be non-empty")
@@ -77,7 +77,7 @@ class SamplingPattern:
         """
         try:
             n = _integer(doc["n"], "pattern size n")
-            low = tuple(sorted(_vertex_indices(doc["keep_low"]).tolist()))
+            low = tuple(sorted(_vertex_indices(doc["keep_low"], "keep_low").tolist()))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed sampling pattern document: {exc}") from None
         if any(i < 0 or i >= n for i in low):

@@ -354,6 +354,31 @@ def test_signed_permutation_rejects_bad_sign_values():
         fourier.SignedPermutation(perm=np.array([0, 1]), signs=np.array([1.0, 0.5]))
 
 
+@pytest.mark.parametrize(
+    "perm, signs, message",
+    [
+        ([0, 1], [1], "perm and signs must be vectors of equal length"),
+        ([0, 1], [[1, 1]], "perm and signs must be vectors of equal length"),
+        ([0, 0], [1, 1], "perm is not a permutation"),
+        ([0, 2], [1, 1], "perm is not a permutation"),
+    ],
+)
+def test_signed_permutation_refuses_vectors_that_are_not_a_permutation(perm, signs, message):
+    with pytest.raises(InputError, match=message):
+        fourier.SignedPermutation(perm, signs)
+
+
+@pytest.mark.parametrize("a", [np.zeros((3, 0)), np.zeros(3)], ids=["no-columns", "1-d"])
+def test_classify_refuses_a_basis_without_columns(a):
+    with pytest.raises(InputError, match="need at least one column to classify"):
+        fourier.classify_subspace(a, np.array([1.0, 1.0, -1.0]))
+
+
+def test_complement_refuses_built_columns_of_another_height():
+    with pytest.raises(InputError, match="built columns have 4 rows, expected 3"):
+        fourier.complement_basis(np.zeros((4, 1)), 3)
+
+
 # -- Transform: coefficients U^T f, synthesis U c --------------------------------
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -329,6 +330,27 @@ def test_graph_from_arrays_rejects_bool_column():
         gf.Graph.from_arrays(3, np.array([0, 1]), np.array([True, True]), np.ones(2))
 
 
+@pytest.mark.parametrize(
+    "column",
+    [np.array(["0", "1"]), np.array([0, 1]) + 0j, np.array([0, 1], dtype=object)],
+    ids=["text", "complex", "object"],
+)
+def test_graph_from_arrays_refuses_an_index_column_that_is_not_numeric(column):
+    # np.isfinite or np.floor used to raise a TypeError on these.
+    with pytest.raises(InputError, match="non-integer vertex index"):
+        gf.Graph.from_arrays(3, column, [1, 2], [1.0, 1.0])
+    with pytest.raises(InputError, match="non-integer vertex index"):
+        gf.Graph.from_arrays(3, [1, 2], column, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("w", [np.complex128(1.0 + 1.0j), 10**400], ids=["complex", "int-past-float-range"])
+def test_graph_refuses_an_edge_weight_that_is_not_a_float(w):
+    # A numpy complex weight used to lose its imaginary part, and an int
+    # past the float range escaped as an OverflowError.
+    with pytest.raises(InputError, match=r"edge must be \(i, j, w\), got \(0, 1, "):
+        gf.Graph(3, [(0, 1, w), (1, 2, 1.0)])
+
+
 def test_graph_bool_index_reported_in_input_order():
     # A bad weight on an earlier edge is still the first offence.
     with pytest.raises(InputError, match="non-positive or non-finite weight"):
@@ -390,6 +412,12 @@ def test_graph_rejects_non_finite_coords(bad):
         gf.Graph(3, edges, coords=coords)
     with pytest.raises(InputError, match="coords have a non-finite entry"):
         gf.Graph.from_arrays(3, [0, 1], [1, 2], [1.0, 1.0], coords)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 2), (6,)])
+def test_graph_refuses_coords_of_the_wrong_shape(shape):
+    with pytest.raises(InputError, match=r"coords must have shape \(3, 2\)"):
+        gf.Graph(3, [(0, 1, 1.0), (1, 2, 1.0)], coords=np.zeros(shape))
 
 
 def test_graph_coords_are_read_only():
@@ -482,6 +510,33 @@ def test_generate_rejects_a_radius_too_large_for_a_float():
     # InputError, not OverflowError.
     with pytest.raises(InputError, match="radius is too large for a float"):
         gf.generate("random_geometric", 8, radius=10**400)
+
+
+@pytest.mark.parametrize("radius", [0.0, -0.5, 1.5])
+def test_generate_refuses_a_radius_outside_its_range(radius):
+    with pytest.raises(InputError, match=r"radius must lie in \(0, sqrt\(2\)\]"):
+        gf.generate("random_geometric", 8, radius=radius)
+
+
+@pytest.mark.parametrize("kind", ["path", "complete", "grid", "random_geometric"])
+def test_generate_refuses_fewer_than_two_vertices(kind):
+    with pytest.raises(InputError, match="needs n >= 2, got 1"):
+        gf.generate(kind, 1)
+
+
+@pytest.mark.parametrize("kind", ["ring", "path", "complete", "grid"])
+@pytest.mark.parametrize("seed", [True, np.False_], ids=repr)
+def test_generate_refuses_a_bool_seed_for_every_kind(kind, seed):
+    # Only random_geometric used to read its seed; the other kinds took a bool.
+    with pytest.raises(InputError, match="a bool is not a seed"):
+        gf.generate(kind, 5, seed=seed)
+
+
+@pytest.mark.parametrize("kind", [["ring"], {"ring"}], ids=repr)
+def test_generate_refuses_a_kind_that_is_not_a_name(kind):
+    # An unhashable kind used to raise a TypeError.
+    with pytest.raises(InputError, match="unknown graph kind"):
+        gf.generate(kind, 5)
 
 
 @pytest.mark.parametrize("kind", ["ring", "path", "complete", "grid", "random_geometric"])
@@ -631,6 +686,21 @@ def test_parse_graph_rejects_empty():
         gf.parse_graph("")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0 1\n%signal\n0 1.0\n%signal\n1 2.0\n", "line 4: repeated %signal block"),
+        ("0 1\n%signal\n0 1.0 2.0\n", "line 3: cannot parse"),
+        ("0 1\n%signal\n0\n", "line 3: cannot parse"),
+        ("0 1\n%signal\n2 1.0\n", "signal index 2 out of range for n=2"),
+        ("0 1\n%signal\n-1 1.0\n", "signal index -1 out of range for n=2"),
+    ],
+)
+def test_parse_graph_refuses_a_malformed_signal_block(text, message):
+    with pytest.raises(InputError, match=message):
+        gf.parse_graph(text)
+
+
 @pytest.mark.parametrize("text, message", [
     ("0 1\n2 2\n", "self-loop at vertex 2"),
     ("0 1\n1 -3 2\n", r"edge \(-3, 1\) has a vertex index out of range for n=2"),
@@ -663,3 +733,87 @@ def test_as_signal_validates_length():
 def test_as_signal_rejects_non_finite(value):
     with pytest.raises(InputError, match="non-finite"):
         as_signal([1.0, value, 3.0], 3)
+
+
+
+# -- The real-number rule at every array argument -----------------------------
+
+
+class _Ctx(NamedTuple):
+    p: gf.Pyramid
+    level: gf.FilterLevel
+    lap: np.ndarray
+    f: np.ndarray
+    tree: gf.CoefficientTree
+
+
+@pytest.fixture(scope="module")
+def ctx() -> _Ctx:
+    p = gf.build_pyramid(gf.generate("ring", 8), 2)
+    f = np.linspace(-1.0, 1.0, 8)
+    return _Ctx(p, p.levels[0], gf.laplacian(p.levels[0].graph), f, gf.pyramid_analyze(p, f))
+
+
+# Each public entry that reads arrays, with ``bad`` applied to one array
+# argument and every other argument valid.
+_ENTRIES = {
+    "analyze": lambda c, bad: gf.analyze(c.level, bad(c.f)),
+    "synthesize": lambda c, bad: gf.synthesize(c.level, bad(np.ones(4)), np.ones(4)),
+    "pyramid_analyze": lambda c, bad: gf.pyramid_analyze(c.p, bad(c.f)),
+    "pyramid_synthesize": lambda c, bad: gf.pyramid_synthesize(
+        c.p, gf.CoefficientTree(bad(c.tree.lows), c.tree.highs)
+    ),
+    "compute_basis": lambda c, bad: gf.compute_basis(bad(c.lap), c.level.pattern),
+    "kron_reduce": lambda c, bad: gf.kron_reduce(bad(c.lap), c.level.pattern.keep_low),
+    "graph_from_laplacian": lambda c, bad: gf.graph_from_laplacian(bad(c.lap)),
+    "greedy_max_cut": lambda c, bad: gf.greedy_max_cut(bad(c.lap)),
+    "check_laplacian": lambda c, bad: gf.check_laplacian(bad(c.lap)),
+    "QecqpProblem": lambda c, bad: gf.QecqpProblem(bad(c.lap), np.diag(np.repeat([2.0, 0.0], 4))),
+    "Graph(coords=)": lambda c, bad: gf.Graph(8, c.level.graph.edges, bad(c.level.graph.coords)),
+    "Graph.from_arrays": lambda c, bad: gf.Graph.from_arrays(8, c.level.graph.lo, c.level.graph.hi, bad(c.level.graph.w)),
+    "design_minimax": lambda c, bad: gf.design_minimax(c.level.basis.phi, bad(gf.ideal_half_band(8))),
+    "quartet": lambda c, bad: gf.quartet(bad(gf.design_from_hstar(c.level.basis.phi, 1.5)), c.level.basis.phi),
+    "classify_subspace": lambda c, bad: gf.classify_subspace(bad(c.level.basis.u[:, :2]), c.level.pattern.sign),
+    "format_graph(signal=)": lambda c, bad: gf.format_graph(c.level.graph, signal=bad(c.f)),
+}
+_NOT_REAL = {
+    # The imaginary part used to be dropped with nothing but a ComplexWarning.
+    "complex": lambda a: np.asarray(a) + 0.5j,
+    # Numeric text used to be read as numbers.
+    "text": lambda a: np.asarray(a).astype(str),
+    # Cut short at the end, so numpy cannot make an array of it.
+    "ragged": lambda a: [*np.asarray(a).tolist()[:-1], [0.0]],
+}
+
+
+def _complex_high(tree: gf.CoefficientTree) -> gf.CoefficientTree:
+    return gf.CoefficientTree(tree.lows, (tree.highs[0] + 0.5j, *tree.highs[1:]))
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        *(
+            pytest.param(lambda c, e=entry, bad=bad: e(c, bad), "must hold real numbers", id=f"{name}-{kind}")
+            for name, entry in _ENTRIES.items()
+            for kind, bad in _NOT_REAL.items()
+        ),
+        # A complex channel used to raise numpy's TypeError.
+        pytest.param(lambda c: gf.threshold_highpass(_complex_high(c.tree), 0.1), "must hold real numbers",
+                     id="threshold_highpass-complex"),
+        pytest.param(lambda c: gf.keep_top_k(_complex_high(c.tree), 8), "must hold real numbers",
+                     id="keep_top_k-complex"),
+        # int() used to truncate perm [1.7, 0.2] to [1, 0] and signs 1.9 to 1.
+        pytest.param(lambda c: gf.SignedPermutation([1.7, 0.2], [1, 1]), "perm must be a 1-d sequence of integers",
+                     id="SignedPermutation-perm-1.7"),
+        pytest.param(lambda c: gf.SignedPermutation([1, 0], [1.9, 1.9]), r"signs must be \+-1",
+                     id="SignedPermutation-signs-1.9"),
+        pytest.param(lambda c: gf.SignedPermutation(["1", "0"], [1, 1]), "perm must be a 1-d sequence of integers",
+                     id="SignedPermutation-perm-text"),
+        pytest.param(lambda c: gf.SignedPermutation([1, 0], ["1", "1"]), "signs must hold real numbers",
+                     id="SignedPermutation-signs-text"),
+    ],
+)
+def test_every_array_argument_must_hold_real_numbers(ctx, call, match):
+    with pytest.raises(InputError, match=match):
+        call(ctx)

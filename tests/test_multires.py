@@ -1151,6 +1151,27 @@ def _saved_pyramid(tmp_path):
     return tmp_path / "pyr"
 
 
+def test_build_pyramid_refuses_a_single_vertex_graph():
+    with pytest.raises(InputError, match="pyramid needs a graph with at least two vertices"):
+        multires.build_pyramid(gf.Graph(1, []), 1)
+
+
+@pytest.mark.parametrize("text", ["[]", '"pyramid"', "3"])
+def test_load_refuses_a_manifest_that_is_not_an_object(tmp_path, text):
+    (tmp_path / "manifest.json").write_text(text)
+    with pytest.raises(InputError, match="pyramid manifest is not a JSON object"):
+        multires.load_pyramid(tmp_path)
+
+
+def test_load_refuses_a_level_graph_whose_size_disagrees_with_the_manifest(tmp_path):
+    d = _saved_pyramid(tmp_path)
+    manifest = json.loads((d / "manifest.json").read_text())
+    manifest["levels"][1]["n"] += 1
+    (d / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(InputError, match="level 1: graph size disagrees with manifest"):
+        multires.load_pyramid(d)
+
+
 @pytest.mark.parametrize("name", ["basis_u.csv", "energies.csv", "pair_tags.csv", "phi.csv", "filters.csv",
                                   "graph.txt"])
 def test_load_rejects_missing_level_file(tmp_path, name):

@@ -20,7 +20,7 @@ import pytest
 
 import graphfb as gf
 from graphfb import multires, qecqp, sampling
-from graphfb.errors import InputError, SolverError
+from graphfb.errors import EigensolverError, InputError, SolverError
 from conftest import oracle_min, random_problem
 
 Q_PATH = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -1120,6 +1120,108 @@ def test_basis_uses_few_full_decompositions_per_large_pair():
     large = [c for k, c in zip(dims, full) if k >= 48]
     assert len(large) >= 20
     assert sum(large) <= 0.25 * len(large)
+
+
+# -- Exits of the solve that no build reaches -----------------------------------
+
+
+def test_eigendecomposition_failure_is_an_eigensolver_error(monkeypatch):
+    p = random_problem(5, seed=0)
+
+    def fail(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(EigensolverError, match="symmetric eigendecomposition failed: Eigenvalues did not converge"):
+        qecqp.solve(p)
+
+
+def test_projected_search_that_fails_hands_the_start_to_the_full_search(monkeypatch):
+    # The projected search's _search raises; the full search then runs from
+    # the start mu2 exactly as a solve started there without a subspace.
+    problem, start = rgg_subproblem(64, seed=1, step=5)
+    assert start.w is not None and problem.dim >= qecqp._WARM_MIN_DIM
+    search_ = qecqp._search
+    failed = []
+
+    def fail_first(ev, e, lim):
+        if not failed:
+            failed.append(e.mu2)
+            raise SolverError("dual root finding failed to converge")
+        return search_(ev, e, lim)
+
+    monkeypatch.setattr(qecqp, "_search", fail_first)
+    sol, _, rows = qecqp._solve(problem, 1e-10, start)
+    monkeypatch.undo()
+    cold, _, cold_rows = qecqp._solve(problem, 1e-10, qecqp._Start(start.mu2, None))
+    assert failed == [start.mu2]
+    assert rows == cold_rows and rows[0][0] == start.mu2
+    assert np.array_equal(sol.x, cold.x)
+
+
+def step_dual(c: float, slope: float = 0.5):
+    """Evaluations of f(mu2) = -slope |mu2 - c|, whose supergradient jumps
+    from +slope to -slope at c.  No evaluation reports the kink (c itself
+    reads -slope) or a supergradient small enough to accept, so neither
+    _Limits.done nor _Limits.accepts ends a search on it; ``calls`` counts
+    the evaluations."""
+    calls = []
+
+    def ev(m: float) -> qecqp._DualEval:
+        calls.append(m)
+        g = slope if m < c else -slope
+        return qecqp._DualEval(m, m - slope * abs(m - c), g, g, None, None, None, 0, 1.0, np.inf)
+
+    return ev, calls
+
+
+def test_search_stops_once_the_bracket_is_at_rounding_width():
+    ev, calls = step_dual(0.3)
+    e = qecqp._search(ev, ev(0.0), qecqp._Limits(1e-10, 1.0))
+    # Tangent cuts and bisection close the bracket on 0.3 to no wider than
+    # 16 eps |mu2| + eps ||Q + mu2 R||_2 / ||R||_2, about 1.3e-15 here; the
+    # search returns one more evaluation, at its middle.
+    assert e.mu2 == calls[-1]
+    assert abs(e.mu2 - 0.3) <= 2e-15
+    assert len(calls) == 11
+
+
+def test_search_gives_up_after_its_far_evaluation_budget():
+    # f = mu2/2 rises for ever: the bracket never closes.
+    calls = []
+
+    def ev(m: float) -> qecqp._DualEval:
+        calls.append(m)
+        return qecqp._DualEval(m, 1.5 * m, 0.5, 0.5, None, None, None, 0, 1.0, np.inf)
+
+    with pytest.raises(SolverError, match="dual bracket search failed; no supergradient sign change"):
+        qecqp._search(ev, ev(0.0), qecqp._Limits(1e-10, 1.0))
+    assert len(calls) == 1 + qecqp._MAX_FAR_EVALS
+
+
+def test_search_gives_up_after_its_evaluation_budget(monkeypatch):
+    # The search on step_dual takes 11 evaluations; allow it 3 steps.
+    monkeypatch.setattr(qecqp, "_MAX_EVALS", 3)
+    ev, calls = step_dual(0.3)
+    with pytest.raises(SolverError, match="dual root finding failed to converge"):
+        qecqp._search(ev, ev(0.0), qecqp._Limits(1e-10, 1.0))
+    assert len(calls) == 4
+
+
+def test_full_evaluation_failing_its_certificate_is_final(monkeypatch):
+    # Only a Ritz point starts over cold when a certificate fails; a full
+    # evaluation's failure is raised.
+    p = random_problem(6, seed=3)
+    calls = []
+
+    def fail(m):
+        calls.append(m.shape)
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    with pytest.raises(SolverError, match="H not positive semidefinite"):
+        qecqp.solve(p)
+    assert calls == [(6, 6)]
 
 
 # -- Sampling oracle ----------------------------------------------------------

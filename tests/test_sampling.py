@@ -167,6 +167,17 @@ def test_pattern_validation_rejects_empty_side():
         sampling.SamplingPattern(keep_low=(0, 1, 2), keep_high=())
 
 
+@pytest.mark.parametrize("low, high", [((1, 0), (2,)), ((0,), (2, 1))])
+def test_pattern_refuses_a_channel_list_that_is_not_increasing(low, high):
+    with pytest.raises(InputError, match="channel index lists must be strictly increasing"):
+        sampling.SamplingPattern(low, high)
+
+
+def test_cut_value_refuses_a_pattern_of_another_size():
+    with pytest.raises(InputError, match="pattern size 3 does not match graph size 4"):
+        sampling.cut_value(gf.generate("path", 4), sampling.SamplingPattern((0,), (1, 2)))
+
+
 @pytest.mark.parametrize(
     "low, high", [((0, 1.5), (2,)), ((0, True), (2,)), (("2",), (0, 1)), ((2.9,), (0, 1)), ((0,), (1.0, 2))]
 )
